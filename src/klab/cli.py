@@ -52,7 +52,7 @@ def _context(k: int, q: int, d: int, c: int, convention: str = INTRO):
         os.makedirs(cache_dir, exist_ok=True)
         path = cache_path(cache_dir, k, f, convention)
         if os.path.exists(path):
-            table = load_table(path, field=f)
+            table = load_table(path, field=f, k=k, convention=convention)
     if table is None:
         table = kloosterman_table(k, f, convention)
         if cache_dir:
@@ -185,12 +185,13 @@ def cmd_moments(args):
     Q = f.size
     devs = [abs(second_moment_r_lambda(ctx, tuple(int(x) for x in b)) - Q) / math.sqrt(Q)
             for b in tuples]
+    fam = full_average_moment(ctx)
     payload = {
         "q": args.q, "d": args.d, "k": args.k, "seed": args.seed,
         "second_moment_dev_max": max(devs),
         "second_moment_dev_mean": sum(devs) / len(devs),
-        "full_average_moment": full_average_moment(ctx),
-        "full_average_dev": abs(full_average_moment(ctx) - Q) / math.sqrt(Q),
+        "full_average_moment": fam,
+        "full_average_dev": abs(fam - Q) / math.sqrt(Q),
     }
     if args.k % 2 == 1:
         ncs = [abs(noncorrelation_moment(ctx, tuple(int(x) for x in b))) / math.sqrt(Q)
@@ -333,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seeded=False):
         sp.add_argument("--out", help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker-count knob for scan parallelism")
         if seeded:
             sp.add_argument("--seed", type=int, required=True)
 
@@ -445,16 +444,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args, parser):
+def _explicit_options(argv) -> set:
+    """Destinations of the options given on the command line: a second parse
+    in which no option has a default."""
+    parser = build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *(sp for a in subs for sp in a.choices.values())]:
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(args, argv):
     if not args.config:
         return args
     sections = parse_config(args.config)
     overrides = sections.get(args.command, {})
+    explicit = _explicit_options(argv)
     for key, val in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"unknown config key {key!r} for {args.command}")
-        if getattr(args, attr) is None or getattr(args, attr) == parser.get_default(attr):
+        if attr not in explicit:
             setattr(args, attr, _coerce(val, getattr(args, attr)))
     return args
 
@@ -477,7 +488,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_OK
     try:
-        args = _apply_config(args, parser)
+        args = _apply_config(args, argv)
         return args.func(args)
     except (HypothesisViolated, ConstraintViolated) as e:
         sys.stderr.write(f"hypothesis violated: {e}\n")

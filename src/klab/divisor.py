@@ -26,8 +26,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (BadResidue, HypothesisViolated, OutOfRange,
-                     ResourceLimit)
+from .errors import (BadResidue, CompositeModulus, HypothesisViolated,
+                     OutOfRange, ResourceLimit)
+from .fields import is_prime
 
 TAU_N_MAX = 10**6
 INF = math.inf
@@ -167,8 +168,15 @@ class ProgressionReport:
     normalized: float    # E * q / x
 
 
+def _require_prime_modulus(q: int) -> None:
+    # the class sums below take every a = 1..q-1 as invertible and phi = q - 1
+    if not is_prime(q):
+        raise CompositeModulus(f"q = {q} is not prime")
+
+
 def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> list:
-    """ProgressionReports for every invertible class a mod q."""
+    """ProgressionReports for every invertible class a mod a prime q."""
+    _require_prime_modulus(q)
     vals = lambda_star_one_table(coeffs, x)[1:]
     res = np.arange(1, x + 1) % q
     raw = np.bincount(res, weights=vals, minlength=q)
@@ -190,6 +198,7 @@ def centering_residual_exact(coeffs: CuspFormCoeffs, x: int, q: int) -> int:
     Uses the exact tau-weighted divisor sums, so the centering identity is
     certified without float arithmetic.
     """
+    _require_prime_modulus(q)
     T = [0] * (x + 1)
     for d in range(1, x + 1):
         td = coeffs.tau[d]

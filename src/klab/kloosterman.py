@@ -22,14 +22,13 @@ to spare.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IoError, ResourceLimit, ZeroScale
+from .errors import IoError, KlabError, ResourceLimit, ZeroScale
 
 SCHOOLBOOK_MAX = 5000
 DEFAULT_NAIVE_CAP = 1 << 25
@@ -222,11 +221,16 @@ _CONV_NAME = {v: n for n, v in _CONV_CODE.items()}
 
 
 def save_table(table: KloostermanTable, path: str) -> None:
-    """Header (magic, k, q, d, convention, modulus coeffs) + f64 le pairs."""
+    """Header (magic, k, q, d, convention, modulus coeffs) + f64 le pairs.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a reader never sees a partly written cache.
+    """
     f = table.field
     coeffs = f.modulus
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<IQIB", table.k, f.q, f.degree,
                                  _CONV_CODE[table.convention]))
@@ -236,11 +240,19 @@ def save_table(table: KloostermanTable, path: str) -> None:
             inter[0::2] = table.values.real
             inter[1::2] = table.values.imag
             fh.write(inter.tobytes())
+        os.replace(tmp, path)
     except OSError as e:
         raise IoError(f"cannot write table cache {path}: {e}") from e
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def load_table(path: str, field=None) -> KloostermanTable:
+def load_table(path: str, field=None, k: int | None = None,
+               convention: str | None = None) -> KloostermanTable:
+    """Read a cache written by ``save_table``; with ``field``, ``k`` or
+    ``convention`` given, the cached header must match them.  Every
+    malformed or mismatched file raises IoError."""
     from .fields import ExtField, PrimeField
 
     try:
@@ -248,21 +260,41 @@ def load_table(path: str, field=None) -> KloostermanTable:
             raw = fh.read()
     except OSError as e:
         raise IoError(f"cannot read table cache {path}: {e}") from e
-    buf = io.BytesIO(raw)
-    if buf.read(4) != _MAGIC:
+    if raw[:4] != _MAGIC:
         raise IoError(f"{path}: bad magic")
-    k, q, d, conv = struct.unpack("<IQIB", buf.read(17))
-    (ncoef,) = struct.unpack("<I", buf.read(4))
-    coeffs = struct.unpack(f"<{ncoef}Q", buf.read(8 * ncoef))
-    if field is None:
-        base = PrimeField(q)
-        field = base if d == 1 else ExtField(base, d, modulus=coeffs)
-    elif field.q != q or field.degree != d or tuple(field.modulus) != tuple(coeffs):
+    try:
+        kk, q, d, conv = struct.unpack_from("<IQIB", raw, 4)
+        (ncoef,) = struct.unpack_from("<I", raw, 21)
+        if ncoef != d + 1:
+            raise IoError(f"{path}: {ncoef} modulus coefficients for degree {d}")
+        coeffs = struct.unpack_from(f"<{ncoef}Q", raw, 25)
+    except struct.error as e:
+        raise IoError(f"{path}: truncated header") from e
+    if conv not in _CONV_NAME:
+        raise IoError(f"{path}: unknown convention code {conv}")
+    if k is not None and kk != k:
+        raise IoError(f"{path}: cached k = {kk}, requested k = {k}")
+    if convention is not None and _CONV_NAME[conv] != convention:
+        raise IoError(f"{path}: cached convention {_CONV_NAME[conv]!r}, "
+                      f"requested {convention!r}")
+    if field is not None and (field.q != q or field.degree != d
+                              or tuple(field.modulus) != tuple(coeffs)):
         raise IoError(f"{path}: cached field does not match the requested one")
-    inter = np.frombuffer(buf.read(16 * field.size), dtype="<f8")
+    # checked before any field is built, so a corrupt q or d costs nothing
+    offset = 25 + 8 * ncoef
+    if len(raw) - offset != 16 * q**d:
+        raise IoError(f"{path}: payload is {len(raw) - offset} bytes, "
+                      f"expected {16 * q**d}")
+    if field is None:
+        try:
+            base = PrimeField(q)
+            field = base if d == 1 else ExtField(base, d, modulus=coeffs)
+        except (KlabError, ValueError) as e:
+            raise IoError(f"{path}: bad cached field: {e}") from e
+    inter = np.frombuffer(raw, dtype="<f8", offset=offset)
     vals = inter[0::2] + 1j * inter[1::2]
     vals.setflags(write=False)
-    return KloostermanTable(k=k, field=field, convention=_CONV_NAME[conv], values=vals)
+    return KloostermanTable(k=kk, field=field, convention=_CONV_NAME[conv], values=vals)
 
 
 def cache_path(cache_dir: str, k: int, field, convention: str) -> str:

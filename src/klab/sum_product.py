@@ -22,6 +22,16 @@ avoids every hyperplane b1 + z2*b2 - z3*b3 - z4*b4 = 0 with (z2, z3, z4)
 k-th roots of unity in F_q summing to zero against 1; those hyperplanes are
 the degenerate directions visible in the data (they contain the diagonal
 pairings and produce measurably inflated correlation sums).
+
+Every grid of four-fold products comes from one kernel.  The context caches,
+on first use, the twisted multiplication table T[u, s] = K_c(u*s) (Q^2
+complex entries, read off the dense mul table when d > 1).  For a batch of
+tuples the factor K_c(s(r+b_j)) over all (r, s) is then the row gather
+T[r + b_j]: one field addition per (tuple, r) and a contiguous copy per row,
+with no field arithmetic per cell.  The factors are multiplied a few tuples
+at a time, so the temporaries stay in cache, and always in the order
+((K1 K2) conj(K3 K4)), so every statistic is reproducible bit for bit.
+Sums over a short or repeated s-range gather rows of the slice T[:, s].
 """
 
 from __future__ import annotations
@@ -29,17 +39,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (BadPair, NotDistinct, RangeTooLarge, ResourceLimit,
                      WrongParity, ZeroS)
 from .fields import roots_of_unity
-from .kloosterman import KloostermanTable, _mul_perm
+from .kloosterman import KloostermanTable, _mul_perm, _neg_perm
 
 FULL_SCAN_MAX_Q = 31
 DEFAULT_SAMPLES = 2000
 GRID_CAP = 1 << 24
+# The kernel multiplies its factors a few tuples at a time, so that each
+# step's temporaries (512 KiB of complex128 each) stay in a core's L2 cache;
+# whole 64-tuple batches at q = 199 ran about 2x slower.
+KERNEL_STEP_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,15 @@ class SumProductContext:
         tw = self.table.values[_mul_perm(self.table.field, self.c % self.table.field.size)]
         tw.setflags(write=False)
         object.__setattr__(self, "twisted", tw)
+
+    @cached_property
+    def row_table(self) -> np.ndarray:
+        """T[u, s] = K_c(u*s), a Q x Q table built on first use."""
+        f = self.field
+        ids = np.arange(f.size, dtype=np.int64)
+        T = self.twisted[f.mul_vec(ids[:, None], ids[None, :])]
+        T.setflags(write=False)
+        return T
 
     @property
     def field(self):
@@ -159,37 +183,50 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# index helpers (d = 1 fast path, dense tables otherwise)
+# the four-fold kernel
 # ----------------------------------------------------------------------
 
-def _vec_ops(field):
-    if field.degree == 1:
-        q = field.q
-        return (lambda a, b: (a + b) % q), (lambda a, b: (a * b) % q)
-    at, mt = field.add_table(), field.mul_table()
-    return (lambda a, b: at[a, b]), (lambda a, b: mt[a, b])
+def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
+    """The four-fold product G[m, i, j] at (r_i, s_j) for each shift tuple
+    b = tuples[m]; r and s default to the whole field.
 
-
-def _psi_column(ctx, lam: int) -> np.ndarray:
-    """psi(lam * s) for all s, as a vector indexed by s."""
+    Each factor is a row gather T[r + b_j] from T[u, j] = K_c(u s_j): the
+    cached ``ctx.row_table`` when s is omitted, else its Q x len(s) slice.
+    """
     f = ctx.field
-    _, mul = _vec_ops(f)
-    return f.psi_vec[mul(lam, np.arange(f.size, dtype=np.int64))]
+    ids = np.arange(f.size, dtype=np.int64)
+    if s is None:
+        T = ctx.row_table
+    else:
+        T = ctx.twisted[f.mul_vec(ids[:, None], np.asarray(s, dtype=np.int64)[None, :])]
+    r = ids if r is None else np.asarray(r, dtype=np.int64)
+    u = f.add_vec(r[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])
+    G = np.empty((len(u), len(r), T.shape[1]), dtype=np.complex128)
+    step = max(1, KERNEL_STEP_CELLS // (len(r) * T.shape[1] or 1))
+    for lo in range(0, len(u), step):
+        u1, u2, u3, u4 = u[lo:lo + step].transpose(1, 0, 2)
+        g = G[lo:lo + step]
+        np.multiply(T[u1], T[u2], out=g)
+        H = T[u3]
+        H *= T[u4]
+        g *= np.conj(H, out=H)
+    return G
+
+
+def _psi_column(ctx, lam) -> np.ndarray:
+    """psi(lam * s) for all s, as a vector indexed by s (a [m, s] array for a
+    vector of lam)."""
+    f = ctx.field
+    ids = np.arange(f.size, dtype=np.int64)
+    return f.psi_vec[f.mul_vec(np.asarray(lam)[..., None], ids)]
 
 
 def product_grid(ctx, b) -> np.ndarray:
     """G[r, s] = K_c(s(r+b1)) K_c(s(r+b2)) conj(K_c(s(r+b3)) K_c(s(r+b4)))."""
-    f = ctx.field
-    Q = f.size
+    Q = ctx.field.size
     if Q * Q > GRID_CAP:
         raise ResourceLimit(f"(q^d)^2 grid too large: {Q * Q}")
-    add, mul = _vec_ops(f)
-    r = np.arange(Q, dtype=np.int64)[:, None]
-    s = np.arange(Q, dtype=np.int64)[None, :]
-    tv = ctx.twisted
-    G = (tv[mul(add(r, b[0]), s)] * tv[mul(add(r, b[1]), s)]
-         * np.conj(tv[mul(add(r, b[2]), s)] * tv[mul(add(r, b[3]), s)]))
-    return G
+    return _four_fold(ctx, [b])[0]
 
 
 def big_k(ctx, r: int, s: int, lam: int, b) -> complex:
@@ -203,14 +240,8 @@ def big_k(ctx, r: int, s: int, lam: int, b) -> complex:
 
 def big_r(ctx, r: int, lam: int, b) -> complex:
     """Sum of big_k over every s (the table's zero at 0 kills the s=0 term)."""
-    f = ctx.field
     assert ctx.twisted[0] == 0
-    add, mul = _vec_ops(f)
-    s = np.arange(f.size, dtype=np.int64)
-    tv = ctx.twisted
-    prod = (tv[mul(s, add(r, b[0]))] * tv[mul(s, add(r, b[1]))]
-            * np.conj(tv[mul(s, add(r, b[2]))] * tv[mul(s, add(r, b[3]))]))
-    return complex(prod @ _psi_column(ctx, lam))
+    return complex(_four_fold(ctx, [b], r=[r])[0, 0] @ _psi_column(ctx, lam))
 
 
 def r_profile(ctx, lam: int, b) -> np.ndarray:
@@ -221,13 +252,7 @@ def r_profile(ctx, lam: int, b) -> np.ndarray:
 def complete_sum_over_r(ctx, s: int, b) -> complex:
     if s % ctx.field.size == 0:
         raise ZeroS("s must be a unit")
-    f = ctx.field
-    add, mul = _vec_ops(f)
-    r = np.arange(f.size, dtype=np.int64)
-    tv = ctx.twisted
-    prod = (tv[mul(s, add(r, b[0]))] * tv[mul(s, add(r, b[1]))]
-            * np.conj(tv[mul(s, add(r, b[2]))] * tv[mul(s, add(r, b[3]))]))
-    return complex(prod.sum())
+    return complex(_four_fold(ctx, [b], s=[s]).sum())
 
 
 def complete_corr_over_r(ctx, s1: int, s2: int, b) -> complex:
@@ -235,16 +260,8 @@ def complete_corr_over_r(ctx, s1: int, s2: int, b) -> complex:
     Q = ctx.field.size
     if s1 % Q == 0 or s2 % Q == 0 or s1 % Q == s2 % Q:
         raise BadPair("need nonzero s1 != s2")
-    f = ctx.field
-    add, mul = _vec_ops(f)
-    r = np.arange(Q, dtype=np.int64)
-    tv = ctx.twisted
-
-    def slice_at(s):
-        return (tv[mul(s, add(r, b[0]))] * tv[mul(s, add(r, b[1]))]
-                * np.conj(tv[mul(s, add(r, b[2]))] * tv[mul(s, add(r, b[3]))]))
-
-    return complex((slice_at(s1) * np.conj(slice_at(s2))).sum())
+    G = _four_fold(ctx, [b], s=[s1, s2])[0]
+    return complex((G[:, 0] * np.conj(G[:, 1])).sum())
 
 
 def r_linear_sum(ctx, lam: int, b) -> complex:
@@ -284,9 +301,7 @@ def second_moment_r_lambda_naive(ctx, b) -> float:
     if Q > 256:
         raise ResourceLimit("naive second moment is O(Q^3); use the shortcut")
     G = product_grid(ctx, b)
-    _, mul = _vec_ops(ctx.field)
-    ids = np.arange(Q, dtype=np.int64)
-    psi_mat = ctx.field.psi_vec[mul(ids[:, None], ids[None, :])]  # [s, lam]
+    psi_mat = _psi_column(ctx, np.arange(Q, dtype=np.int64))  # [lam, s], symmetric
     R = G @ psi_mat
     return float((np.abs(R) ** 2).sum() / Q**2)
 
@@ -300,25 +315,16 @@ def noncorrelation_moment(ctx, b) -> complex:
     if ctx.k % 2 == 0:
         raise WrongParity("defined for odd k only")
     _require_distinct(b)
-    f = ctx.field
     G = product_grid(ctx, b)
-    neg = np.zeros(f.size, dtype=np.int64)
-    q = f.q
-    ids = np.arange(f.size, dtype=np.int64)
-    for i in range(f.degree):
-        neg += ((q - ids // q**i % q) % q) * q**i
-    return complex((G * np.conj(G[:, neg])).sum() / f.size)
+    return complex((G * np.conj(G[:, _neg_perm(ctx.field)])).sum() / ctx.field.size)
 
 
 def correlation_matrix_cdiag(ctx) -> np.ndarray:
     """C(s, s') = (1/Q) sum_b K_c(s b) conj(K_c(s' b)) for all (s, s')."""
-    f = ctx.field
-    Q = f.size
+    Q = ctx.field.size
     if Q > 5000:
         raise ResourceLimit("correlation matrix is O(Q^3)")
-    _, mul = _vec_ops(f)
-    ids = np.arange(Q, dtype=np.int64)
-    M = ctx.twisted[mul(ids[:, None], ids[None, :])]  # [s, b]
+    M = ctx.row_table  # [s, b]
     return (M @ np.conj(M.T)) / Q
 
 
@@ -368,12 +374,7 @@ def sigma_incomplete(ctx, b, A: int, M: int, cap: int = GRID_CAP) -> complex:
         raise RangeTooLarge(f"s-range 2AM = {smax} too large")
     if smax == 0:
         return 0j
-    tv = ctx.twisted
-    r = np.arange(q, dtype=np.int64)[:, None]
-    s = np.arange(1, smax + 1, dtype=np.int64)[None, :] % q
-    G = (tv[s * (r + b[0]) % q] * tv[s * (r + b[1]) % q]
-         * np.conj(tv[s * (r + b[2]) % q] * tv[s * (r + b[3]) % q]))
-    return complex(G.sum())
+    return complex(_four_fold(ctx, [b], s=np.arange(1, smax + 1) % q).sum())
 
 
 def sigma_neq(ctx, b, AM: int, cap: int = GRID_CAP) -> complex:
@@ -385,16 +386,11 @@ def sigma_neq(ctx, b, AM: int, cap: int = GRID_CAP) -> complex:
         raise RangeTooLarge(f"(2AM)^2 q = {(2 * AM) ** 2 * q} exceeds cap")
     if AM <= 1:
         return 0j
-    tv = ctx.twisted
-    r = np.arange(q, dtype=np.int64)[:, None]
-    s = np.arange(1, AM + 1, dtype=np.int64)[None, :]
-    smod = s % q
-    G = (tv[smod * (r + b[0]) % q] * tv[smod * (r + b[1]) % q]
-         * np.conj(tv[smod * (r + b[2]) % q] * tv[smod * (r + b[3]) % q]))
+    res = np.arange(1, AM + 1) % q
+    G = _four_fold(ctx, [b], s=res)[0]
     rows = G.sum(axis=1)
     total = (np.abs(rows) ** 2).sum()
     # remove the pairs with s1 = s2 mod q, grouped by residue class
-    res = np.asarray(smod[0])
     for t in np.unique(res):
         cls = G[:, res == t].sum(axis=1)
         total -= (np.abs(cls) ** 2).sum()
@@ -437,12 +433,7 @@ class ScanResult:
 
 def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas, batch: int = 64):
     """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}."""
-    f = ctx.field
-    Q = f.size
-    add, mul = _vec_ops(f)
-    tv = ctx.twisted
-    r = np.arange(Q, dtype=np.int64)[None, :, None]
-    s = np.arange(Q, dtype=np.int64)[None, None, :]
+    Q = ctx.field.size
     lam_cols = np.stack([_psi_column(ctx, int(l)) for l in lambdas], axis=1)
     n = len(tuples)
     lin = np.empty(n)
@@ -450,11 +441,7 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas, batch: int = 64):
     for lo in range(0, n, batch):
         tb = tuples[lo:lo + batch]
         m = len(tb)
-        G = (tv[mul(add(r, tb[:, 0, None, None]), s)]
-             * tv[mul(add(r, tb[:, 1, None, None]), s)]
-             * np.conj(tv[mul(add(r, tb[:, 2, None, None]), s)]
-                       * tv[mul(add(r, tb[:, 3, None, None]), s)]))
-        R = G.reshape(m * Q, Q) @ lam_cols
+        R = _four_fold(ctx, tb).reshape(m * Q, Q) @ lam_cols
         R = R.reshape(m, Q, len(lambdas))
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
@@ -526,13 +513,9 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     """
     f = ctx.field
     Q = f.size
-    add, mul = _vec_ops(f)
-    tv = ctx.twisted
     rng = np.random.default_rng(seed)
     rep_max = {name: [] for name in "KRCD"}
     rep_mean = {name: [] for name in "KRCD"}
-    r = np.arange(Q, dtype=np.int64)[None, :, None]
-    s = np.arange(Q, dtype=np.int64)[None, None, :]
     batch = 64
     for _ in range(replicates):
         tuples = sample_generic_tuples(f, ctx.k, n_samples, rng)
@@ -543,19 +526,17 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
         for lo in range(0, n_samples, batch):
             tb = tuples[lo:lo + batch]
             m = len(tb)
-            G = (tv[mul(add(r, tb[:, 0, None, None]), s)]
-                 * tv[mul(add(r, tb[:, 1, None, None]), s)]
-                 * np.conj(tv[mul(add(r, tb[:, 2, None, None]), s)]
-                           * tv[mul(add(r, tb[:, 3, None, None]), s)]))
+            G = _four_fold(ctx, tb)
             col = G.sum(axis=1)  # [m, s] = sum over r
             vals["K"][lo:lo + m] = np.abs(col[np.arange(m), svals[lo:lo + m]]) / Q**0.5
-            psi1 = f.psi_vec[mul(lam1[lo:lo + m, None], s[0])]  # [m, s]
-            psi2 = f.psi_vec[mul(lam2[lo:lo + m, None], s[0])]
+            psi1 = _psi_column(ctx, lam1[lo:lo + m])  # [m, s]
+            psi2 = _psi_column(ctx, lam2[lo:lo + m])
             R1 = np.matmul(G, psi1[:, :, None])[:, :, 0]
             R2 = np.matmul(G, psi2[:, :, None])[:, :, 0]
             vals["R"][lo:lo + m] = np.abs(R1.sum(axis=1)) / Q
             vals["C"][lo:lo + m] = np.abs((R1 * np.conj(R2)).sum(axis=1)) / Q**1.5
             vals["D"][lo:lo + m] = np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5
+            del G  # so that two batches' grids are never held at once
         for name in "KRCD":
             rep_max[name].append(vals[name].max())
             rep_mean[name].append(vals[name].mean())

@@ -42,6 +42,18 @@ def test_unknown_flag_exits_one(capsys):
     assert main(["not-a-command"]) == 1
 
 
+def test_workers_flag_is_gone(capsys):
+    assert main(["opnorm", "--k", "2", "--q", "101", "--M", "6", "--N", "6",
+                 "--workers", "8"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_progression_rejects_composite_modulus(capsys):
+    assert main(["progression", "--x", "500", "--q", "15"]) == 1
+    err = capsys.readouterr().err
+    assert "not prime" in err and "Traceback" not in err
+
+
 def test_kl_check_small(capsys):
     code, out = run(capsys, "kl-check", "--k", "2", "--q", "11")
     assert code == 0
@@ -122,6 +134,20 @@ def test_kl_table_cache_roundtrip(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_truncated_cache_exits_one(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    assert main(["kl-table", "--k", "2", "--q", "13", "--cache", str(cache)]) == 0
+    path = cache / "kl_k2_q13_d1_intro.kltb"
+    with open(path, "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 32)
+    capsys.readouterr()
+    monkeypatch.setenv("KLAB_CACHE_DIR", str(cache))
+    assert main(["moments", "--k", "2", "--q", "13", "--samples", "4",
+                 "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "payload" in err and "Traceback" not in err
+
+
 def test_sumprod_scan_flag_route(tmp_path, capsys):
     p = str(tmp_path / "scan.csv")
     code = main(["sumprod-scan", "--k", "2", "--q", "19", "--samples", "50",
@@ -157,6 +183,23 @@ def test_config_file_defaults(tmp_path, capsys):
     assert json.loads(out)["q"] == 7
     parsed = parse_config(str(cfg))
     assert parsed == {"sk": {"k": "2", "q": "7"}}
+
+
+def test_config_default_for_flag_with_default(tmp_path, capsys):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text("[exponent-lp]\nkappa = 0.5\n")
+    code, out = run(capsys, "--config", str(cfg), "exponent-lp", "--delta", "0.03")
+    assert code == 0
+    assert json.loads(out)["config"]["kappa"] == 0.5
+
+
+def test_config_explicit_flag_wins_at_default_value(tmp_path, capsys):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text("[exponent-lp]\nkappa = 0.5\n")
+    code, out = run(capsys, "--config", str(cfg), "exponent-lp", "--delta", "0.03",
+                    "--kappa", "0.001")
+    assert code == 0
+    assert json.loads(out)["config"]["kappa"] == 0.001
 
 
 def test_config_unknown_key(tmp_path, capsys):

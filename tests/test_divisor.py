@@ -12,7 +12,8 @@ from klab.divisor import (CuspFormCoeffs, ExponentConfig, bound_exponents,
                           hecke_violations, ktilde, ktilde_all,
                           lambda_star_one, lambda_star_one_table,
                           sigma11_mod, tau_star_one, tau_table)
-from klab.errors import BadResidue, HypothesisViolated, OutOfRange
+from klab.errors import (BadResidue, CompositeModulus, HypothesisViolated,
+                         OutOfRange)
 from klab.fields import make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
@@ -87,6 +88,14 @@ def test_discrepancy_empty_progression(coeffs):
 def test_discrepancy_bad_residue(coeffs):
     with pytest.raises(BadResidue):
         discrepancy(coeffs, 100, 11, 22)
+
+
+def test_discrepancy_rejects_composite_modulus(coeffs):
+    # phi(15) = 8 and the classes 3, 5, 6, 9, 10, 12 are not units
+    with pytest.raises(CompositeModulus):
+        discrepancy_all(coeffs, 500, 15)
+    with pytest.raises(CompositeModulus):
+        centering_residual_exact(coeffs, 500, 15)
 
 
 # ------------------------------------------------------------------- ktilde

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from klab.errors import ResourceLimit, ZeroScale
+from klab.errors import IoError, ResourceLimit, ZeroScale
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (INTRO, SHEAF, KloostermanTable, cache_path,
                               conjugation_symmetry_check, cross_check,
@@ -130,6 +130,35 @@ def test_binary_cache_roundtrip(tmp_path):
     assert np.array_equal(back.values, t.values)
     back2 = load_table(p, field=f)
     assert np.array_equal(back2.values, t.values)
+
+
+@pytest.mark.parametrize("cut", [32, 7])
+def test_binary_cache_rejects_truncation(tmp_path, cut):
+    f = make_prime_field(13)
+    p = str(tmp_path / "t.kltb")
+    save_table(kloosterman_table(2, f), p)
+    with open(p, "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - cut)
+    with pytest.raises(IoError):
+        load_table(p)
+    with pytest.raises(IoError):
+        load_table(p, field=f)
+
+
+def test_binary_cache_rejects_mismatched_request(tmp_path, f7):
+    p = str(tmp_path / "t.kltb")
+    save_table(kloosterman_table(3, f7, SHEAF), p)
+    assert load_table(p, field=f7, k=3, convention=SHEAF).k == 3
+    with pytest.raises(IoError):
+        load_table(p, field=f7, k=2)
+    with pytest.raises(IoError):
+        load_table(p, field=f7, convention=INTRO)
+    with pytest.raises(IoError):
+        load_table(p, field=make_prime_field(11))
+    with open(p, "r+b") as fh:
+        fh.truncate(20)  # inside the header
+    with pytest.raises(IoError):
+        load_table(p)
 
 
 def test_naive_table_matches_pointwise_naive(f5):

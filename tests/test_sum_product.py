@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
                               complete_sum_over_r, correlation_matrix_cdiag,
                               full_average_moment, full_average_moment_naive,
                               is_generic_tuple, noncorrelation_moment,
-                              r_correlation, r_linear_sum, r_profile,
+                              product_grid, r_correlation, r_linear_sum, r_profile,
                               ratio_scan, sample_generic_tuples,
                               scan_bad_tuples, second_moment_r_lambda,
                               second_moment_r_lambda_naive, shift_tuple,
@@ -85,6 +86,36 @@ def test_big_r_matches_nested_loop_oracle():
     b = (1, 2, 3, 5)
     got = big_r(ctx, 7, 1, b)
     assert abs(got - brute_big_r(ctx, 7, 1, b)) < 1e-9
+
+
+_PROPERTY_FIELDS = ((5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2))
+
+
+@lru_cache(maxsize=None)
+def _property_table(q, d, k):
+    base = make_prime_field(q)
+    return kloosterman_table(k, base if d == 1 else build_extension(base, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PROPERTY_FIELDS), st.integers(2, 3), st.data())
+def test_product_grid_matches_scalar_big_k(fd, k, data):
+    # the row-gather kernel against big_k's scalar field operations
+    q, d = fd
+    Q = q**d
+    cell = st.integers(0, Q - 1)
+    ctx = SumProductContext(_property_table(q, d, k), c=data.draw(st.integers(1, Q - 1)))
+    b = tuple(data.draw(st.lists(cell, min_size=4, max_size=4)))
+    r, s = data.draw(cell), data.draw(cell)
+    assert abs(product_grid(ctx, b)[r, s] - big_k(ctx, r, s, 0, b)) < 1e-12
+
+
+def test_context_builds_row_table_lazily():
+    ctx = SumProductContext(kloosterman_table(2, make_prime_field(53)), c=3)
+    assert "row_table" not in vars(ctx)
+    second_moment_r_lambda(ctx, (1, 2, 3, 5))
+    T = vars(ctx)["row_table"]
+    assert T.shape == (53, 53) and T[4, 7] == ctx.twisted[28]
 
 
 def test_r_profile_matches_big_r(ctx13):
