@@ -287,15 +287,16 @@ def cmd_progression(args):
 
 def cmd_exponent_lp(args):
     if args.search:
-        res = dv.delta_star_search(kappa=args.search_kappa, slack=args.slack,
-                                   grid_step=args.grid)
+        if args.delta is not None or args.eta is not None:
+            raise UsageError("--search computes delta*; it takes no --delta or --eta")
+        res = dv.delta_star_search(kappa=args.search_kappa, slack=args.slack)
         _emit(args, res)
         return EXIT_OK
     cfg = dv.ExponentConfig(delta=args.delta, eta=args.eta, kappa=args.kappa,
-                            slack=args.slack, grid_step=args.grid)
+                            slack=args.slack)
     v = dv.exponent_case_analysis(cfg)
-    payload = {"passed": v.passed, "delta": v.delta, "kappa": v.kappa,
-               "slack": v.slack, "worst_exponent": v.worst,
+    payload = {"passed": v.passed, "delta": float(v.delta), "kappa": v.kappa,
+               "slack": v.slack, "worst_exponent": float(v.worst),
                "witnesses": [list(w) for w in v.witnesses]}
     _emit(args, payload)
     return EXIT_OK
@@ -429,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float)
     sp.add_argument("--kappa", type=float, default=1e-3)
     sp.add_argument("--slack", type=float, default=0.0)
-    sp.add_argument("--grid", type=float, default=1e-3)
     sp.add_argument("--search", action="store_true")
     sp.add_argument("--search-kappa", type=float, default=0.0)
     common(sp)
@@ -455,30 +455,37 @@ def _explicit_options(argv) -> set:
     return set(vars(parser.parse_args(argv)))
 
 
-def _apply_config(args, argv):
+def _apply_config(parser, args, argv):
     if not args.config:
         return args
     sections = parse_config(args.config)
     overrides = sections.get(args.command, {})
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[args.command]._actions}
     explicit = _explicit_options(argv)
     for key, val in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest):
             raise UsageError(f"unknown config key {key!r} for {args.command}")
-        if attr not in explicit:
-            setattr(args, attr, _coerce(val, getattr(args, attr)))
+        if action.dest not in explicit:
+            setattr(args, action.dest, _coerce(key, val, action))
     return args
 
 
-def _coerce(val: str, cur):
-    if isinstance(cur, bool):
+def _coerce(key: str, val: str, action):
+    """A config value converted as its flag's own argparse action would."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise UsageError(f"config key {key!r}: {val!r} is not a boolean")
         return val.lower() in ("1", "true", "yes")
-    for conv in (int, float):
-        try:
-            return conv(val)
-        except ValueError:
-            continue
-    return val
+    conv = action.type or str
+    try:
+        out = [conv(v) for v in val.split()] if action.nargs == "+" else conv(val)
+    except ValueError as e:
+        raise UsageError(f"config key {key!r}: bad value {val!r} ({e})") from e
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(f"config key {key!r}: {val!r} not one of {action.choices}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -488,7 +495,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_OK
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except (HypothesisViolated, ConstraintViolated) as e:
         sys.stderr.write(f"hypothesis violated: {e}\n")

@@ -13,16 +13,19 @@ convolution (lambda * 1)(n) with the average over invertible classes; an
 integer-exact variant (tau-weighted, scaled by phi(q)) certifies the
 centering identity sum_a E = 0 with no float error.
 
-The bound calculators and the (mu', nu') exponent grid implement the four
-completion/bilinear estimates and search the largest distribution-exponent
-offset delta* they sustain; delta converts to the progression-range exponent
-via eta = delta / (4 - 2*delta).
+The bound calculators implement the completion/bilinear estimates; an exact
+rational analysis over the vertices of their (mu', nu') line arrangement
+finds the largest distribution-exponent offset delta* = 1/26 they sustain;
+delta converts to the progression-range exponent via eta = delta / (4 -
+2*delta), so eta* = 1/102.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -276,19 +279,29 @@ def combined_bounds(M: float, N: float, q: int, Q: float = 1.0, C1: float = 1.0,
     return out
 
 
-def bound_exponents(mu_p: float, nu_p: float, delta: float = 0.0) -> tuple:
-    """The five tau-exponent bounds at (mu', nu'); inapplicable -> inf.
+# Each bound is s + max(pieces), s = mu' + nu', a piece (a, b, c) being
+# a*mu' + b*nu' + c.  Order: completion, linear-in-m, general (both
+# orientations), special; the special bound needs 0 <= mu' <= 2 nu'.
+BOUND_PIECES = (
+    ((0, 0, -1), (0, -1, Fraction(1, 2))),
+    ((0, 0, Fraction(-1, 8)), (Fraction(-1, 2), 0, Fraction(3, 8))),
+    ((Fraction(-1, 2), 0, 0), (0, Fraction(-1, 2), Fraction(1, 4))),
+    ((0, Fraction(-1, 2), 0), (Fraction(-1, 2), 0, Fraction(1, 4))),
+    ((Fraction(-1, 6), Fraction(-5, 12), Fraction(1, 4)),),
+)
+_PIECES = [p for pieces in BOUND_PIECES for p in pieces]
+# g = min of the bounds is affine between the lines where two pieces are
+# equal and the line mu' = 2 nu' where the special bound switches on
+_BREAKS = [(1, -2, 0)] + [(a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2, c2)
+                          in combinations(_PIECES, 2) if (a1, b1) != (a2, b2)]
 
-    Order: completion, linear-in-m, general (both orientations), special.
-    The special bound needs 0 <= mu' <= 2 nu'.
-    """
-    s = mu_p + nu_p
-    f1 = s + max(-1.0, 0.5 - nu_p)
-    f2 = s + max(-0.125, 0.375 - mu_p / 2)
-    f3 = s + max(-mu_p / 2, 0.25 - nu_p / 2)
-    f4 = s + max(-nu_p / 2, 0.25 - mu_p / 2)
-    f5 = s + 0.25 - mu_p / 6 - 5 * nu_p / 12 if 0 <= mu_p <= 2 * nu_p else INF
-    return (f1, f2, f3, f4, f5)
+
+def bound_exponents(mu_p, nu_p, delta=0.0) -> tuple:
+    """The five tau-exponent bounds at (mu', nu'), exact for Fraction
+    arguments; inapplicable -> inf."""
+    f = [mu_p + nu_p + max(a * mu_p + b * nu_p + c for a, b, c in pieces)
+         for pieces in BOUND_PIECES]
+    return (*f[:4], f[4] if 0 <= mu_p <= 2 * nu_p else INF)
 
 
 @dataclass(frozen=True)
@@ -296,7 +309,6 @@ class ExponentConfig:
     delta: float | None = None
     eta: float | None = None
     kappa: float = 1e-3
-    grid_step: float = 1e-3
     slack: float = 0.0
 
     def __post_init__(self):
@@ -305,91 +317,81 @@ class ExponentConfig:
             if abs(self.delta - implied) > 1e-9:
                 raise ValueError(f"delta = {self.delta} inconsistent with "
                                  f"eta = {self.eta} (implied {implied})")
-        if self.grid_step > 1e-3 + 1e-15:
-            raise ValueError("grid step must be <= 1e-3")
 
-    def resolved_delta(self) -> float:
+    def resolved_delta(self) -> Fraction:
         if self.delta is not None:
-            return self.delta
+            return Fraction(self.delta)
         if self.eta is not None:
-            return 4 * self.eta / (1 + 2 * self.eta)
+            return 4 * Fraction(self.eta) / (1 + 2 * Fraction(self.eta))
         raise ValueError("need delta or eta")
 
 
-def delta_to_eta(delta: float) -> float:
+def delta_to_eta(delta):
     """q <= x^{1/2+eta} with x = q^{2-delta} gives eta = delta/(4-2*delta)."""
     return delta / (4 - 2 * delta)
 
 
-def _feasible_points(delta: float, slack: float, step: float):
-    """Grid of (mu', nu') pairs within the admissible band.
+def _integral(line) -> tuple:
+    """The line (a, b, c) scaled by a positive integer to integer coefficients."""
+    m = math.lcm(*(Fraction(x).denominator for x in line))
+    return tuple(int(x * m) for x in line)
 
-    The outer parameter mu sweeps the smooth-partition split mu + nu = 2 -
-    delta; per split, mu' <= 2 - mu + slack and nu' <= 1 - nu + slack with
-    1 <= mu' + nu' <= 1 + delta + slack.  The per-split corner (the unique
-    point on the top boundary) is always included; its sweep covers the
-    binding segment exactly.
-    """
-    pts = []
-    n_outer = max(2, int(round(1.0 / step)) + 1)
-    for mu in np.linspace(1 - delta, 2 - delta, n_outer):
-        mu_hi = (2 - mu) + slack
-        nu_hi = (mu - 1 + delta) + slack
-        if nu_hi < 0:
-            continue
-        pts.append((mu_hi, nu_hi))
-        for t in np.arange(0.0, mu_hi, step):
-            pts.append((t, nu_hi))
-        for t in np.arange(0.0, nu_hi, step):
-            pts.append((mu_hi, t))
-    lo, hi = 1.0 - 1e-12, 1 + delta + slack + 1e-12
-    return [(mp, np_) for mp, np_ in pts
-            if mp >= 0 and np_ >= 0 and lo <= mp + np_ <= hi]
+
+def _vertices(slack: Fraction, top=None, lines=()) -> set:
+    """Exact (mu', nu') where two of the break lines, `lines` and the edges of
+    {mu', nu' >= 0, nu' <= 1 + slack, 1 <= mu' + nu' <= top or inf} cross in it."""
+    if slack > Fraction(2, 3):
+        # f5 >= min(f1..f4) on mu' = 2 nu' only while nu' <= 5/3; beyond,
+        # g jumps there and its extrema need not sit at vertices
+        raise OutOfRange(f"slack = {float(slack)} above 2/3")
+    band = [(1, 0, 0), (0, 1, 0), (0, -1, 1 + slack), (1, 1, -1)]
+    band = [_integral(h) for h in band + ([] if top is None else [(-1, -1, top)])]
+    out = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(
+            band + [_integral(l) for l in _BREAKS + list(lines)], 2):
+        # the crossing is (x / d, y / d), tested against the band in integers
+        d, x, y = a1 * b2 - a2 * b1, b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+        if d and all((a * x + b * y + c * d) * d >= 0 for a, b, c in band):
+            out.add((Fraction(x, d), Fraction(y, d)))
+    return out
 
 
 @dataclass(frozen=True)
 class ExponentVerdict:
     passed: bool
-    delta: float
+    delta: Fraction
     kappa: float
     slack: float
-    worst: float  # sup over the grid of the best available exponent
-    witnesses: tuple  # grid points where every bound exceeds 1 - kappa
+    worst: Fraction  # max over the band of the best available exponent
+    worst_at: tuple  # an exact (mu', nu') attaining it
+    witnesses: tuple  # band vertices where every bound exceeds 1 - kappa
 
 
 def exponent_case_analysis(config: ExponentConfig) -> ExponentVerdict:
-    """Check that min over the five bounds is <= 1 - kappa on the whole grid."""
-    delta = config.resolved_delta()
-    worst = -INF
-    witnesses = []
-    for mp, np_ in _feasible_points(delta, config.slack, config.grid_step):
-        m = float(min(bound_exponents(mp, np_, delta)))
-        if m > worst:
-            worst = m
-        if m > 1 - config.kappa and len(witnesses) < 8:
-            witnesses.append((round(float(mp), 6), round(float(np_), 6),
-                              round(m, 6)))
-    return ExponentVerdict(passed=bool(worst <= 1 - config.kappa), delta=float(delta),
-                           kappa=config.kappa, slack=config.slack,
-                           worst=worst, witnesses=tuple(witnesses))
+    """Check that min over the five bounds is <= 1 - kappa on the whole band;
+    it is affine between break lines, so its maximum sits at a vertex."""
+    delta, slack = config.resolved_delta(), Fraction(config.slack)
+    ranked = sorted(((min(bound_exponents(*p)), p)
+                     for p in _vertices(slack, 1 + delta + slack)), reverse=True)
+    worst, worst_at = ranked[0] if ranked else (-INF, None)
+    level = 1 - Fraction(config.kappa)
+    witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
+                      for g, (mu, nu) in ranked[:8] if g > level)
+    return ExponentVerdict(passed=worst <= level, delta=delta, kappa=config.kappa,
+                           slack=config.slack, worst=worst, worst_at=worst_at,
+                           witnesses=witnesses)
 
 
-def delta_star_search(kappa: float = 0.0, slack: float = 0.0,
-                      grid_step: float = 1e-3, tol: float = 2e-4) -> dict:
-    """Binary-search the supremal delta passing the case analysis.
-
-    kappa = 0 locates the boundary sup = 1 itself; a positive kappa shifts
-    the returned delta* down by about (18/13) kappa.
-    """
-    lo, hi = 0.0, 0.2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = exponent_case_analysis(ExponentConfig(delta=mid, kappa=kappa,
-                                                  slack=slack, grid_step=grid_step))
-        if v.passed:
-            lo = mid
-        else:
-            hi = mid
-    ds = (lo + hi) / 2
-    return {"delta_star": ds, "eta_star": delta_to_eta(ds),
-            "kappa": kappa, "slack": slack, "grid_step": grid_step}
+def delta_star_search(kappa: float = 0.0, slack: float = 0.0) -> dict:
+    """The largest passing delta, exactly: 1 + slack + delta* is the least
+    mu' + nu' where min of the bounds reaches 1 - kappa, a vertex once the
+    level lines are added.  kappa = 0 locates the boundary itself; a positive
+    kappa shifts delta* down by about (18/13) kappa."""
+    level = 1 - Fraction(kappa)
+    levels = [(1 + a, 1 + b, c - level) for a, b, c in _PIECES]
+    ds = min(mu + nu for mu, nu in _vertices(Fraction(slack), lines=levels)
+             if min(bound_exponents(mu, nu)) >= level) - 1 - Fraction(slack)
+    es = delta_to_eta(ds)
+    return {"delta_star": float(ds), "eta_star": float(es),
+            "delta_star_exact": str(ds), "eta_star_exact": str(es),
+            "kappa": kappa, "slack": slack}

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from klab.cli import main, parse_config
 
 
@@ -21,7 +23,7 @@ def test_sk_command_matches_enumeration(capsys):
 
 
 def test_exponent_lp_search(capsys):
-    code, out = run(capsys, "exponent-lp", "--search", "--grid", "1e-3")
+    code, out = run(capsys, "exponent-lp", "--search")
     assert code == 0
     data = json.loads(out)
     assert abs(data["delta_star"] - 1 / 26) < 1e-3
@@ -200,6 +202,25 @@ def test_config_explicit_flag_wins_at_default_value(tmp_path, capsys):
                     "--kappa", "0.001")
     assert code == 0
     assert json.loads(out)["config"]["kappa"] == 0.001
+
+
+@pytest.mark.parametrize("section, argv", [
+    ("[exponent-lp]\nkappa = abc\n", ["exponent-lp", "--delta", "0.03"]),
+    ("[moments]\nsamples = 2.5\n", ["moments", "--k", "2", "--q", "13", "--seed", "1"]),
+])
+def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text(section)
+    assert main(["--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--eta"])
+def test_exponent_lp_search_rejects_ignored_flag(capsys, flag):
+    assert main(["exponent-lp", "--search", flag, "0.03"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
 
 
 def test_config_unknown_key(tmp_path, capsys):

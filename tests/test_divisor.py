@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klab.cli import main
 from klab.divisor import (CuspFormCoeffs, ExponentConfig, bound_exponents,
                           centering_residual_exact, combined_bounds,
                           d2_table, delta_star_search, delta_to_eta,
@@ -220,3 +222,65 @@ def test_slack_sensitivity_monotone():
     base = delta_star_search()["delta_star"]
     loose = delta_star_search(slack=1e-2)["delta_star"]
     assert loose < base
+
+
+def test_delta_star_exact_values():
+    res = delta_star_search()
+    assert Fraction(res["delta_star_exact"]) == Fraction(1, 26)
+    assert Fraction(res["eta_star_exact"]) == Fraction(1, 102)
+    shifted = delta_star_search(kappa=Fraction(1, 1000))
+    assert Fraction(shifted["delta_star_exact"]) == Fraction(241, 6500)
+    loose = delta_star_search(slack=Fraction(1, 100))
+    assert Fraction(loose["delta_star_exact"]) == Fraction(37, 1300)
+
+
+def test_case_analysis_exact_worst():
+    ok = exponent_case_analysis(ExponentConfig(delta=Fraction(3, 100)))
+    assert ok.worst == Fraction(1789, 1800)
+    bad = exponent_case_analysis(ExponentConfig(delta=Fraction(1, 20)))
+    assert bad.worst == Fraction(121, 120)
+    assert bad.worst_at == (Fraction(7, 12), Fraction(7, 15))
+
+
+@pytest.mark.parametrize("kappa, slack", [(0, 0), (Fraction(1, 1000), 0),
+                                          (0, Fraction(1, 100))])
+def test_worst_at_delta_star_is_the_level(kappa, slack):
+    ds = Fraction(delta_star_search(kappa, slack)["delta_star_exact"])
+    at = exponent_case_analysis(ExponentConfig(delta=ds, kappa=kappa, slack=slack))
+    assert at.passed and at.worst == 1 - kappa
+    above = exponent_case_analysis(ExponentConfig(delta=ds + Fraction(1, 10**6),
+                                                  kappa=kappa, slack=slack))
+    assert not above.passed
+    if (kappa, slack) == (0, 0):
+        assert at.worst_at == (Fraction(15, 26), Fraction(6, 13))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(0, Fraction(1, 5), max_denominator=1000),
+       st.fractions(0, Fraction(1, 20), max_denominator=1000),
+       st.fractions(0, 1, max_denominator=1000),
+       st.fractions(0, 1, max_denominator=1000))
+def test_worst_vertex_is_sound_and_attained(delta, slack, u, t):
+    v = exponent_case_analysis(ExponentConfig(delta=delta, slack=slack))
+    # a point of the band {mu', nu' >= 0, nu' <= 1 + slack,
+    # 1 <= mu' + nu' <= 1 + delta + slack}
+    s = 1 + u * (delta + slack)
+    nu = t * min(1 + slack, s)
+    assert min(bound_exponents(s - nu, nu)) <= v.worst
+    mu_w, nu_w = v.worst_at
+    assert mu_w >= 0 and 0 <= nu_w <= 1 + slack
+    assert 1 <= mu_w + nu_w <= 1 + delta + slack
+    assert min(bound_exponents(mu_w, nu_w)) == v.worst
+
+
+def test_slack_beyond_vertex_validity_rejected():
+    with pytest.raises(OutOfRange):
+        exponent_case_analysis(ExponentConfig(delta=0.03, slack=1.0))
+
+
+def test_grid_option_is_gone(tmp_path, capsys):
+    assert main(["exponent-lp", "--search", "--grid", "1e-3"]) == 1
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text("[exponent-lp]\ngrid = 1e-3\n")
+    assert main(["--config", str(cfg), "exponent-lp", "--delta", "0.03"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
