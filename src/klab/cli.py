@@ -100,7 +100,7 @@ def _emit(args, payload: dict, csv_part=None) -> None:
 
 def _config_echo(args) -> dict:
     # the output destination is not part of the result-determining config
-    skip = {"func", "out"}
+    skip = {"func", "out", "given"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -270,6 +270,7 @@ def cmd_sk(args):
 def cmd_progression(args):
     coeffs = dv.tau_table(max(args.x, args.nmax))
     reports = dv.discrepancy_all(coeffs, args.x, args.q)
+    residual, budget = dv.hyperbola_residual(coeffs, args.x, args.q, reports)
     if args.a is not None:
         reports = [r for r in reports if r.a == args.a]
     header = ["x", "q", "a", "raw", "main", "E", "normalized"]
@@ -278,8 +279,8 @@ def cmd_progression(args):
         "x": args.x, "q": args.q,
         "max_abs_E": max(abs(r.E) for r in reports),
         "max_normalized": max(abs(r.normalized) for r in reports),
-        "centering_residual_exact": dv.centering_residual_exact(
-            coeffs, args.x, args.q),
+        "hyperbola_residual": residual,
+        "hyperbola_budget": budget,
     }
     _emit(args, payload, csv_part=(header, rows))
     return EXIT_OK
@@ -287,8 +288,10 @@ def cmd_progression(args):
 
 def cmd_exponent_lp(args):
     if args.search:
-        if args.delta is not None or args.eta is not None:
-            raise UsageError("--search computes delta*; it takes no --delta or --eta")
+        ignored = sorted({"delta", "eta", "kappa"} & args.given)
+        if ignored:
+            raise UsageError("--search computes delta* at --search-kappa; it takes no "
+                             + ", ".join(f"--{dest}" for dest in ignored))
         res = dv.delta_star_search(kappa=args.search_kappa, slack=args.slack)
         _emit(args, res)
         return EXIT_OK
@@ -444,10 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _explicit_options(argv) -> set:
+def _explicit_options(parser, argv) -> set:
     """Destinations of the options given on the command line: a second parse
-    in which no option has a default."""
-    parser = build_parser()
+    in which no option has a default (``parser`` keeps none afterwards)."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for p in [parser, *(sp for a in subs for sp in a.choices.values())]:
         for action in p._actions:
@@ -456,19 +458,22 @@ def _explicit_options(argv) -> set:
 
 
 def _apply_config(parser, args, argv):
+    """Fill options from the config file; ``args.given`` records the
+    destinations set by a flag or by the config."""
+    args.given = _explicit_options(parser, argv)
     if not args.config:
         return args
     sections = parse_config(args.config)
     overrides = sections.get(args.command, {})
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in subs.choices[args.command]._actions}
-    explicit = _explicit_options(argv)
     for key, val in overrides.items():
         action = actions.get(key.replace("-", "_"))
         if action is None or not hasattr(args, action.dest):
             raise UsageError(f"unknown config key {key!r} for {args.command}")
-        if action.dest not in explicit:
+        if action.dest not in args.given:
             setattr(args, action.dest, _coerce(key, val, action))
+            args.given.add(action.dest)
     return args
 
 

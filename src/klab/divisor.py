@@ -2,16 +2,19 @@
 exponent-of-distribution case analysis.
 
 The coefficient table tau(1..n_max) is exact: the generating series is the
-8th power of sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, shifted by one, and the
-three squarings run over arbitrary-precision integers packed into a single
-big integer (Kronecker substitution), so Hecke relations and the mod-691
-congruence can be asserted exactly.  The normalized eigenvalues are
-lambda(n) = tau(n) / n^{11/2}, bounded by the divisor function d_2(n).
+8th power of F = sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, shifted by one.  F
+has about sqrt(2 n_max) terms, so F^8 is seven sparse shift-and-add passes
+on int64 residues modulo four word-size primes (``TAU_PRIMES``); their
+product exceeds twice the Deligne bound d(n) n^{11/2} up to ``TAU_N_MAX``,
+so Chinese remaindering to the symmetric residue recovers tau(n) as an exact
+int, and Hecke relations and the mod-691 congruence can be asserted exactly.
+The normalized eigenvalues are lambda(n) = tau(n) / n^{11/2}, bounded by the
+divisor function d_2(n).
 
 Progression discrepancies E(x; q, a) compare the class sum of the divisor
-convolution (lambda * 1)(n) with the average over invertible classes; an
-integer-exact variant (tau-weighted, scaled by phi(q)) certifies the
-centering identity sum_a E = 0 with no float error.
+convolution (lambda * 1)(n) with the average over invertible classes; the
+hyperbola count sum_d lambda(d) #{m <= x/d : d m = a mod q}, in closed form
+per d, checks every class sum against a stated float budget.
 
 The bound calculators implement the completion/bilinear estimates; an exact
 rational analysis over the vertices of their (mu', nu') line arrangement
@@ -41,26 +44,26 @@ INF = math.inf
 # exact tau table
 # ----------------------------------------------------------------------
 
-def _kronecker_square(coeffs: list, slot_bits: int) -> list:
-    """Exact square of an integer polynomial via one big-int multiply.
+# four primes below 2^31 whose product (about 2^124) exceeds 2 * 240 *
+# TAU_N_MAX^{11/2} >= 2 max |tau(n)| (Deligne, with d(n) <= 240 for n <= 10^6),
+# so the symmetric residue modulo the product is tau(n) itself
+TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
-    Coefficients (possibly negative) are offset-encoded into fixed-width
-    little-endian slots; |result coefficients| must stay below 2^(slot_bits-1).
-    """
-    L = len(coeffs)
-    nbytes = slot_bits // 8
-    half = 1 << (slot_bits - 1)
-    buf = bytearray(L * nbytes)
-    for i, c in enumerate(coeffs):
-        buf[i * nbytes:(i + 1) * nbytes] = (c + half).to_bytes(nbytes, "little")
-    ones_in = ((1 << (slot_bits * L)) - 1) // ((1 << slot_bits) - 1)
-    E = int.from_bytes(bytes(buf), "little") - half * ones_in
-    P = E * E
-    out_len = 2 * L - 1
-    ones_out = ((1 << (slot_bits * out_len)) - 1) // ((1 << slot_bits) - 1)
-    raw = (P + half * ones_out).to_bytes(out_len * nbytes + 16, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
-            for i in range(out_len)]
+
+def _crt_symmetric(residues: np.ndarray, primes: tuple) -> list:
+    """The exact ints congruent to residues[i] mod primes[i] for each i, taken
+    in (-M/2, M/2] for M = prod(primes); Garner's digits in int64."""
+    digits = []
+    for i, p in enumerate(primes):
+        t = residues[i]
+        for j in range(i):
+            t = (t - digits[j]) % p * pow(primes[j], -1, p) % p
+        digits.append(t)
+    v = digits[-1].astype(object)
+    for j in range(len(primes) - 2, -1, -1):
+        v = v * primes[j] + digits[j]
+    M = math.prod(primes)
+    return np.where(v > M // 2, v - M, v).tolist()
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,25 @@ def tau_table(n_max: int) -> CuspFormCoeffs:
     if n_max > TAU_N_MAX:
         raise ResourceLimit(f"tau table capped at {TAU_N_MAX}")
     L = n_max
-    F = [0] * L
+    terms = []
     n = 0
     while n * (n + 1) // 2 < L:
-        F[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n & 1 else 1)
+        terms.append((n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)))
         n += 1
-    F2 = _kronecker_square(F, 64)[:L]
-    F4 = _kronecker_square(F2, 96)[:L]
-    F8 = _kronecker_square(F4, 192)[:L]
-    tau = [0] + F8[:n_max]
+    # F^8 mod each prime by seven sparse passes cur <- F * cur; a pass adds at
+    # most 1414 terms c * r with |c| < 2^12 and 0 <= r < 2^31, so int64 holds
+    # it unreduced
+    p = np.array(TAU_PRIMES, dtype=np.int64)[:, None]
+    cur = np.zeros((len(TAU_PRIMES), L), dtype=np.int64)
+    for e, c in terms:
+        cur[:, e] = c
+    cur %= p
+    for _ in range(7):
+        acc = np.zeros_like(cur)
+        for e, c in terms:
+            acc[:, e:] += c * cur[:, :L - e]
+        cur = acc % p
+    tau = [0] + _crt_symmetric(cur, TAU_PRIMES)
     lam = np.zeros(n_max + 1)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     lam[1:] = np.array(tau[1:], dtype=np.float64) / ns ** 5.5
@@ -195,24 +208,36 @@ def discrepancy(coeffs: CuspFormCoeffs, x: int, q: int, a: int) -> ProgressionRe
     return discrepancy_all(coeffs, x, q)[a % q - 1]
 
 
-def centering_residual_exact(coeffs: CuspFormCoeffs, x: int, q: int) -> int:
-    """sum_a of the phi(q)-scaled integer discrepancies; identically 0.
+def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
+                       reports: list | None = None) -> tuple:
+    """(max_a |raw_a - H_a|, float budget) for the class sums of
+    ``discrepancy_all`` (or the given ``reports``) against the hyperbola count
 
-    Uses the exact tau-weighted divisor sums, so the centering identity is
-    certified without float arithmetic.
+        H_a = sum_{d <= x, q does not divide d} lambda(d) #{m <= x/d : d m = a mod q},
+
+    a second route that never forms (lambda * 1)(n).  With x // d = B q + r,
+    each of the B full periods of m meets every class once and the r left
+    over meet the classes d, 2d, ..., rd, so #{...} = B + [a in d * {1..r}].  Each
+    route adds about x log x terms of size at most |lambda(d)|, so the
+    budget is 1e-13 * sum_d |lambda(d)| (x/d + 1).
     """
+    if reports is None:
+        reports = discrepancy_all(coeffs, x, q)
     _require_prime_modulus(q)
-    T = [0] * (x + 1)
-    for d in range(1, x + 1):
-        td = coeffs.tau[d]
-        for m in range(d, x + 1, d):
-            T[m] += td
-    phi = q - 1
-    class_sums = [0] * q
-    for n in range(1, x + 1):
-        class_sums[n % q] += T[n]
-    coprime_total = sum(class_sums[1:])
-    return sum(phi * class_sums[a] - coprime_total for a in range(1, q))
+    d = np.arange(1, x + 1, dtype=np.int64)
+    top, lam = x // d, coeffs.lam[1:x + 1]
+    budget = 1e-13 * float(np.abs(lam) @ (top + 1))
+    unit = d % q != 0
+    d, lam = d[unit], lam[unit]
+    B, r = np.divmod(top[unit], q)
+    m = np.arange(1, r.sum() + 1) - np.repeat(np.cumsum(r) - r, r)
+    H = float(lam @ B) + np.bincount(np.repeat(d, r) * m % q,
+                                     weights=np.repeat(lam, r), minlength=q)
+    return max((abs(rep.raw - H[rep.a]) for rep in reports), default=0.0), budget
+
+
+# the former name of this check, which benchmark/spans.py still traces
+centering_residual_exact = hyperbola_residual
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +398,11 @@ def exponent_case_analysis(config: ExponentConfig) -> ExponentVerdict:
     delta, slack = config.resolved_delta(), Fraction(config.slack)
     ranked = sorted(((min(bound_exponents(*p)), p)
                      for p in _vertices(slack, 1 + delta + slack)), reverse=True)
-    worst, worst_at = ranked[0] if ranked else (-INF, None)
+    if not ranked:
+        # e.g. delta + slack < 0; a bounded nonempty band has a vertex
+        raise OutOfRange(f"empty band at delta = {float(delta)}, "
+                         f"slack = {float(slack)}")
+    worst, worst_at = ranked[0]
     level = 1 - Fraction(config.kappa)
     witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
                       for g, (mu, nu) in ranked[:8] if g > level)

@@ -4,6 +4,11 @@ Two independent evaluation routes are provided and cross-checked:
 
 * ``kloosterman_naive`` -- direct summation over (k-1)-tuples with the last
   coordinate solved from the product constraint; cost O(q^{d(k-1)}) per value.
+  ``naive_table`` bins the same tuples by their product p, h(p) = sum of
+  psi(x_1 + ... + x_{k-1}), and takes Kl(a) = sum_p h(p) psi(a / p) as one
+  (Q-1) x (Q-1) gather and matvec: O(Q^{k-1} + Q^2) for all a, Q = q^d.
+  Both take 1/p = p^{Q-2} by square-and-multiply through ``field.mul_vec``,
+  so over F_q they touch no discrete-log table and no FFT.
 * ``kloosterman_table`` -- (k-1)-fold multiplicative convolution of the
   additive character with itself over the unit group, realized as a cyclic
   convolution of length q^d - 1 in discrete-log indexing (schoolbook below
@@ -32,6 +37,8 @@ from .errors import IoError, KlabError, ResourceLimit, ZeroScale
 
 SCHOOLBOOK_MAX = 5000
 DEFAULT_NAIVE_CAP = 1 << 25
+# cells of the psi(a / p) block that naive_table gathers at a time
+NAIVE_GATHER_CELLS = 1 << 20
 
 INTRO = "intro"
 SHEAF = "sheaf"
@@ -147,39 +154,50 @@ def _tuple_mesh(field, k: int, cap: int):
     return sums, prods
 
 
+def _unit_inverses(field) -> np.ndarray:
+    """inv[u] = u^(Q-2) for every encoding u (inv[0] = 0), by vectorized
+    square-and-multiply through ``field.mul_vec``, not from ``inv_table``."""
+    ids = np.arange(field.size, dtype=np.int64)
+    inv = np.ones(field.size, dtype=np.int64)
+    base, e = ids, field.size - 2
+    while e:
+        if e & 1:
+            inv = field.mul_vec(inv, base)
+        base = field.mul_vec(base, base)
+        e >>= 1
+    inv[0] = 0
+    return inv
+
+
 def kloosterman_naive(k: int, a: int, field, cap: int = DEFAULT_NAIVE_CAP,
                       convention: str = INTRO) -> complex:
     """Direct brute-force sum over x_1 ... x_{k-1}, with x_k = a / prod."""
     if a % field.size == 0:
         return 0.0 + 0.0j
     sums, prods = _tuple_mesh(field, k, cap)
-    Q = field.size
-    if field.degree == 1:
-        last = a * field.inv_table[prods] % Q
-        idx = (sums + last) % Q
-    else:
-        last = field.mul_table()[a, field.inv_table[prods]]
-        idx = field.add_table()[sums, last]
-    total = field.psi_vec[idx].sum()
-    return complex(total * sign_factor(k, convention) / Q ** ((k - 1) / 2))
+    last = field.mul_vec(a, _unit_inverses(field)[prods])
+    total = field.psi_vec[field.add_vec(sums, last)].sum()
+    return complex(total * sign_factor(k, convention) / field.size ** ((k - 1) / 2))
 
 
 def naive_table(k: int, field, cap: int = DEFAULT_NAIVE_CAP,
                 convention: str = INTRO) -> KloostermanTable:
-    """Brute-force table sharing the tuple mesh across all a (tests/oracles)."""
+    """Brute-force table: the tuple mesh binned by product (tests/oracles).
+
+    h(p) sums psi(x_1 + ... + x_{k-1}) over the tuples with product p, and
+    Kl(a) = sum_p h(p) psi(a / p) is one gather of psi_vec and one matvec.
+    """
     sums, prods = _tuple_mesh(field, k, cap)
     Q = field.size
-    inv_prods = field.inv_table[prods]
+    h = (np.bincount(prods, weights=field.psi_vec.real[sums], minlength=Q)
+         + 1j * np.bincount(prods, weights=field.psi_vec.imag[sums], minlength=Q))
+    del sums, prods
+    inv = _unit_inverses(field)[None, 1:]
     vals = np.zeros(Q, dtype=np.complex128)
-    if field.degree == 1:
-        for a in range(1, Q):
-            idx = (sums + a * inv_prods % Q) % Q
-            vals[a] = field.psi_vec[idx].sum()
-    else:
-        mul_t, add_t = field.mul_table(), field.add_table()
-        for a in range(1, Q):
-            idx = add_t[sums, mul_t[a, inv_prods]]
-            vals[a] = field.psi_vec[idx].sum()
+    step = max(1, NAIVE_GATHER_CELLS // (Q - 1))
+    for lo in range(1, Q, step):
+        a = np.arange(lo, min(lo + step, Q), dtype=np.int64)[:, None]
+        vals[lo:lo + step] = field.psi_vec[field.mul_vec(a, inv)] @ h[1:]
     vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)

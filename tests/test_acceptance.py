@@ -13,9 +13,9 @@ import pytest
 from klab.bilinear import (SweepSpec, nontrivial_threshold, operator_norm,
                            operator_norm_dense, shift_identity_check,
                            typeI_saving_exponent, typeII_saving_exponent)
-from klab.divisor import (centering_residual_exact, d2_table, delta_star_search,
-                          discrepancy_all, exponent_case_analysis,
-                          ExponentConfig, hecke_violations, ktilde_all,
+from klab.divisor import (d2_table, delta_star_search, discrepancy_all,
+                          exponent_case_analysis, ExponentConfig,
+                          hecke_violations, hyperbola_residual, ktilde_all,
                           sigma11_mod, tau_table)
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (conjugation_symmetry_check, kloosterman_table,
@@ -270,18 +270,22 @@ def test_criterion_9_divisor_application(coeffs_1e5):
     ok &= all((coeffs.tau[n] - int(sig[n])) % 691 == 0 for n in range(1, n_max + 1))
     x = 50000
     qs = (53, 101, 199)
-    ok &= all(centering_residual_exact(coeffs, x, q) == 0 for q in qs)
     max_norm = []
     max_abs_e = []
+    worst_share = 0.0
     for q in qs:
         reports = discrepancy_all(coeffs, x, q)
+        residual, budget = hyperbola_residual(coeffs, x, q, reports)
+        worst_share = max(worst_share, residual / budget)
         max_norm.append(max(abs(r.normalized) for r in reports))
         max_abs_e.append(max(abs(r.E) for r in reports))
+    ok &= worst_share <= 1
     semilog_slope = float(np.polyfit(np.log(qs), max_norm, 1)[0])
     loglog_e_slope = float(np.polyfit(np.log(qs), np.log(max_abs_e), 1)[0])
     ok &= semilog_slope <= 0.2
     verdict(9, "divisor application", ok,
-            f"hecke/deligne/691 exact; centering exact; "
+            f"hecke/deligne/691 exact; hyperbola residual "
+            f"{worst_share:.1e} of budget; "
             f"max|E|q/x = {['%.4f' % v for v in max_norm]}, "
             f"slope in log q {semilog_slope:+.4f} (<= 0.2); "
             f"log-log slope of max|E| {loglog_e_slope:+.3f}")

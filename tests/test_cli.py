@@ -216,7 +216,7 @@ def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
     assert "usage error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--delta", "--eta"])
+@pytest.mark.parametrize("flag", ["--delta", "--eta", "--kappa"])
 def test_exponent_lp_search_rejects_ignored_flag(capsys, flag):
     assert main(["exponent-lp", "--search", flag, "0.03"]) == 1
     err = capsys.readouterr().err
@@ -227,3 +227,30 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[sk]\nbogus = 1\n")
     assert main(["--config", str(cfg), "sk", "--k", "2", "--q", "7"]) == 1
+
+
+def test_exponent_lp_search_rejects_config_kappa(tmp_path, capsys):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text("[exponent-lp]\nkappa = 0.5\n")
+    assert main(["--config", str(cfg), "exponent-lp", "--search"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--kappa" in err and "Traceback" not in err
+    cfg.write_text("[exponent-lp]\nsearch-kappa = 0.001\n")
+    code, out = run(capsys, "--config", str(cfg), "exponent-lp", "--search")
+    assert code == 0 and json.loads(out)["kappa"] == 0.001
+
+
+@pytest.mark.parametrize("argv", [["--delta", "-0.5"],
+                                  ["--delta", "-0.03", "--slack", "0.02"]])
+def test_exponent_lp_empty_band_exits_1(capsys, argv):
+    assert main(["exponent-lp", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "empty band" in err and "Traceback" not in err
+
+
+def test_progression_reports_hyperbola_residual(capsys):
+    code, out = run(capsys, "progression", "--x", "1000", "--q", "53", "--a", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert "centering_residual_exact" not in data
+    assert 0 <= data["hyperbola_residual"] <= data["hyperbola_budget"] < 1e-9

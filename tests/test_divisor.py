@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab.cli import main
-from klab.divisor import (CuspFormCoeffs, ExponentConfig, bound_exponents,
-                          centering_residual_exact, combined_bounds,
+from klab.divisor import (TAU_N_MAX, TAU_PRIMES, CuspFormCoeffs, ExponentConfig,
+                          bound_exponents, combined_bounds,
                           d2_table, delta_star_search, delta_to_eta,
                           discrepancy, discrepancy_all, exponent_case_analysis,
-                          hecke_violations, ktilde, ktilde_all,
-                          lambda_star_one, lambda_star_one_table,
+                          hecke_violations, hyperbola_residual, ktilde,
+                          ktilde_all, lambda_star_one, lambda_star_one_table,
                           sigma11_mod, tau_star_one, tau_table)
+from klab.fields import is_prime
 from klab.errors import (BadResidue, CompositeModulus, HypothesisViolated,
                          OutOfRange)
 from klab.fields import make_prime_field
@@ -24,6 +26,55 @@ from klab.sum_product import SumProductContext
 @pytest.fixture(scope="module")
 def coeffs():
     return tau_table(3000)
+
+
+def _kronecker_square(coeffs: list, slot_bits: int) -> list:
+    """Exact square of an integer polynomial via one big-int multiply.
+
+    Coefficients (possibly negative) are offset-encoded into fixed-width
+    little-endian slots; |result coefficients| must stay below 2^(slot_bits-1).
+    """
+    L = len(coeffs)
+    nbytes = slot_bits // 8
+    half = 1 << (slot_bits - 1)
+    buf = bytearray(L * nbytes)
+    for i, c in enumerate(coeffs):
+        buf[i * nbytes:(i + 1) * nbytes] = (c + half).to_bytes(nbytes, "little")
+    ones_in = ((1 << (slot_bits * L)) - 1) // ((1 << slot_bits) - 1)
+    E = int.from_bytes(bytes(buf), "little") - half * ones_in
+    P = E * E
+    out_len = 2 * L - 1
+    ones_out = ((1 << (slot_bits * out_len)) - 1) // ((1 << slot_bits) - 1)
+    raw = (P + half * ones_out).to_bytes(out_len * nbytes + 16, "little")
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
+            for i in range(out_len)]
+
+
+def _kronecker_tau(n_max: int) -> list:
+    """tau(0..n_max) (tau(0) = 0) by three exact big-int squarings of F."""
+    F = [0] * n_max
+    n = 0
+    while n * (n + 1) // 2 < n_max:
+        F[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n & 1 else 1)
+        n += 1
+    F2 = _kronecker_square(F, 64)[:n_max]
+    F4 = _kronecker_square(F2, 96)[:n_max]
+    return [0] + _kronecker_square(F4, 192)[:n_max]
+
+
+def test_tau_matches_kronecker_oracle(coeffs):
+    assert coeffs.tau == _kronecker_tau(coeffs.n_max)
+    assert all(type(t) is int for t in coeffs.tau)
+    for n_max in (1, 2, 3, 10):
+        assert tau_table(n_max).tau == _kronecker_tau(n_max)
+
+
+def test_tau_crt_modulus_covers_deligne_bound():
+    # |tau(n)| <= d(n) n^{11/2} with d(n) <= 240 up to 10^6; the symmetric
+    # residue needs the product of the primes above twice that
+    assert TAU_N_MAX <= 10**6
+    assert all(is_prime(p) and p < 2**31 for p in TAU_PRIMES)
+    assert math.prod(TAU_PRIMES) ** 2 > (2 * 240) ** 2 * TAU_N_MAX**11
 
 
 def test_tau_small_values(coeffs):
@@ -75,8 +126,23 @@ def test_discrepancy_centering_float(coeffs):
 
 
 def test_discrepancy_centering_exact(coeffs):
-    assert centering_residual_exact(coeffs, 500, 11) == 0
-    assert centering_residual_exact(coeffs, 1000, 53) == 0
+    # the class sums against the hyperbola count, within the stated budget
+    for x, q in ((500, 11), (1000, 53), (3000, 101), (20, 53)):
+        residual, budget = hyperbola_residual(coeffs, x, q)
+        assert residual <= budget
+        assert math.isclose(budget, 1e-13 * sum(abs(coeffs.lam[d]) * (x // d + 1)
+                                                for d in range(1, x + 1)),
+                            rel_tol=1e-9)
+
+
+def test_hyperbola_residual_flags_one_corrupted_class(coeffs):
+    x, q = 3000, 53
+    reports = discrepancy_all(coeffs, x, q)
+    _, budget = hyperbola_residual(coeffs, x, q, reports)
+    bad = list(reports)
+    bad[17] = dataclasses.replace(bad[17], raw=bad[17].raw + 2 * budget)
+    residual, _ = hyperbola_residual(coeffs, x, q, bad)
+    assert budget < residual < 3 * budget
 
 
 def test_discrepancy_empty_progression(coeffs):
@@ -97,7 +163,7 @@ def test_discrepancy_rejects_composite_modulus(coeffs):
     with pytest.raises(CompositeModulus):
         discrepancy_all(coeffs, 500, 15)
     with pytest.raises(CompositeModulus):
-        centering_residual_exact(coeffs, 500, 15)
+        hyperbola_residual(coeffs, 500, 15)
 
 
 # ------------------------------------------------------------------- ktilde
@@ -271,6 +337,18 @@ def test_worst_vertex_is_sound_and_attained(delta, slack, u, t):
     assert mu_w >= 0 and 0 <= nu_w <= 1 + slack
     assert 1 <= mu_w + nu_w <= 1 + delta + slack
     assert min(bound_exponents(mu_w, nu_w)) == v.worst
+
+
+@pytest.mark.parametrize("delta, slack", [(-0.5, 0.0), (-0.03, 0.02), (2.0, -1.5)])
+def test_case_analysis_rejects_empty_band(delta, slack):
+    with pytest.raises(OutOfRange):
+        exponent_case_analysis(ExponentConfig(delta=delta, slack=slack))
+
+
+def test_case_analysis_segment_band():
+    # delta + slack = 0 leaves the segment mu' + nu' = 1, not an empty band
+    v = exponent_case_analysis(ExponentConfig(delta=-0.01, slack=0.01))
+    assert v.passed and v.worst < 1
 
 
 def test_slack_beyond_vertex_validity_rejected():

@@ -1,9 +1,13 @@
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import klab.kloosterman as kl
 from klab.errors import IoError, ResourceLimit, ZeroScale
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (INTRO, SHEAF, KloostermanTable, cache_path,
@@ -165,3 +169,43 @@ def test_naive_table_matches_pointwise_naive(f5):
     nt = naive_table(3, f5)
     for a in range(5):
         assert abs(nt.values[a] - kloosterman_naive(3, a, f5)) < 1e-12
+
+
+@lru_cache(maxsize=None)
+def _small_field(q, d):
+    base = make_prime_field(q)
+    return base if d == 1 else build_extension(base, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(q, 1) for q in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                       + [(3, 2), (5, 2), (3, 3)]),
+       st.integers(2, 4))
+def test_naive_table_matches_convolution(qd, k):
+    f = _small_field(*qd)
+    dev = np.abs(naive_table(k, f).values - kloosterman_table(k, f).values).max()
+    assert dev < 1e-12
+
+
+@pytest.mark.parametrize("qd", [(31, 1), (3, 2)])
+def test_naive_table_blocked_gather(monkeypatch, qd):
+    # a gather block smaller than one row still covers every a once
+    f = _small_field(*qd)
+    monkeypatch.setattr(kl, "NAIVE_GATHER_CELLS", 7)
+    dev = np.abs(naive_table(3, f).values - kloosterman_table(3, f).values).max()
+    assert dev < 1e-12
+
+
+def test_naive_route_ignores_dlog_tables():
+    # over F_q the oracle reads no discrete-log, generator-power or inverse
+    # table: scrambling all three after the reference is built changes nothing
+    f = make_prime_field(31)
+    ref = {k: kloosterman_table(k, f).values.copy() for k in (2, 3, 4)}
+    rng = np.random.default_rng(5)
+    for name in ("log_table", "exp_table", "inv_table"):
+        setattr(f, name, rng.permutation(getattr(f, name)))
+    assert np.abs(kloosterman_table(3, f).values - ref[3]).max() > 1e-3
+    for k in (2, 3, 4):
+        assert np.abs(naive_table(k, f).values - ref[k]).max() < 1e-12
+        for a in (1, 2, 30):
+            assert abs(kloosterman_naive(k, a, f) - ref[k][a]) < 1e-12
