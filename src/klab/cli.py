@@ -129,7 +129,7 @@ def cmd_kl_check(args):
     f = _field(args.q, args.d)
     t = kloosterman_table(args.k, f)
     payload = {
-        "cross_check_max": cross_check(args.k, f),
+        "cross_check_max": cross_check(t),
         "deligne_margin": t.deligne_margin(),
         "conjugation_deviation": conjugation_symmetry_check(t),
         "complete_sum_residual": t.complete_sum_residual(),

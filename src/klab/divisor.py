@@ -151,12 +151,28 @@ def hecke_violations(coeffs: CuspFormCoeffs, n_limit: int | None = None) -> int:
 # ----------------------------------------------------------------------
 
 def lambda_star_one_table(coeffs: CuspFormCoeffs, x: int) -> np.ndarray:
-    """(lambda * 1)(n) = sum_{d | n} lambda(d), for n = 1..x, by sieve."""
+    """(lambda * 1)(n) = sum_{d | n} lambda(d), for n = 1..x.
+
+    ``np.bincount`` over the pairs (d, m) with dm <= x, ordered by d, adds
+    each n's lambda(d) in increasing d, the order of the sieve
+    ``out[d::d] += lambda(d)``, so the two agree bit for bit.  The x log x
+    pairs go in runs of d of about x pairs each, so the memory stays O(x);
+    each run's bincount takes the totals so far as the first term of every
+    bin, which keeps the order.
+    """
     if x > coeffs.n_max:
         raise OutOfRange(f"x = {x} beyond table range {coeffs.n_max}")
+    ds = np.arange(1, x + 1, dtype=np.int64)
+    counts = x // ds
+    first = np.concatenate([[0], np.cumsum(counts)])  # pair index of (d, 1)
+    cuts = np.unique(np.searchsorted(first, np.arange(0, first[-1], max(x, 1)),
+                                     side="right") - 1)
     out = np.zeros(x + 1)
-    for d in range(1, x + 1):
-        out[d::d] += coeffs.lam[d]
+    for lo, hi in zip(cuts, [*cuts[1:], x]):
+        d = np.repeat(ds[lo:hi], counts[lo:hi])
+        m = np.arange(1, len(d) + 1) - np.repeat(first[lo:hi] - first[lo], counts[lo:hi])
+        out = np.bincount(np.concatenate([np.arange(x + 1), d * m]),
+                          weights=np.concatenate([out, coeffs.lam[d]]), minlength=x + 1)
     return out
 
 

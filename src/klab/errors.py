@@ -41,6 +41,11 @@ class WrongParity(KlabError):
     """The statistic is only defined for the other parity of k."""
 
 
+class NotSelfDual(KlabError):
+    """The table breaks conj Kl_k(a) = Kl_k((-1)^k a) beyond its float budget,
+    so the real (even k) or half (odd k) four-fold grid does not apply."""
+
+
 class CharDividesK(KlabError):
     """gcd(k, q) != 1, so there are no k-th roots of unity."""
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,24 +223,27 @@ def conjugation_symmetry_check(table: KloostermanTable) -> float:
     return float(np.abs(np.conj(table.values) - target).max())
 
 
-def cross_check(k: int, field, cap: int = DEFAULT_NAIVE_CAP) -> float:
-    """max |naive - convolution| over all a, intro convention."""
-    t1 = kloosterman_table(k, field)
-    t2 = naive_table(k, field, cap=cap)
-    return float(np.abs(t1.values - t2.values).max())
+def cross_check(table: KloostermanTable, cap: int = DEFAULT_NAIVE_CAP) -> float:
+    """max |table - naive| over all a, the naive table in the same convention."""
+    naive = naive_table(table.k, table.field, cap=cap, convention=table.convention)
+    return float(np.abs(table.values - naive.values).max())
 
 
 # ----------------------------------------------------------------------
 # binary cache
 # ----------------------------------------------------------------------
 
-_MAGIC = b"KLTB"
+# the format version is the magic's last byte: "KLTB" files carry no
+# payload checksum and are refused
+_MAGIC = b"KLT2"
+_OLD_MAGIC = b"KLTB"
 _CONV_CODE = {INTRO: 0, SHEAF: 1}
 _CONV_NAME = {v: n for n, v in _CONV_CODE.items()}
 
 
 def save_table(table: KloostermanTable, path: str) -> None:
-    """Header (magic, k, q, d, convention, modulus coeffs) + f64 le pairs.
+    """Header (magic, k, q, d, convention, modulus coeffs, CRC32 of the
+    payload) + the payload, f64 le (re, im) pairs.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a reader never sees a partly written cache.
@@ -257,7 +261,9 @@ def save_table(table: KloostermanTable, path: str) -> None:
             inter = np.empty(2 * f.size, dtype="<f8")
             inter[0::2] = table.values.real
             inter[1::2] = table.values.imag
-            fh.write(inter.tobytes())
+            payload = inter.tobytes()
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.write(payload)
         os.replace(tmp, path)
     except OSError as e:
         raise IoError(f"cannot write table cache {path}: {e}") from e
@@ -278,6 +284,8 @@ def load_table(path: str, field=None, k: int | None = None,
             raw = fh.read()
     except OSError as e:
         raise IoError(f"cannot read table cache {path}: {e}") from e
+    if raw[:4] == _OLD_MAGIC:
+        raise IoError(f"{path}: old cache format without a checksum; rebuild it")
     if raw[:4] != _MAGIC:
         raise IoError(f"{path}: bad magic")
     try:
@@ -286,6 +294,7 @@ def load_table(path: str, field=None, k: int | None = None,
         if ncoef != d + 1:
             raise IoError(f"{path}: {ncoef} modulus coefficients for degree {d}")
         coeffs = struct.unpack_from(f"<{ncoef}Q", raw, 25)
+        (crc,) = struct.unpack_from("<I", raw, 25 + 8 * ncoef)
     except struct.error as e:
         raise IoError(f"{path}: truncated header") from e
     if conv not in _CONV_NAME:
@@ -299,10 +308,12 @@ def load_table(path: str, field=None, k: int | None = None,
                               or tuple(field.modulus) != tuple(coeffs)):
         raise IoError(f"{path}: cached field does not match the requested one")
     # checked before any field is built, so a corrupt q or d costs nothing
-    offset = 25 + 8 * ncoef
+    offset = 29 + 8 * ncoef
     if len(raw) - offset != 16 * q**d:
         raise IoError(f"{path}: payload is {len(raw) - offset} bytes, "
                       f"expected {16 * q**d}")
+    if zlib.crc32(memoryview(raw)[offset:]) != crc:
+        raise IoError(f"{path}: payload checksum mismatch")
     if field is None:
         try:
             base = PrimeField(q)

@@ -32,6 +32,25 @@ with no field arithmetic per cell.  The factors are multiplied a few tuples
 at a time, so the temporaries stay in cache, and always in the order
 ((K1 K2) conj(K3 K4)), so every statistic is reproducible bit for bit.
 Sums over a short or repeated s-range gather rows of the slice T[:, s].
+
+The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) = K_c((-1)^k a), and the
+statistics that only need G over every s (the scans, the lam-transform
+R(r, lam) and the second moment) use a second, lazily built *symmetric
+table*:
+
+* even k: T is real, and the table is the float64 Q x Q array Re T, so every
+  grid is real and R comes from one real matmul against [Re psi | Im psi];
+* odd k: T[u, -s] = conj T[u, s], so G[r, -s] = conj G[r, s]; the table is
+  the complex Q x (Q-1)/2 array T[:, s] over one representative s of each
+  pair {s, -s} of units (s < -s in encoding order), and
+  R = 2 Re(sum over the representatives of psi(lam s) G[r, s]).
+
+The shortcut is only as good as the symmetry, so the table is built only
+after ``conjugation_symmetry_check`` on the table has come within
+k * q^d * 1e-15 (NotSelfDual otherwise).  The full complex grids
+(``row_table``, ``product_grid``, ``big_r`` and the sliced sums) stay
+unchanged as the second route that the symmetric statistics are tested
+against.
 """
 
 from __future__ import annotations
@@ -43,10 +62,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BadPair, NotDistinct, RangeTooLarge, ResourceLimit,
-                     WrongParity, ZeroS)
+from .errors import (BadPair, NotDistinct, NotSelfDual, RangeTooLarge,
+                     ResourceLimit, WrongParity, ZeroS)
 from .fields import roots_of_unity
-from .kloosterman import KloostermanTable, _mul_perm, _neg_perm
+from .kloosterman import (KloostermanTable, _mul_perm, _neg_perm,
+                          conjugation_symmetry_check)
 
 FULL_SCAN_MAX_Q = 31
 DEFAULT_SAMPLES = 2000
@@ -80,6 +100,31 @@ class SumProductContext:
         T = self.twisted[f.mul_vec(ids[:, None], ids[None, :])]
         T.setflags(write=False)
         return T
+
+    @cached_property
+    def symmetric_units(self) -> np.ndarray:
+        """The s of each column of ``symmetric_table``: every s for even k;
+        for odd k the units s < -s (in encoding order), one of each pair."""
+        ids = np.arange(self.field.size, dtype=np.int64)
+        return ids if self.k % 2 == 0 else np.flatnonzero(ids < _neg_perm(self.field))
+
+    @cached_property
+    def symmetric_table(self) -> np.ndarray:
+        """Re T (Q x Q) for even k, T[:, symmetric_units] (Q x (Q-1)/2) for
+        odd k; NotSelfDual unless the table is conjugation symmetric.
+
+        Entries of size up to k each carry about q^d * 1e-15 of convolution
+        noise, so the symmetry must hold to k * q^d * 1e-15.
+        """
+        budget = self.k * self.field.size * 1e-15
+        dev = conjugation_symmetry_check(self.table)
+        if not dev <= budget:
+            raise NotSelfDual(f"conj Kl_k(a) - Kl_k((-1)^k a) reaches {dev:.3e}, "
+                              f"beyond the budget {budget:.3e}")
+        T = self.row_table
+        S = T.real.copy() if self.k % 2 == 0 else T[:, self.symmetric_units]
+        S.setflags(write=False)
+        return S
 
     @property
     def field(self):
@@ -186,22 +231,27 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 # the four-fold kernel
 # ----------------------------------------------------------------------
 
-def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
+def _four_fold(ctx, tuples, r=None, s=None, table=None) -> np.ndarray:
     """The four-fold product G[m, i, j] at (r_i, s_j) for each shift tuple
     b = tuples[m]; r and s default to the whole field.
 
     Each factor is a row gather T[r + b_j] from T[u, j] = K_c(u s_j): the
-    cached ``ctx.row_table`` when s is omitted, else its Q x len(s) slice.
+    given ``table`` (``ctx.symmetric_table``), else the cached
+    ``ctx.row_table`` when s is omitted, else its Q x len(s) slice.  On a
+    real table the conjugation is the identity and is skipped.
     """
     f = ctx.field
     ids = np.arange(f.size, dtype=np.int64)
-    if s is None:
+    if table is not None:
+        T = table
+    elif s is None:
         T = ctx.row_table
     else:
         T = ctx.twisted[f.mul_vec(ids[:, None], np.asarray(s, dtype=np.int64)[None, :])]
     r = ids if r is None else np.asarray(r, dtype=np.int64)
     u = f.add_vec(r[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])
-    G = np.empty((len(u), len(r), T.shape[1]), dtype=np.complex128)
+    G = np.empty((len(u), len(r), T.shape[1]), dtype=T.dtype)
+    complex_table = np.iscomplexobj(T)
     step = max(1, KERNEL_STEP_CELLS // (len(r) * T.shape[1] or 1))
     for lo in range(0, len(u), step):
         u1, u2, u3, u4 = u[lo:lo + step].transpose(1, 0, 2)
@@ -209,8 +259,32 @@ def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
         np.multiply(T[u1], T[u2], out=g)
         H = T[u3]
         H *= T[u4]
-        g *= np.conj(H, out=H)
+        if complex_table:
+            np.conj(H, out=H)
+        g *= H
     return G
+
+
+def _lambda_transform(ctx, G, lam) -> np.ndarray:
+    """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s], from the
+    symmetric grids G; lam is [n], or [m, n] with one row per grid.
+
+    Even k: G is real, so R = G @ Re psi + i G @ Im psi, one real matmul
+    against the stacked columns [Re psi | Im psi].  Odd k: the column -s
+    holds conj G[r, s] and psi(-lam s) = conj psi(lam s), so R is real,
+    2 Re(G @ psi) over the representatives: one real matmul of G's
+    interleaved (re, im) pairs against the rows (Re psi, -Im psi).
+    """
+    f = ctx.field
+    lam = np.asarray(lam, dtype=np.int64)
+    n = lam.shape[-1]
+    units = ctx.symmetric_units
+    P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]  # [..., S, n]
+    if ctx.k % 2 == 0:
+        X = G @ np.concatenate([P.real, P.imag], axis=-1)
+        return X[..., :n] + 1j * X[..., n:]
+    W = np.stack([P.real, -P.imag], axis=-2).reshape(*P.shape[:-2], 2 * len(units), n)
+    return 2.0 * (G.view(np.float64) @ W)
 
 
 def _psi_column(ctx, lam) -> np.ndarray:
@@ -221,11 +295,15 @@ def _psi_column(ctx, lam) -> np.ndarray:
     return f.psi_vec[f.mul_vec(np.asarray(lam)[..., None], ids)]
 
 
-def product_grid(ctx, b) -> np.ndarray:
-    """G[r, s] = K_c(s(r+b1)) K_c(s(r+b2)) conj(K_c(s(r+b3)) K_c(s(r+b4)))."""
+def _require_grid(ctx):
     Q = ctx.field.size
     if Q * Q > GRID_CAP:
         raise ResourceLimit(f"(q^d)^2 grid too large: {Q * Q}")
+
+
+def product_grid(ctx, b) -> np.ndarray:
+    """G[r, s] = K_c(s(r+b1)) K_c(s(r+b2)) conj(K_c(s(r+b3)) K_c(s(r+b4)))."""
+    _require_grid(ctx)
     return _four_fold(ctx, [b])[0]
 
 
@@ -286,12 +364,14 @@ def _require_distinct(b):
 def second_moment_r_lambda(ctx, b) -> float:
     """(1/Q^2) sum_{r,lam} |big_r|^2 via the exact Plancherel shortcut.
 
-    Plancherel in lam collapses the double sum to (1/Q) sum_{r,s} |G[r,s]|^2.
+    Plancherel in lam collapses the double sum to (1/Q) sum_{r,s} |G[r,s]|^2,
+    read off the symmetric grid: each odd-k column stands for s and -s.
     """
     _require_distinct(b)
-    G = product_grid(ctx, b)
+    _require_grid(ctx)
+    G = _four_fold(ctx, [b], table=ctx.symmetric_table)[0]
     Q = ctx.field.size
-    return float((np.abs(G) ** 2).sum() / Q)
+    return float((1 if ctx.k % 2 == 0 else 2) * (np.abs(G) ** 2).sum() / Q)
 
 
 def second_moment_r_lambda_naive(ctx, b) -> float:
@@ -434,15 +514,14 @@ class ScanResult:
 def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas, batch: int = 64):
     """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}."""
     Q = ctx.field.size
-    lam_cols = np.stack([_psi_column(ctx, int(l)) for l in lambdas], axis=1)
     n = len(tuples)
     lin = np.empty(n)
     corr = np.empty(n)
     for lo in range(0, n, batch):
         tb = tuples[lo:lo + batch]
         m = len(tb)
-        R = _four_fold(ctx, tb).reshape(m * Q, Q) @ lam_cols
-        R = R.reshape(m, Q, len(lambdas))
+        R = _lambda_transform(ctx, _four_fold(ctx, tb, table=ctx.symmetric_table),
+                              lambdas)
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
         CM = np.einsum("bri,brj->bij", R, np.conj(R))
@@ -497,6 +576,24 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
                       expected_fraction=1.0 / Q, spec=spec, exhaustive=exhaustive)
 
 
+def _ratio_stats(ctx, tuples, svals, lam1, lam2):
+    """The K, R, C and D ratios of ``ratio_scan`` for each tuple, at its s,
+    lambda1 and lambda2, from the symmetric grids.  K reads the column of s
+    or -s: the two sums over r are conjugate."""
+    Q = ctx.field.size
+    G = _four_fold(ctx, tuples, table=ctx.symmetric_table)
+    svals = np.asarray(svals, dtype=np.int64)
+    if ctx.k % 2:
+        svals = np.searchsorted(ctx.symmetric_units,
+                                np.minimum(svals, _neg_perm(ctx.field)[svals]))
+    K = np.abs(G[np.arange(len(G)), :, svals].sum(axis=1)) / Q**0.5
+    R = _lambda_transform(ctx, G, np.stack([lam1, lam2], axis=-1))
+    R1, R2 = R[..., 0], R[..., 1]
+    return (K, np.abs(R1.sum(axis=1)) / Q,
+            np.abs((R1 * np.conj(R2)).sum(axis=1)) / Q**1.5,
+            np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5)
+
+
 def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     """The four normalized cancellation statistics over seeded generic samples.
 
@@ -524,19 +621,11 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
         lam2 = (lam1 + rng.integers(1, Q, size=n_samples)) % Q
         vals = {name: np.empty(n_samples) for name in "KRCD"}
         for lo in range(0, n_samples, batch):
-            tb = tuples[lo:lo + batch]
-            m = len(tb)
-            G = _four_fold(ctx, tb)
-            col = G.sum(axis=1)  # [m, s] = sum over r
-            vals["K"][lo:lo + m] = np.abs(col[np.arange(m), svals[lo:lo + m]]) / Q**0.5
-            psi1 = _psi_column(ctx, lam1[lo:lo + m])  # [m, s]
-            psi2 = _psi_column(ctx, lam2[lo:lo + m])
-            R1 = np.matmul(G, psi1[:, :, None])[:, :, 0]
-            R2 = np.matmul(G, psi2[:, :, None])[:, :, 0]
-            vals["R"][lo:lo + m] = np.abs(R1.sum(axis=1)) / Q
-            vals["C"][lo:lo + m] = np.abs((R1 * np.conj(R2)).sum(axis=1)) / Q**1.5
-            vals["D"][lo:lo + m] = np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5
-            del G  # so that two batches' grids are never held at once
+            hi = lo + batch
+            stats = _ratio_stats(ctx, tuples[lo:hi], svals[lo:hi], lam1[lo:hi],
+                                 lam2[lo:hi])
+            for name, v in zip("KRCD", stats):
+                vals[name][lo:hi] = v
         for name in "KRCD":
             rep_max[name].append(vals[name].max())
             rep_mean[name].append(vals[name].mean())

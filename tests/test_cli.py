@@ -64,6 +64,23 @@ def test_kl_check_small(capsys):
     assert data["deligne_margin"] <= 1e-9
 
 
+def test_kl_check_builds_its_table_once(capsys, monkeypatch):
+    import klab.cli
+    import klab.kloosterman as kl
+    calls = []
+    build = kl.kloosterman_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kl, "kloosterman_table", counted)
+    monkeypatch.setattr(klab.cli, "kloosterman_table", counted)
+    code, _out = run(capsys, "kl-check", "--k", "3", "--q", "13")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_shift_check_constraint_violation(capsys):
     code, out = run(capsys, "shift-check", "--k", "2", "--q", "101", "--M", "5",
                     "--N", "20", "--A", "2", "--B", "51", "--seed", "1")

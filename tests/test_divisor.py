@@ -112,6 +112,24 @@ def test_lambda_star_one_values(coeffs):
         assert abs(table[n] - lambda_star_one(coeffs, n)) < 1e-12
 
 
+def _sieve_oracle(coeffs, x):
+    out = np.zeros(x + 1)
+    for d in range(1, x + 1):
+        out[d::d] += coeffs.lam[d]
+    return out
+
+
+@pytest.fixture(scope="module")
+def coeffs_5e4():
+    return tau_table(50000)
+
+
+@pytest.mark.parametrize("x", [1, 2, 50, 2000, 50000])
+def test_lambda_star_one_table_equals_sieve(coeffs_5e4, x):
+    assert np.array_equal(lambda_star_one_table(coeffs_5e4, x),
+                          _sieve_oracle(coeffs_5e4, x))
+
+
 def test_tau_star_one_exact(coeffs):
     assert tau_star_one(coeffs, 6) == 1 - 24 + 252 - 6048
     with pytest.raises(OutOfRange):

@@ -56,13 +56,13 @@ def test_naive_resource_cap(f7):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_cross_algorithm_small(k, q):
-    assert cross_check(k, make_prime_field(q)) < 1e-10
+    assert cross_check(kloosterman_table(k, make_prime_field(q))) < 1e-10
 
 
 def test_cross_algorithm_extension_field():
     f = build_extension(make_prime_field(3), 2)
-    assert cross_check(2, f) < 1e-10
-    assert cross_check(3, f) < 1e-9
+    assert cross_check(kloosterman_table(2, f)) < 1e-10
+    assert cross_check(kloosterman_table(3, f)) < 1e-9
 
 
 def test_table_complete_sum_collapse():
@@ -163,6 +163,36 @@ def test_binary_cache_rejects_mismatched_request(tmp_path, f7):
         fh.truncate(20)  # inside the header
     with pytest.raises(IoError):
         load_table(p)
+
+
+def test_binary_cache_rejects_flipped_payload_byte(tmp_path):
+    f = build_extension(make_prime_field(3), 2)
+    p = str(tmp_path / "t.kltb")
+    save_table(kloosterman_table(3, f), p)
+    with open(p, "r+b") as fh:
+        fh.seek(-20, 2)  # inside the last value
+        byte = fh.read(1)
+        fh.seek(-20, 2)
+        fh.write(bytes([byte[0] ^ 0x01]))
+    with pytest.raises(IoError, match="checksum"):
+        load_table(p)
+    with pytest.raises(IoError, match="checksum"):
+        load_table(p, field=f, k=3)
+
+
+def test_binary_cache_rejects_old_format(tmp_path, f7):
+    # the format without a checksum: magic "KLTB", the header, then the payload
+    import struct
+    t = kloosterman_table(2, f7)
+    inter = np.empty(2 * f7.size, dtype="<f8")
+    inter[0::2], inter[1::2] = t.values.real, t.values.imag
+    p = tmp_path / "old.kltb"
+    p.write_bytes(b"KLTB" + struct.pack("<IQIB", 2, 7, 1, 0) + struct.pack("<I", 2)
+                  + struct.pack("<2Q", *f7.modulus) + inter.tobytes())
+    with pytest.raises(IoError, match="old cache format"):
+        load_table(str(p))
+    with pytest.raises(IoError):
+        load_table(str(p), field=f7, k=2, convention=INTRO)
 
 
 def test_naive_table_matches_pointwise_naive(f5):
