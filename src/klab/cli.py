@@ -25,9 +25,9 @@ from . import root_sums as rs
 from .errors import (ConstraintViolated, HypothesisViolated, KlabError,
                      UsageError)
 from .fields import build_extension, make_prime_field
-from .kloosterman import (INTRO, cache_path, conjugation_symmetry_check,
-                          cross_check, kloosterman_table, load_table,
-                          save_table)
+from .kloosterman import (INTRO, cache_path, conjugation_budget,
+                          conjugation_symmetry_check, cross_check,
+                          kloosterman_table, load_table, save_table)
 from .reporting import envelope, write_csv, write_json
 from .sum_product import (ScanSpec, SumProductContext, full_average_moment,
                           noncorrelation_moment, ratio_scan,
@@ -133,7 +133,7 @@ def cmd_kl_check(args):
         "deligne_margin": t.deligne_margin(),
         "conjugation_deviation": conjugation_symmetry_check(t),
         "complete_sum_residual": t.complete_sum_residual(),
-        "tolerance_budget": f.size * 1e-15,
+        "tolerance_budget": conjugation_budget(t),
     }
     _emit(args, payload)
     return EXIT_OK

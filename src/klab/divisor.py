@@ -3,12 +3,20 @@ exponent-of-distribution case analysis.
 
 The coefficient table tau(1..n_max) is exact: the generating series is the
 8th power of F = sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, shifted by one.  F
-has about sqrt(2 n_max) terms, so F^8 is seven sparse shift-and-add passes
-on int64 residues modulo four word-size primes (``TAU_PRIMES``); their
-product exceeds twice the Deligne bound d(n) n^{11/2} up to ``TAU_N_MAX``,
-so Chinese remaindering to the symmetric residue recovers tau(n) as an exact
-int, and Hecke relations and the mod-691 congruence can be asserted exactly.
-The normalized eigenvalues are lambda(n) = tau(n) / n^{11/2}, bounded by the
+has about sqrt(2 n_max) terms, so F^2 (which is eta^6, with coefficients
+below 2^26 up to ``TAU_N_MAX``) is one ``np.bincount`` over the pairs of
+terms.  F^4 and F^8 are two squarings by float FFT on balanced 11-bit limbs:
+a limb is at most 2^10 in size, so each limb-degree part sum_{i+j=d} A_i A_j
+(at most three products of n terms) is below 3 n 2^20 < 2^42, which leaves
+2^11 of the 2^53 float mantissa for the FFT's rounding error.  Every inverse
+FFT is checked, not trusted: an entry 0.25 or more from its nearest integer,
+or beyond 2^50, raises ``ResourceLimit``.  The exact parts are reduced modulo
+four word-size primes (``TAU_PRIMES``) and joined with 2^{11 d}; F^4 is
+only ever held modulo each prime.  The product of the primes exceeds twice
+the Deligne bound d(n) n^{11/2} up to ``TAU_N_MAX``, so Chinese remaindering
+to the symmetric residue recovers tau(n) as an exact int, and Hecke
+relations and the mod-691 congruence can be asserted exactly.  The
+normalized eigenvalues are lambda(n) = tau(n) / n^{11/2}, bounded by the
 divisor function d_2(n).
 
 Progression discrepancies E(x; q, a) compare the class sum of the divisor
@@ -75,29 +83,88 @@ class CuspFormCoeffs:
     lam: np.ndarray  # lam[n] = tau[n] / n^{11/2}
 
 
+# limb width of the FFT squarings; see the module docstring for its headroom
+_LIMB_BITS = 11
+
+
+def _fft_len(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m, a size pocketfft transforms fast."""
+    best = p2 = 1 << max(m - 1, 0).bit_length()
+    while p2 >= 1:
+        p3 = p2
+        while p3 < best:
+            p5 = p3
+            while p5 < m:
+                p5 *= 5
+            best = min(best, p5)
+            p3 *= 3
+        p2 //= 2
+    return best
+
+
+def _rint_exact(x: np.ndarray) -> np.ndarray:
+    """x rounded to int64, or ResourceLimit when the rounding is in doubt:
+    an entry 0.25 or more from its integer, or one beyond 2^50, where the
+    float spacing no longer shows a deviation of 0.25."""
+    r = np.rint(x)
+    err = float(np.abs(x - r).max(initial=0.0))
+    top = float(np.abs(r).max(initial=0.0))
+    if not (err < 0.25 and top < 2.0**50):
+        raise ResourceLimit(f"FFT rounding in doubt: deviation {err:.3g} from an "
+                            f"integer, magnitude 2^{math.log2(max(top, 1.0)):.1f}")
+    return r.astype(np.int64)
+
+
+def _limb_square_parts(a: np.ndarray):
+    """Yield (d, P_d) with P_d = sum_{i+j=d} A_i A_j truncated to len(a), as
+    exact int64, for a = sum_i A_i 2^{w i} in balanced w-bit limbs A_i."""
+    n, w = len(a), _LIMB_BITS
+    half = 1 << (w - 1)
+    limbs = []
+    while a.any():
+        low = ((a + half) & ((1 << w) - 1)) - half
+        limbs.append(low)
+        a = (a - low) >> w
+    size = _fft_len(2 * n - 1)
+    spectra = [np.fft.rfft(limb, size) for limb in limbs]
+    del limbs
+    m = len(spectra)
+    for d in range(2 * m - 1):
+        acc = np.zeros_like(spectra[0])
+        for i in range(max(0, d - m + 1), min(d, m - 1) + 1):
+            acc += spectra[i] * spectra[d - i]
+        yield d, _rint_exact(np.fft.irfft(acc, size)[:n])
+
+
+def _square_mod(a: np.ndarray, primes: tuple) -> np.ndarray:
+    """The first len(a) coefficients of a^2 modulo each prime, one row per
+    prime: each exact limb-degree part is reduced and weighted by 2^{w d}."""
+    out = np.zeros((len(primes), len(a)), dtype=np.int64)
+    for d, part in _limb_square_parts(a):
+        for row, p in zip(out, primes):
+            row += part % p * pow(2, _LIMB_BITS * d, p) % p
+            row %= p
+    return out
+
+
 def tau_table(n_max: int) -> CuspFormCoeffs:
     if n_max > TAU_N_MAX:
         raise ResourceLimit(f"tau table capped at {TAU_N_MAX}")
     L = n_max
-    terms = []
-    n = 0
-    while n * (n + 1) // 2 < L:
-        terms.append((n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)))
-        n += 1
-    # F^8 mod each prime by seven sparse passes cur <- F * cur; a pass adds at
-    # most 1414 terms c * r with |c| < 2^12 and 0 <= r < 2^31, so int64 holds
-    # it unreduced
-    p = np.array(TAU_PRIMES, dtype=np.int64)[:, None]
-    cur = np.zeros((len(TAU_PRIMES), L), dtype=np.int64)
-    for e, c in terms:
-        cur[:, e] = c
-    cur %= p
-    for _ in range(7):
-        acc = np.zeros_like(cur)
-        for e, c in terms:
-            acc[:, e:] += c * cur[:, :L - e]
-        cur = acc % p
-    tau = [0] + _crt_symmetric(cur, TAU_PRIMES)
+    t = np.arange(math.isqrt(8 * L) + 2)
+    e = t * (t + 1) // 2
+    c = (2 * t + 1) * (1 - 2 * (t & 1))
+    c, e = c[e < L], e[e < L]
+    # F^2 exactly: float sums of at most 1414 products below 2^24 are exact
+    s = np.add.outer(e, e)
+    keep = s < L
+    F2 = np.bincount(s[keep], weights=np.multiply.outer(c, c)[keep],
+                     minlength=L).astype(np.int64)
+    del s, keep
+    F4 = _square_mod(F2, TAU_PRIMES)
+    for row, p in zip(F4, TAU_PRIMES):
+        row[:] = _square_mod(row, (p,))[0]
+    tau = [0] + _crt_symmetric(F4, TAU_PRIMES)
     lam = np.zeros(n_max + 1)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     lam[1:] = np.array(tau[1:], dtype=np.float64) / ns ** 5.5

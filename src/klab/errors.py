@@ -46,6 +46,10 @@ class NotSelfDual(KlabError):
     so the real (even k) or half (odd k) four-fold grid does not apply."""
 
 
+class NoGenericTuple(KlabError):
+    """The field has no generic shift tuple for this k, so none can be sampled."""
+
+
 class CharDividesK(KlabError):
     """gcd(k, q) != 1, so there are no k-th roots of unity."""
 

@@ -223,6 +223,13 @@ def conjugation_symmetry_check(table: KloostermanTable) -> float:
     return float(np.abs(np.conj(table.values) - target).max())
 
 
+def conjugation_budget(table: KloostermanTable) -> float:
+    """The float budget of ``conjugation_symmetry_check``: entries of size
+    up to k each carry about q^d * 1e-15 of convolution noise, so genuine
+    tables stay within k * q^d * 1e-15."""
+    return table.k * table.field.size * 1e-15
+
+
 def cross_check(table: KloostermanTable, cap: int = DEFAULT_NAIVE_CAP) -> float:
     """max |table - naive| over all a, the naive table in the same convention."""
     naive = naive_table(table.k, table.field, cap=cap, convention=table.convention)

@@ -62,11 +62,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BadPair, NotDistinct, NotSelfDual, RangeTooLarge,
-                     ResourceLimit, WrongParity, ZeroS)
+from .errors import (BadPair, NoGenericTuple, NotDistinct, NotSelfDual,
+                     RangeTooLarge, ResourceLimit, WrongParity, ZeroS)
 from .fields import roots_of_unity
 from .kloosterman import (KloostermanTable, _mul_perm, _neg_perm,
-                          conjugation_symmetry_check)
+                          conjugation_budget, conjugation_symmetry_check)
 
 FULL_SCAN_MAX_Q = 31
 DEFAULT_SAMPLES = 2000
@@ -111,12 +111,10 @@ class SumProductContext:
     @cached_property
     def symmetric_table(self) -> np.ndarray:
         """Re T (Q x Q) for even k, T[:, symmetric_units] (Q x (Q-1)/2) for
-        odd k; NotSelfDual unless the table is conjugation symmetric.
-
-        Entries of size up to k each carry about q^d * 1e-15 of convolution
-        noise, so the symmetry must hold to k * q^d * 1e-15.
+        odd k; NotSelfDual unless the table is conjugation symmetric within
+        ``conjugation_budget``.
         """
-        budget = self.k * self.field.size * 1e-15
+        budget = conjugation_budget(self.table)
         dev = conjugation_symmetry_check(self.table)
         if not dev <= budget:
             raise NotSelfDual(f"conj Kl_k(a) - Kl_k((-1)^k a) reaches {dev:.3e}, "
@@ -199,10 +197,40 @@ def is_generic_tuple(b, k: int, field) -> bool:
     return True
 
 
+def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
+    """Whether any tuple is generic for the zero-sum patterns ``pats``.
+
+    As 1 + z2 = z3 + z4, the form b1 + z2 b2 - z3 b3 - z4 b4 equals
+    c1 + z2 c2 - z3 c3 for c = b - b4, and scaling c by 1/c1 keeps its zeros:
+    a generic b exists iff some (1, u, v) is generic, u and v outside {0, 1}
+    and distinct.  Each pattern rules out one v per u, namely
+    (1 + z2 u) / z3, so with more than len(pats) + 3 field elements every u
+    keeps a v; smaller fields are settled by marking the (u, v) grid.
+    """
+    Q = field.size
+    if Q < 4:
+        return False
+    if Q > len(pats) + 3:
+        return True
+    u = np.arange(2, Q, dtype=np.int64)
+    rows = np.arange(Q - 2)
+    bad = np.zeros((Q - 2, Q), dtype=bool)
+    bad[:, :2] = True
+    bad[rows, u] = True
+    for z2, z3, _z4 in pats:
+        v = field.mul_vec(field.add_vec(1, field.mul_vec(int(z2), u)),
+                          field.inv(int(z3)))
+        bad[rows, v] = True
+    return not bad.all()
+
+
 def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
-    """n seeded generic tuples, as an (n, 4) int array of encodings."""
+    """n seeded generic tuples, as an (n, 4) int array of encodings;
+    NoGenericTuple, before any draw, when the field has none."""
     q = field.size
     pats = np.array(zero_sum_patterns(field, k), dtype=np.int64).reshape(-1, 3)
+    if n > 0 and not _generic_tuple_exists(field, pats):
+        raise NoGenericTuple(f"F_{q} has no generic shift tuple for k = {k}")
     out = np.empty((n, 4), dtype=np.int64)
     got = 0
     while got < n:

@@ -64,6 +64,15 @@ def test_kl_check_small(capsys):
     assert data["deligne_margin"] <= 1e-9
 
 
+@pytest.mark.parametrize("k", [6, 12])
+def test_kl_check_budget_holds_for_genuine_tables(capsys, k):
+    code, out = run(capsys, "kl-check", "--k", str(k), "--q", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["conjugation_deviation"] <= data["tolerance_budget"]
+    assert data["tolerance_budget"] == k * 3 * 1e-15
+
+
 def test_kl_check_builds_its_table_once(capsys, monkeypatch):
     import klab.cli
     import klab.kloosterman as kl
@@ -139,6 +148,18 @@ def test_moments_command(capsys):
     data = json.loads(out)
     assert data["second_moment_dev_max"] < 30
     assert "noncorrelation_ratio_max" in data
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--k", "2", "--q", "5", "--samples", "1", "--seed", "1"],
+    ["moments", "--k", "3", "--q", "3", "--samples", "1", "--seed", "1"],
+    ["sumprod-scan", "--ratios", "--k", "2", "--q", "5", "--samples", "4", "--seed", "1"],
+    ["sumprod-scan", "--ratios", "--k", "4", "--q", "5", "--samples", "4", "--seed", "1"],
+])
+def test_no_generic_tuple_exits_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "no generic shift tuple" in err and "Traceback" not in err
 
 
 def test_kl_table_cache_roundtrip(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klab.divisor as dv
 from klab.cli import main
 from klab.divisor import (TAU_N_MAX, TAU_PRIMES, CuspFormCoeffs, ExponentConfig,
                           bound_exponents, combined_bounds,
@@ -17,7 +18,7 @@ from klab.divisor import (TAU_N_MAX, TAU_PRIMES, CuspFormCoeffs, ExponentConfig,
                           sigma11_mod, tau_star_one, tau_table)
 from klab.fields import is_prime
 from klab.errors import (BadResidue, CompositeModulus, HypothesisViolated,
-                         OutOfRange)
+                         OutOfRange, ResourceLimit)
 from klab.fields import make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
@@ -62,11 +63,76 @@ def _kronecker_tau(n_max: int) -> list:
     return [0] + _kronecker_square(F4, 192)[:n_max]
 
 
+def _sparse_tau(n_max: int) -> list:
+    """tau(0..n_max) (tau(0) = 0) by seven sparse passes cur <- F * cur
+    modulo each of TAU_PRIMES, then CRT.  A pass adds at most 1414 terms
+    c * r with |c| < 2^12 and 0 <= r < 2^31, so int64 holds it unreduced."""
+    terms = []
+    n = 0
+    while n * (n + 1) // 2 < n_max:
+        terms.append((n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)))
+        n += 1
+    p = np.array(TAU_PRIMES, dtype=np.int64)[:, None]
+    cur = np.zeros((len(TAU_PRIMES), n_max), dtype=np.int64)
+    for e, c in terms:
+        cur[:, e] = c
+    cur %= p
+    for _ in range(7):
+        acc = np.zeros_like(cur)
+        for e, c in terms:
+            acc[:, e:] += c * cur[:, :n_max - e]
+        cur = acc % p
+    M = math.prod(TAU_PRIMES)
+    out = [0]
+    for residues in zip(*(row.tolist() for row in cur)):
+        v = sum(r * (M // q) * pow(M // q, -1, q) for r, q in zip(residues, TAU_PRIMES)) % M
+        out.append(v - M if v > M // 2 else v)
+    return out
+
+
 def test_tau_matches_kronecker_oracle(coeffs):
     assert coeffs.tau == _kronecker_tau(coeffs.n_max)
     assert all(type(t) is int for t in coeffs.tau)
     for n_max in (1, 2, 3, 10):
         assert tau_table(n_max).tau == _kronecker_tau(n_max)
+
+
+def test_tau_matches_sparse_oracle(coeffs, coeffs_5e4):
+    for c in (coeffs, coeffs_5e4):
+        assert c.tau == _sparse_tau(c.n_max)
+    for n_max in (1, 2, 3, 10):
+        assert tau_table(n_max).tau == _sparse_tau(n_max)
+
+
+def test_fft_rounding_guard_bites(monkeypatch):
+    # 26-bit limbs put the limb products far beyond float64's 53 bits
+    monkeypatch.setattr(dv, "_LIMB_BITS", 26)
+    with pytest.raises(ResourceLimit, match="rounding"):
+        tau_table(3000)
+
+
+def test_rint_exact_rejects_each_doubt():
+    assert dv._rint_exact(np.array([1.2, -3.0, 2.0**49 + 0.125])).tolist() == [1, -3, 2**49]
+    with pytest.raises(ResourceLimit):
+        dv._rint_exact(np.array([1.0, 7.25]))
+    with pytest.raises(ResourceLimit):
+        dv._rint_exact(np.array([2.0**51]))  # integral, but too coarse to tell
+
+
+def test_tau_table_reaches_its_cap():
+    # the top of the range against the table's own small entries, through
+    # Hecke's relations, a route independent of the FFT squarings
+    tau = tau_table(TAU_N_MAX).tau
+    assert TAU_N_MAX == 10**6 and len(tau) == TAU_N_MAX + 1
+
+    def prime_power(p, j):
+        prev, cur = 1, tau[p]
+        for _ in range(j - 1):
+            prev, cur = cur, tau[p] * cur - p**11 * prev
+        return cur
+
+    assert tau[10**6] == prime_power(2, 6) * prime_power(5, 6)
+    assert tau[999999] == tau[27] * tau[7] * tau[11] * tau[13] * tau[37]
 
 
 def test_tau_crt_modulus_covers_deligne_bound():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import lru_cache
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab.errors import BadPair, NotDistinct, RangeTooLarge, WrongParity, ZeroS
+from klab.errors import (BadPair, NoGenericTuple, NotDistinct, RangeTooLarge,
+                         WrongParity, ZeroS)
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
@@ -191,6 +193,27 @@ def test_sample_generic_tuples_all_generic():
     ts = sample_generic_tuples(f, 2, 200, rng)
     assert ts.shape == (200, 4)
     assert all(is_generic_tuple(tuple(int(x) for x in t), 2, f) for t in ts)
+
+
+@pytest.mark.parametrize("q, d, k", [(q, 1, k) for q in (3, 5, 7) for k in range(2, 6)]
+                         + [(3, 2, 2), (3, 2, 4)])
+def test_sampler_agrees_with_enumeration(q, d, k):
+    # the sampler returns generic tuples exactly when some tuple is generic,
+    # and otherwise raises before it draws
+    f = make_prime_field(q)
+    if d > 1:
+        f = build_extension(f, d)
+    exists = any(is_generic_tuple(b, k, f)
+                 for b in itertools.product(range(f.size), repeat=4))
+    rng = np.random.default_rng(0)
+    if exists:
+        ts = sample_generic_tuples(f, k, 20, rng)
+        assert all(is_generic_tuple(tuple(int(x) for x in t), k, f) for t in ts)
+    else:
+        state = rng.bit_generator.state
+        with pytest.raises(NoGenericTuple):
+            sample_generic_tuples(f, k, 20, rng)
+        assert rng.bit_generator.state == state
 
 
 # ------------------------------------------------------------ complete sums
