@@ -16,7 +16,8 @@ into reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,14 +173,28 @@ def thm_typeI_bound(M: int, N: int, q: int, l1_alpha: float, l2_alpha: float) ->
 
 # exponent-level forms: M = q^{eM}, N = q^{eN} ---------------------------
 
+# Each bracket exponent is the max of its affine pieces (a, b, c), a piece
+# being a*eM + b*eN + c: the general bracket M^{-1/2} + (MN)^{-3/16} q^{11/64}
+# and the special bracket (M^2 N^5 / q^3)^{-1/12}.
+BRACKET_PIECES = {
+    "general": ((Fraction(-1, 2), 0, 0),
+                (Fraction(-3, 16), Fraction(-3, 16), Fraction(11, 64))),
+    "special": ((Fraction(-1, 6), Fraction(-5, 12), Fraction(1, 4)),),
+}
+
+
+def _bracket_exponent(kind: str, eM: float, eN: float) -> float:
+    return float(max(a * eM + b * eN + c for a, b, c in BRACKET_PIECES[kind]))
+
+
 def typeII_bracket_exponent(eM: float, eN: float) -> float:
     """q-exponent of the dominant general-bracket term."""
-    return max(-eM / 2, -3 * (eM + eN) / 16 + 11 / 64)
+    return _bracket_exponent("general", eM, eN)
 
 
 def typeI_bracket_exponent(eM: float, eN: float) -> float:
     """q-exponent of (M^2 N^5 / q^3)^{-1/12}."""
-    return -(2 * eM + 5 * eN - 3) / 12
+    return _bracket_exponent("special", eM, eN)
 
 
 def typeII_saving_exponent(eM: float, eN: float) -> float:
@@ -190,20 +205,11 @@ def typeI_saving_exponent(eM: float, eN: float) -> float:
     return -typeI_bracket_exponent(eM, eN)
 
 
-def nontrivial_threshold(kind: str, lo: float = 0.0, hi: float = 1.0,
-                         tol: float = 1e-9) -> float:
-    """Exponent e where the M = N = q^e saving crosses zero."""
-    f = {"general": lambda e: typeII_saving_exponent(e, e),
-         "special": lambda e: typeI_saving_exponent(e, e)}[kind]
-    if f(lo) > 0 or f(hi) < 0:
-        raise ValueError("saving does not change sign on [lo, hi]")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+def nontrivial_threshold(kind: str) -> float:
+    """Exponent e where the M = N = q^e saving crosses zero, exactly: each
+    piece falls through zero at e = -c / (a + b), and the bracket, their
+    max, at the last of those."""
+    return float(max(-c / (a + b) for a, b, c in BRACKET_PIECES[kind]))
 
 
 # ----------------------------------------------------------------------
@@ -212,13 +218,6 @@ def nontrivial_threshold(kind: str, lo: float = 0.0, hi: float = 1.0,
 
 def _plan_flags(A: int, B: int, M: int, N: int, q: int) -> dict:
     return {"2B<q": 2 * B < q, "AB<=N": A * B <= N, "AM<q": A * M < q}
-
-
-def plan_parameters_typeI(M: int, N: int, q: int) -> ParameterPlan:
-    """A = M^{-1/3} N^{2/3}, B = (MN)^{1/3}, rounded to nearest integer >= 1."""
-    A = max(1, round(M ** (-1 / 3) * N ** (2 / 3)))
-    B = max(1, round((M * N) ** (1 / 3)))
-    return ParameterPlan(A=A, B=B, constraints=_plan_flags(A, B, M, N, q))
 
 
 def plan_parameters_typeII(M: int, N: int, q: int) -> ParameterPlan:
@@ -265,15 +264,14 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
 # extremal oracle
 # ----------------------------------------------------------------------
 
-def operator_norm(ctx, M: int, N: int, offset: int = 1, tol: float = 1e-10,
-                  max_iter: int = 10**4) -> float:
+def operator_norm(ctx, M: int, N: int, offset: int = 1, tol: float = 1e-10) -> float:
     """Largest singular value of [Kl_k(c m n)] by power iteration on the Gram
-    matrix, deterministic all-ones start."""
+    matrix, deterministic all-ones start; NoConvergence after 10^4 steps."""
     A = kloosterman_matrix(ctx, M, N, offset)
     v = np.ones(N, dtype=np.complex128)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(10**4):
         w = A @ v
         u = A.conj().T @ w
         nu = np.linalg.norm(u)

@@ -34,14 +34,14 @@ delta converts to the progression-range exponent via eta = delta / (4 -
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import (BadResidue, CompositeModulus, HypothesisViolated,
-                     OutOfRange, ResourceLimit)
+from .errors import (CompositeModulus, HypothesisViolated, OutOfRange,
+                     ResourceLimit)
 from .fields import is_prime
 
 TAU_N_MAX = 10**6
@@ -243,19 +243,6 @@ def lambda_star_one_table(coeffs: CuspFormCoeffs, x: int) -> np.ndarray:
     return out
 
 
-def lambda_star_one(coeffs: CuspFormCoeffs, n: int) -> float:
-    if n > coeffs.n_max:
-        raise OutOfRange(f"n = {n} beyond table range {coeffs.n_max}")
-    return float(sum(coeffs.lam[d] for d in range(1, n + 1) if n % d == 0))
-
-
-def tau_star_one(coeffs: CuspFormCoeffs, n: int) -> int:
-    """Exact integer variant sum_{d | n} tau(d)."""
-    if n > coeffs.n_max:
-        raise OutOfRange(f"n = {n} beyond table range {coeffs.n_max}")
-    return sum(coeffs.tau[d] for d in range(1, n + 1) if n % d == 0)
-
-
 @dataclass(frozen=True)
 class ProgressionReport:
     x: int
@@ -283,12 +270,6 @@ def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> list:
     return [ProgressionReport(x=x, q=q, a=a, raw=float(raw[a]), main=float(main),
                               E=float(raw[a] - main), normalized=float((raw[a] - main) * q / x))
             for a in range(1, q)]
-
-
-def discrepancy(coeffs: CuspFormCoeffs, x: int, q: int, a: int) -> ProgressionReport:
-    if math.gcd(a, q) != 1:
-        raise BadResidue(f"a = {a} not invertible mod {q}")
-    return discrepancy_all(coeffs, x, q)[a % q - 1]
 
 
 def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,

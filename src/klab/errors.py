@@ -21,18 +21,6 @@ class ResourceLimit(KlabError):
     """A computation would exceed its configured size cap."""
 
 
-class ZeroScale(KlabError):
-    """A multiplicative twist by zero was requested."""
-
-
-class ZeroS(KlabError):
-    """s = 0 is outside the domain of this sum."""
-
-
-class BadPair(KlabError):
-    """(s1, s2) must be nonzero and distinct."""
-
-
 class NotDistinct(KlabError):
     """The shift tuple must have pairwise distinct coordinates."""
 
@@ -85,10 +73,6 @@ class NoConvergence(KlabError):
         super().__init__(message)
         self.last_value = last_value
         self.gap = gap
-
-
-class BadResidue(KlabError):
-    """The residue class a is not invertible mod q."""
 
 
 class OutOfRange(KlabError):

@@ -8,6 +8,12 @@ modulus is chosen deterministically as the irreducible monic polynomial of
 degree d whose non-leading coefficient encoding is smallest, so tables are
 reproducible across runs.
 
+F_q is F_{q^d} with d = 1 and modulus x, so both classes share one table
+builder (``_Field``): the trace from the traces of the basis powers, the
+generator as the least encoding of full order, and the exp table by
+doubling, each step one d x d digit matrix product over F_q.  The classes
+themselves hold only their scalar and vector arithmetic.
+
 Fields are immutable after construction; every operation is a pure function
 of its inputs.
 """
@@ -145,7 +151,81 @@ def _is_irreducible(mod, q, d):
 # fields
 # ----------------------------------------------------------------------
 
-class PrimeField:
+class _Field:
+    """The tables shared by F_q and F_{q^d}, indexed by the digit encoding.
+
+    A subclass sets q, degree, size and modulus and supplies ``mul`` and
+    ``pow``; ``_build_tables`` then fills the trace, exp, log, inv and psi
+    tables.  The exp table is filled by doubling: multiplication by g^n is
+    the d x d matrix over F_q whose row i holds the digits of x^i g^n, so
+    exp[n:2n] is exp[:n] in digits times that matrix, reduced mod q.
+    """
+
+    def decode(self, e):
+        q = self.q
+        return tuple((e // q**i) % q for i in range(self.degree))
+
+    def encode(self, coeffs):
+        q = self.q
+        return sum((int(c) % q) * q**i for i, c in enumerate(coeffs))
+
+    def _build_tables(self):
+        Q, q, d = self.size, self.q, self.degree
+        if Q > DLOG_TABLE_CAP:  # pragma: no cover - beyond desk scale
+            raise ResourceLimit(f"field size {Q} exceeds dlog table cap")
+        # traces of the basis powers x^i: sum_j (x^{q^j})^i, a constant poly
+        mod = list(self.modulus)
+        frob = [[0, 1]]
+        for _ in range(1, d):
+            frob.append(_poly_powmod(frob[-1], q, mod, q))
+        basis_tr = []
+        for i in range(d):
+            acc = [0]
+            for fj in frob:
+                term = _poly_powmod(fj, i, mod, q)
+                acc = [(x + y) % q for x, y in
+                       zip(acc + [0] * len(term), term + [0] * len(acc))]
+            _poly_trim(acc)
+            assert len(acc) <= 1, "trace of a basis power must be constant"
+            basis_tr.append(acc[0] if acc else 0)
+        digits = np.arange(Q, dtype=np.int64)
+        tr = np.zeros(Q, dtype=np.int64)
+        for i in range(d):
+            tr += (digits // q**i % q) * basis_tr[i]
+        self.trace_vec = tr % q
+
+        self.generator = self._find_generator()
+        powers = q ** np.arange(d, dtype=np.int64)
+        exp = np.empty(Q - 1, dtype=np.int64)
+        exp[0] = 1
+        n, h = 1, self.generator
+        while n < Q - 1:
+            m = min(n, Q - 1 - n)
+            M = np.array([self.decode(self.mul(int(p), h)) for p in powers],
+                         dtype=np.int64)
+            exp[n:n + m] = (exp[:m, None] // powers % q) @ M % q @ powers
+            n += m
+            h = self.mul(h, h)
+        self.exp_table = exp
+        log = np.full(Q, -1, dtype=np.int64)
+        log[exp] = np.arange(Q - 1)
+        self.log_table = log
+        inv = np.zeros(Q, dtype=np.int64)
+        inv[exp] = exp[(-np.arange(Q - 1)) % (Q - 1)]
+        self.inv_table = inv
+        root = cmath.exp(2j * math.pi / q)
+        self.psi_vec = np.asarray(root, dtype=np.complex128) ** self.trace_vec
+
+    def _find_generator(self):
+        L = self.size - 1
+        primes = _factor(L)
+        for g in range(1, self.size):
+            if all(self.pow(g, L // p) != 1 for p in primes):
+                return g
+        raise RuntimeError("no generator found")  # pragma: no cover
+
+
+class PrimeField(_Field):
     """F_q for an odd prime q, with generator/dlog and character tables."""
 
     def __init__(self, q: int):
@@ -159,50 +239,6 @@ class PrimeField:
         self.modulus = (0, 1)  # the polynomial x
         self._build_tables()
 
-    def _build_tables(self):
-        q = self.size
-        self.generator = self._find_generator()
-        if q <= DLOG_TABLE_CAP:
-            exp = np.empty(q - 1, dtype=np.int64)
-            e = 1
-            for j in range(q - 1):
-                exp[j] = e
-                e = self._mul_int(e, self.generator)
-            self.exp_table = exp
-            log = np.full(q, -1, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
-            self.log_table = log
-        else:  # pragma: no cover - beyond desk scale
-            raise ResourceLimit(f"field size {q} exceeds dlog table cap")
-        self.trace_vec = self._trace_vec()
-        root = cmath.exp(2j * math.pi / self.q)
-        self.psi_vec = np.asarray(root, dtype=np.complex128) ** self.trace_vec
-        inv = np.zeros(q, dtype=np.int64)
-        inv[self.exp_table] = self.exp_table[(-np.arange(q - 1)) % (q - 1)]
-        self.inv_table = inv
-
-    # integer-encoding arithmetic -------------------------------------
-    def _mul_int(self, a, b):
-        return a * b % self.q
-
-    def _add_int(self, a, b):
-        return (a + b) % self.q
-
-    def _trace_vec(self):
-        return np.arange(self.q, dtype=np.int64)
-
-    def _find_generator(self):
-        L = self.size - 1
-        primes = _factor(L)
-        for g in range(2, self.size):
-            if all(self._pow_int(g, L // p) != 1 for p in primes):
-                return g
-        raise RuntimeError("no generator found")  # pragma: no cover
-
-    def _pow_int(self, a, e):
-        return pow(a, e, self.q)
-
-    # public ops -------------------------------------------------------
     def add(self, a, b):
         return (a + b) % self.q
 
@@ -225,9 +261,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.q)
         return pow(a, e, self.q)
 
-    def trace(self, a):
-        return a % self.q
-
     def add_vec(self, a, b):
         return (a + b) % self.q
 
@@ -244,7 +277,7 @@ class PrimeField:
         return hash(("PrimeField", self.q))
 
 
-class ExtField:
+class ExtField(_Field):
     """F_{q^d} as polynomials modulo a fixed monic irreducible of degree d."""
 
     def __init__(self, base: PrimeField, d: int, modulus=None):
@@ -263,16 +296,9 @@ class ExtField:
             if not _is_irreducible(list(modulus), base.q, d):
                 raise ValueError("modulus is not irreducible")
         self.modulus = tuple(modulus)
+        self._add_table = None
+        self._mul_table = None
         self._build_tables()
-
-    # encoding helpers ---------------------------------------------------
-    def decode(self, e):
-        q = self.q
-        return tuple((e // q**i) % q for i in range(self.degree))
-
-    def encode(self, coeffs):
-        q = self.q
-        return sum((int(c) % q) * q**i for i, c in enumerate(coeffs))
 
     # scalar arithmetic on encodings -------------------------------------
     def add(self, a, b):
@@ -317,62 +343,6 @@ class ExtField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.size - 2)
-
-    def trace(self, a):
-        """Tr_{F_{q^d}/F_q}(a) = sum of Frobenius conjugates, a residue mod q."""
-        return int(self.trace_vec[a])
-
-    # tables --------------------------------------------------------------
-    def _build_tables(self):
-        Q, q, d = self.size, self.q, self.degree
-        if Q > DLOG_TABLE_CAP:  # pragma: no cover - beyond desk scale
-            raise ResourceLimit(f"field size {Q} exceeds dlog table cap")
-        # traces of the basis powers x^i: sum_j (x^{q^j})^i, a constant poly
-        mod = list(self.modulus)
-        frob = [[0, 1]]
-        for _ in range(1, d):
-            frob.append(_poly_powmod(frob[-1], q, mod, q))
-        basis_tr = []
-        for i in range(d):
-            acc = [0]
-            for fj in frob:
-                term = _poly_powmod(fj, i, mod, q)
-                acc = [(x + y) % q for x, y in
-                       zip(acc + [0] * len(term), term + [0] * len(acc))]
-            _poly_trim(acc)
-            assert len(acc) <= 1, "trace of a basis power must be constant"
-            basis_tr.append(acc[0] if acc else 0)
-        digits = np.arange(Q, dtype=np.int64)
-        tr = np.zeros(Q, dtype=np.int64)
-        for i in range(d):
-            tr += (digits // q**i % q) * basis_tr[i]
-        self.trace_vec = tr % q
-
-        self.generator = self._find_generator()
-        exp = np.empty(Q - 1, dtype=np.int64)
-        e = 1
-        for j in range(Q - 1):
-            exp[j] = e
-            e = self.mul(e, self.generator)
-        self.exp_table = exp
-        log = np.full(Q, -1, dtype=np.int64)
-        log[exp] = np.arange(Q - 1)
-        self.log_table = log
-        inv = np.zeros(Q, dtype=np.int64)
-        inv[exp] = exp[(-np.arange(Q - 1)) % (Q - 1)]
-        self.inv_table = inv
-        root = cmath.exp(2j * math.pi / q)
-        self.psi_vec = np.asarray(root, dtype=np.complex128) ** self.trace_vec
-        self._add_table = None
-        self._mul_table = None
-
-    def _find_generator(self):
-        L = self.size - 1
-        primes = _factor(L)
-        for g in range(1, self.size):
-            if all(self.pow(g, L // p) != 1 for p in primes):
-                return g
-        raise RuntimeError("no generator found")  # pragma: no cover
 
     def add_table(self):
         """Dense Q x Q addition table (encodings); built lazily."""
@@ -436,20 +406,6 @@ def make_prime_field(q: int) -> PrimeField:
 
 def build_extension(f: PrimeField, d: int) -> ExtField:
     return ExtField(f, d)
-
-
-def trace(field, x: int) -> int:
-    return field.trace(x)
-
-
-def psi(field, lam: int, x: int) -> complex:
-    """Additive character psi_lam(x) = e(Tr(lam*x)/q); lam = 0 gives 1."""
-    return complex(field.psi_vec[field.mul(lam, x)])
-
-
-def mult_generator(field) -> int:
-    """Smallest-encoding element of full multiplicative order q^d - 1."""
-    return field.generator
 
 
 def roots_of_unity(field, k: int):

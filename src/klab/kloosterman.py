@@ -30,11 +30,11 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, KlabError, ResourceLimit, ZeroScale
+from .errors import IoError, KlabError, ResourceLimit
 
 SCHOOLBOOK_MAX = 5000
 DEFAULT_NAIVE_CAP = 1 << 25
@@ -76,13 +76,6 @@ class KloostermanTable:
         Q = self.field.size
         unnorm = self.values * (Q ** ((self.k - 1) / 2) / sign_factor(self.k, self.convention))
         return abs(unnorm.sum() - (-1) ** self.k)
-
-    def with_convention(self, convention: str) -> "KloostermanTable":
-        if convention == self.convention:
-            return self
-        s = sign_factor(self.k, convention) / sign_factor(self.k, self.convention)
-        return replace(self, convention=convention, values=self.values * s)
-
 
 def _neg_perm(field) -> np.ndarray:
     """Permutation a -> -a on encodings."""
@@ -202,16 +195,6 @@ def naive_table(k: int, field, cap: int = DEFAULT_NAIVE_CAP,
     vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)
-
-
-def pullback_scale(table: KloostermanTable, c: int) -> KloostermanTable:
-    """The twist [x c]: new_values[a] = values[c * a]."""
-    if c % table.field.size == 0:
-        raise ZeroScale("pullback by c = 0 is not invertible")
-    perm = _mul_perm(table.field, c % table.field.size)
-    vals = table.values[perm]
-    vals.setflags(write=False)
-    return replace(table, values=vals)
 
 
 def conjugation_symmetry_check(table: KloostermanTable) -> float:

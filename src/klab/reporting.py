@@ -17,10 +17,6 @@ from . import __version__
 from .errors import IoError
 
 
-def artifact_version() -> str:
-    return __version__
-
-
 def _cell(v) -> str:
     if isinstance(v, float):
         if math.isnan(v):
@@ -49,7 +45,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def envelope(config: dict, payload: dict) -> dict:
-    return {"version": artifact_version(),
+    return {"version": __version__,
             "config": {str(k): config[k] for k in sorted(config)},
             **payload}
 

@@ -120,16 +120,16 @@ def expected_stabilizer(sk: SkMultiset) -> list:
     return [1] if sk.k % 2 == 0 else sorted({1, f.neg(1)})
 
 
-def smallest_conforming_q(k: int, q_limit: int = 1000,
-                          size_limit: int = 10**6) -> int | None:
-    """Smallest prime q (host size capped) where both structural claims hold."""
+def smallest_conforming_q(k: int, q_limit: int = 1000) -> int | None:
+    """Smallest prime q, with a host field of at most 10^6 elements, where
+    both structural claims hold."""
     from .fields import is_prime
 
     for q in range(3, q_limit + 1):
         if not is_prime(q) or math.gcd(k, q) != 1:
             continue
         d = find_embedding_degree(k, q)
-        if q**d > size_limit:
+        if q**d > 10**6:
             continue
         sk = compute_sk(k, host_field(k, q))
         if multiplicity_one_element(sk) is None:

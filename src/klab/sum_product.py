@@ -9,10 +9,12 @@ b = (b1, b2, b3, b4):
                                transform in lam of the s-slice); the s = 0
                                term vanishes because the table is 0 at 0.
 
-On top of these sit the complete sums over r, the incomplete (r, s)-range
-sums appearing in the shift-by-ab reduction, second moments computed through
-the exact Plancherel shortcut, and scanning utilities that measure normalized
-cancellation ratios over sampled shift tuples.
+On top of these sit the incomplete (r, s)-range sums appearing in the
+shift-by-ab reduction, second moments computed through the exact Plancherel
+shortcut, and scanning utilities that measure normalized cancellation ratios
+over sampled shift tuples.  Complete sums over r are read off the grid:
+``product_grid(ctx, b)[:, s].sum()`` for one s, and
+``product_grid(ctx, b).sum(0) @ psi`` for sum_r big_r(r, lam, b).
 
 A tuple is *diagonal* when its coordinates pair up (the even-multiplicity
 rule for k even, equal two-element multisets for k odd); on diagonal tuples
@@ -62,8 +64,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BadPair, NoGenericTuple, NotDistinct, NotSelfDual,
-                     RangeTooLarge, ResourceLimit, WrongParity, ZeroS)
+from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, RangeTooLarge,
+                     ResourceLimit, WrongParity)
 from .fields import roots_of_unity
 from .kloosterman import (KloostermanTable, _mul_perm, _neg_perm,
                           conjugation_budget, conjugation_symmetry_check)
@@ -75,6 +77,8 @@ GRID_CAP = 1 << 24
 # step's temporaries (512 KiB of complex128 each) stay in a core's L2 cache;
 # whole 64-tuple batches at q = 199 ran about 2x slower.
 KERNEL_STEP_CELLS = 1 << 15
+# tuples per kernel call in the scans
+SCAN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -134,15 +138,6 @@ class SumProductContext:
 
 
 @dataclass(frozen=True)
-class ShiftTuple:
-    """A 4-tuple of shifts with its pairing classification."""
-
-    b: tuple
-    k_parity_class: str  # "Sp" for k even, "SL" for k odd
-    classification: str  # "diagonal" or "generic"
-
-
-@dataclass(frozen=True)
 class RatioReport:
     """A normalized cancellation statistic measured over a sample."""
 
@@ -160,11 +155,6 @@ def classify_tuple(b, k: int) -> str:
         counts = Counter(b)
         return "diagonal" if all(v % 2 == 0 for v in counts.values()) else "generic"
     return "diagonal" if Counter(b[:2]) == Counter(b[2:]) else "generic"
-
-
-def shift_tuple(b, k: int) -> ShiftTuple:
-    return ShiftTuple(b=tuple(b), k_parity_class="Sp" if k % 2 == 0 else "SL",
-                      classification=classify_tuple(b, k))
 
 
 # ----------------------------------------------------------------------
@@ -235,19 +225,12 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
     got = 0
     while got < n:
         batch = rng.integers(0, q, size=(2 * (n - got) + 16, 4))
-        ok = ((batch[:, 0] != batch[:, 1]) & (batch[:, 0] != batch[:, 2])
-              & (batch[:, 0] != batch[:, 3]) & (batch[:, 1] != batch[:, 2])
-              & (batch[:, 1] != batch[:, 3]) & (batch[:, 2] != batch[:, 3]))
-        if field.degree == 1:
-            for z2, z3, z4 in pats:
-                ok &= (batch[:, 0] + z2 * batch[:, 1]
-                       - z3 * batch[:, 2] - z4 * batch[:, 3]) % q != 0
-        else:
-            keep = np.nonzero(ok)[0]
-            mask = np.array([is_generic_tuple(tuple(int(x) for x in batch[i]), k, field)
-                             for i in keep], dtype=bool)
-            ok = np.zeros(len(batch), dtype=bool)
-            ok[keep[mask]] = True
+        b1, b2, b3, b4 = batch.T
+        ok = ((b1 != b2) & (b1 != b3) & (b1 != b4) & (b2 != b3) & (b2 != b4)
+              & (b3 != b4))
+        for z2, z3, z4 in pats:
+            ok &= (field.add_vec(b1, field.mul_vec(z2, b2))
+                   != field.add_vec(field.mul_vec(z3, b3), field.mul_vec(z4, b4)))
         sel = batch[ok]
         take = min(len(sel), n - got)
         out[got:got + take] = sel[:take]
@@ -350,40 +333,6 @@ def big_r(ctx, r: int, lam: int, b) -> complex:
     return complex(_four_fold(ctx, [b], r=[r])[0, 0] @ _psi_column(ctx, lam))
 
 
-def r_profile(ctx, lam: int, b) -> np.ndarray:
-    """big_r(r, lam, b) for every r, via one grid and one matvec."""
-    return product_grid(ctx, b) @ _psi_column(ctx, lam)
-
-
-def complete_sum_over_r(ctx, s: int, b) -> complex:
-    if s % ctx.field.size == 0:
-        raise ZeroS("s must be a unit")
-    return complex(_four_fold(ctx, [b], s=[s]).sum())
-
-
-def complete_corr_over_r(ctx, s1: int, s2: int, b) -> complex:
-    """The 8-fold product sum over r for a pair s1 != s2 of units."""
-    Q = ctx.field.size
-    if s1 % Q == 0 or s2 % Q == 0 or s1 % Q == s2 % Q:
-        raise BadPair("need nonzero s1 != s2")
-    G = _four_fold(ctx, [b], s=[s1, s2])[0]
-    return complex((G[:, 0] * np.conj(G[:, 1])).sum())
-
-
-def r_linear_sum(ctx, lam: int, b) -> complex:
-    """Sum over r of big_r(r, lam, b)."""
-    col = product_grid(ctx, b).sum(axis=0)
-    return complex(col @ _psi_column(ctx, lam))
-
-
-def r_correlation(ctx, lam1: int, lam2: int, b) -> complex:
-    """Sum over r of big_r(r, lam1, b) * conj(big_r(r, lam2, b))."""
-    G = product_grid(ctx, b)
-    R1 = G @ _psi_column(ctx, lam1)
-    R2 = G @ _psi_column(ctx, lam2)
-    return complex(R1 @ np.conj(R2))
-
-
 def _require_distinct(b):
     if len(set(b)) < 4:
         raise NotDistinct(f"tuple {tuple(b)} has repeated coordinates")
@@ -473,24 +422,24 @@ def _require_prime_field(ctx):
         raise ValueError("incomplete sums are defined over the prime field")
 
 
-def sigma_incomplete(ctx, b, A: int, M: int, cap: int = GRID_CAP) -> complex:
+def sigma_incomplete(ctx, b, A: int, M: int) -> complex:
     """Sum over r mod q and integer 1 <= s <= 2AM of the 4-fold product."""
     _require_prime_field(ctx)
     q = ctx.field.q
     smax = 2 * A * M
-    if smax < 0 or q * max(smax, 1) > cap:
+    if smax < 0 or q * max(smax, 1) > GRID_CAP:
         raise RangeTooLarge(f"s-range 2AM = {smax} too large")
     if smax == 0:
         return 0j
     return complex(_four_fold(ctx, [b], s=np.arange(1, smax + 1) % q).sum())
 
 
-def sigma_neq(ctx, b, AM: int, cap: int = GRID_CAP) -> complex:
+def sigma_neq(ctx, b, AM: int) -> complex:
     """Sum over r mod q and 1 <= s1, s2 <= AM with s1 != s2 mod q of the
     8-fold product."""
     _require_prime_field(ctx)
     q = ctx.field.q
-    if AM < 0 or (2 * AM) ** 2 * q > cap:
+    if AM < 0 or (2 * AM) ** 2 * q > GRID_CAP:
         raise RangeTooLarge(f"(2AM)^2 q = {(2 * AM) ** 2 * q} exceeds cap")
     if AM <= 1:
         return 0j
@@ -516,7 +465,6 @@ class ScanSpec:
     n_samples: int = DEFAULT_SAMPLES
     seed: int = 1
     lambdas: tuple = (0, 1)
-    batch: int = 64
 
 
 @dataclass(frozen=True)
@@ -539,14 +487,14 @@ class ScanResult:
     exhaustive: bool
 
 
-def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas, batch: int = 64):
+def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
     """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}."""
     Q = ctx.field.size
     n = len(tuples)
     lin = np.empty(n)
     corr = np.empty(n)
-    for lo in range(0, n, batch):
-        tb = tuples[lo:lo + batch]
+    for lo in range(0, n, SCAN_BATCH):
+        tb = tuples[lo:lo + SCAN_BATCH]
         m = len(tb)
         R = _lambda_transform(ctx, _four_fold(ctx, tb, table=ctx.symmetric_table),
                               lambdas)
@@ -576,7 +524,7 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
     else:
         rng = np.random.default_rng(spec.seed)
         tuples = rng.integers(0, Q, size=(spec.n_samples, 4))
-    lin, corr = _batched_tuple_stats(ctx, tuples, spec.lambdas, spec.batch)
+    lin, corr = _batched_tuple_stats(ctx, tuples, spec.lambdas)
     classes = [classify_tuple(tuple(int(x) for x in t), ctx.k) for t in tuples]
     if thresholds is None:
         nondiag = np.array([c == "generic" for c in classes])
@@ -641,15 +589,14 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     rng = np.random.default_rng(seed)
     rep_max = {name: [] for name in "KRCD"}
     rep_mean = {name: [] for name in "KRCD"}
-    batch = 64
     for _ in range(replicates):
         tuples = sample_generic_tuples(f, ctx.k, n_samples, rng)
         svals = rng.integers(1, Q, size=n_samples)
         lam1 = rng.integers(0, Q, size=n_samples)
         lam2 = (lam1 + rng.integers(1, Q, size=n_samples)) % Q
         vals = {name: np.empty(n_samples) for name in "KRCD"}
-        for lo in range(0, n_samples, batch):
-            hi = lo + batch
+        for lo in range(0, n_samples, SCAN_BATCH):
+            hi = lo + SCAN_BATCH
             stats = _ratio_stats(ctx, tuples[lo:hi], svals[lo:hi], lam1[lo:hi],
                                  lam2[lo:hi])
             for name, v in zip("KRCD", stats):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from klab.bilinear import (SweepSpec, nontrivial_threshold, operator_norm,
+from klab.bilinear import (nontrivial_threshold, operator_norm,
                            operator_norm_dense, shift_identity_check,
                            typeI_saving_exponent, typeII_saving_exponent)
 from klab.divisor import (d2_table, delta_star_search, discrepancy_all,

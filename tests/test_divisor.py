@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 import klab.divisor as dv
 from klab.cli import main
-from klab.divisor import (TAU_N_MAX, TAU_PRIMES, CuspFormCoeffs, ExponentConfig,
-                          bound_exponents, combined_bounds,
-                          d2_table, delta_star_search, delta_to_eta,
-                          discrepancy, discrepancy_all, exponent_case_analysis,
-                          hecke_violations, hyperbola_residual, ktilde,
-                          ktilde_all, lambda_star_one, lambda_star_one_table,
-                          sigma11_mod, tau_star_one, tau_table)
-from klab.fields import is_prime
-from klab.errors import (BadResidue, CompositeModulus, HypothesisViolated,
-                         OutOfRange, ResourceLimit)
-from klab.fields import make_prime_field
+from klab.divisor import (TAU_N_MAX, TAU_PRIMES, ExponentConfig,
+                          bound_exponents, combined_bounds, d2_table,
+                          delta_star_search, delta_to_eta, discrepancy_all,
+                          exponent_case_analysis, hecke_violations,
+                          hyperbola_residual, ktilde, ktilde_all,
+                          lambda_star_one_table, sigma11_mod, tau_table)
+from klab.errors import (CompositeModulus, HypothesisViolated, OutOfRange,
+                         ResourceLimit)
+from klab.fields import is_prime, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
 
@@ -168,14 +166,24 @@ def test_lambda_bounded_by_d2(coeffs):
     assert (np.abs(coeffs.lam[1:]) <= d2[1:] + 1e-9).all()
 
 
+def _lambda_star_one(coeffs, n):
+    """Oracle: sum_{d | n} lambda(d), one divisor at a time."""
+    return float(sum(coeffs.lam[d] for d in range(1, n + 1) if n % d == 0))
+
+
+def _tau_star_one(coeffs, n):
+    """Oracle: the exact sum_{d | n} tau(d)."""
+    return sum(coeffs.tau[d] for d in range(1, n + 1) if n % d == 0)
+
+
 def test_lambda_star_one_values(coeffs):
-    assert lambda_star_one(coeffs, 1) == 1.0
+    assert _lambda_star_one(coeffs, 1) == 1.0
     lam = coeffs.lam
-    assert abs(lambda_star_one(coeffs, 7) - (1 + lam[7])) < 1e-15
-    assert abs(lambda_star_one(coeffs, 4) - (1 + lam[2] + lam[4])) < 1e-15
+    assert abs(_lambda_star_one(coeffs, 7) - (1 + lam[7])) < 1e-15
+    assert abs(_lambda_star_one(coeffs, 4) - (1 + lam[2] + lam[4])) < 1e-15
     table = lambda_star_one_table(coeffs, 50)
     for n in (1, 4, 7, 12, 50):
-        assert abs(table[n] - lambda_star_one(coeffs, n)) < 1e-12
+        assert abs(table[n] - _lambda_star_one(coeffs, n)) < 1e-12
 
 
 def _sieve_oracle(coeffs, x):
@@ -197,9 +205,9 @@ def test_lambda_star_one_table_equals_sieve(coeffs_5e4, x):
 
 
 def test_tau_star_one_exact(coeffs):
-    assert tau_star_one(coeffs, 6) == 1 - 24 + 252 - 6048
+    assert _tau_star_one(coeffs, 6) == 1 - 24 + 252 - 6048
     with pytest.raises(OutOfRange):
-        tau_star_one(coeffs, coeffs.n_max + 1)
+        lambda_star_one_table(coeffs, coeffs.n_max + 1)
 
 
 def test_discrepancy_centering_float(coeffs):
@@ -232,14 +240,10 @@ def test_hyperbola_residual_flags_one_corrupted_class(coeffs):
 def test_discrepancy_empty_progression(coeffs):
     # x < q and a > x: the raw count is 0 and E = -average
     x, q = 20, 53
-    rep = discrepancy(coeffs, x, q, 37)
+    rep = discrepancy_all(coeffs, x, q)[37 - 1]
+    assert rep.a == 37
     assert rep.raw == 0
     assert abs(rep.E + rep.main) < 1e-12
-
-
-def test_discrepancy_bad_residue(coeffs):
-    with pytest.raises(BadResidue):
-        discrepancy(coeffs, 100, 11, 22)
 
 
 def test_discrepancy_rejects_composite_modulus(coeffs):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab.errors import CompositeModulus, TooSmall
-from klab.fields import (ExtField, PrimeField, build_extension, is_prime,
-                         make_prime_field, mult_generator, psi,
-                         roots_of_unity, trace)
+from klab.fields import (build_extension, is_prime, make_prime_field,
+                         roots_of_unity)
 
 
 def test_make_prime_field_accepts_prime():
@@ -66,8 +65,8 @@ def test_extension_q7_d3_is_irreducible_by_rabin_oracle():
 
 def test_trace_degree_one_is_identity():
     f = make_prime_field(5)
-    assert trace(f, 4) == 4
-    assert trace(f, 0) == 0
+    assert f.trace_vec[4] == 4
+    assert f.trace_vec[0] == 0
 
 
 def test_trace_q3_d2_matches_frobenius_sum():
@@ -75,7 +74,7 @@ def test_trace_q3_d2_matches_frobenius_sum():
     for e in range(f.size):
         frob = f.add(e, f.pow(e, 3))  # x + x^3
         assert f.decode(frob)[1] == 0  # lands in the base field
-        assert trace(f, e) == f.decode(frob)[0]
+        assert f.trace_vec[e] == f.decode(frob)[0]
 
 
 def test_trace_fibers_uniform_small_fields():
@@ -86,20 +85,25 @@ def test_trace_fibers_uniform_small_fields():
         assert (counts == q ** (d - 1)).all()
 
 
+def _psi(f, lam, x):
+    """psi_lam(x) = e(Tr(lam x) / q), read off the character table."""
+    return complex(f.psi_vec[f.mul(lam, x)])
+
+
 def test_psi_trivial_character():
     f = make_prime_field(7)
     for x in range(7):
-        assert psi(f, 0, x) == 1
+        assert _psi(f, 0, x) == 1
 
 
 def test_psi_definition_q5():
     f = make_prime_field(5)
-    assert cmath.isclose(psi(f, 1, 1), cmath.exp(2j * math.pi / 5))
+    assert cmath.isclose(_psi(f, 1, 1), cmath.exp(2j * math.pi / 5))
 
 
 def test_psi_complete_sum_vanishes():
     f = make_prime_field(5)
-    assert abs(sum(psi(f, 1, x) for x in range(5))) < 1e-12
+    assert abs(sum(_psi(f, 1, x) for x in range(5))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,8 +111,8 @@ def test_psi_complete_sum_vanishes():
 def test_psi_additivity_ext(lam, x, y):
     f = _F9()
     lam, x, y = lam % 9, x % 9, y % 9
-    lhs = psi(f, lam, f.add(x, y))
-    rhs = psi(f, lam, x) * psi(f, lam, y)
+    lhs = _psi(f, lam, f.add(x, y))
+    rhs = _psi(f, lam, x) * _psi(f, lam, y)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -130,7 +134,7 @@ def test_mult_generator_small_primes(q, g):
 
     first = next(a for a in range(2, q) if order(a) == q - 1)
     assert first == g
-    assert mult_generator(make_prime_field(q)) == g
+    assert make_prime_field(q).generator == g
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (3, 4), (13, 2)])
@@ -138,6 +142,52 @@ def test_generator_powers_enumerate_units(q, d):
     f = build_extension(make_prime_field(q), d)
     seen = set(int(v) for v in f.exp_table)
     assert len(seen) == f.size - 1 and 0 not in seen
+
+
+# F_3 to F_{101^2}: the fields on which the shared table builder is held to
+# the scalar power loop
+TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (101, 1), (997, 1), (3, 2),
+                (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (101, 2)]
+
+
+@pytest.mark.parametrize("q,d", TABLE_FIELDS)
+def test_tables_match_scalar_power_loop(q, d):
+    f = make_prime_field(q)
+    if d > 1:
+        f = build_extension(f, d)
+    L = f.size - 1
+    # oracle: the generator is the least encoding of full order, its powers
+    # come one scalar product at a time, and every other table is read off
+    # them (the trace as the sum of the Frobenius conjugates)
+    primes = [p for p in range(2, L + 1) if L % p == 0 and is_prime(p)]
+
+    def full_order(g):
+        return all(f.pow(g, L // p) != 1 for p in primes)
+
+    assert full_order(f.generator)
+    assert not any(full_order(g) for g in range(1, f.generator))
+    exp, e = [], 1
+    for _ in range(L):
+        exp.append(e)
+        e = f.mul(e, f.generator)
+    assert f.exp_table.tolist() == exp
+    assert f.log_table[0] == -1 and f.inv_table[0] == 0
+    assert all(f.log_table[x] == j for j, x in enumerate(exp))
+    assert all(f.mul(x, int(f.inv_table[x])) == 1 for x in exp)
+    for x in range(f.size):
+        tr, conj = x, x
+        for _ in range(d - 1):
+            conj = f.pow(conj, q)
+            tr = f.add(tr, conj)
+        assert tr < q and f.trace_vec[x] == tr
+        assert cmath.isclose(f.psi_vec[x], cmath.exp(2j * math.pi * tr / q),
+                             abs_tol=1e-12)
+
+
+def test_exp_table_spot_check_large_extension():
+    f = build_extension(make_prime_field(101), 3)
+    for j in (0, 1, 2, 100, 10**4, 514_565, 1_030_299):
+        assert f.exp_table[j] == f.pow(f.generator, j)
 
 
 def test_field_arithmetic_closure_and_inverse():

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klab.kloosterman as kl
-from klab.errors import IoError, ResourceLimit, ZeroScale
+from klab.errors import IoError, ResourceLimit
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (INTRO, SHEAF, KloostermanTable, cache_path,
                               conjugation_symmetry_check, cross_check,
                               kloosterman_naive, kloosterman_table,
-                              load_table, naive_table, pullback_scale,
-                              save_table, sign_factor)
+                              load_table, naive_table, save_table,
+                              sign_factor)
+from klab.sum_product import SumProductContext
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,6 @@ def test_sign_conventions():
         ts = kloosterman_table(k, f, SHEAF)
         assert np.allclose(ts.values, (-1) ** (k - 1) * ti.values)
         assert sign_factor(k, SHEAF) == (-1) ** (k - 1)
-        assert np.allclose(ti.with_convention(SHEAF).values, ts.values)
         # the sheaf-convention complete sum still collapses to (-1)^k
         assert ts.complete_sum_residual() < 1e-9
 
@@ -97,18 +97,21 @@ def test_convolution_paths_agree_on_overlap():
 
 
 def test_pullback_identity_and_group_action(f7):
+    # the twist a -> Kl(c a) that the four-fold kernels read
     t = kloosterman_table(2, f7)
-    assert np.array_equal(pullback_scale(t, 1).values, t.values)
-    t3 = pullback_scale(t, 3)
+    assert np.array_equal(SumProductContext(t, c=1).twisted, t.values)
+    t3 = KloostermanTable(k=2, field=f7, convention=t.convention,
+                          values=SumProductContext(t, c=3).twisted)
     inv3 = pow(3, 5, 7)
-    assert np.array_equal(pullback_scale(t3, inv3).values, t.values)
+    assert np.array_equal(SumProductContext(t3, c=inv3).twisted, t.values)
     assert t3.values[1] == t.values[3]
 
 
 def test_pullback_zero_rejected(f7):
     t = kloosterman_table(2, f7)
-    with pytest.raises(ZeroScale):
-        pullback_scale(t, 0)
+    for c in (0, 7):
+        with pytest.raises(ValueError):
+            SumProductContext(t, c=c)
 
 
 def test_conjugation_symmetry():

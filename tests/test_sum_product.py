@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab.errors import (BadPair, NoGenericTuple, NotDistinct, RangeTooLarge,
-                         WrongParity, ZeroS)
+import klab.sum_product as sp
+from klab.errors import NoGenericTuple, NotDistinct, RangeTooLarge, WrongParity
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
-                              classify_tuple, complete_corr_over_r,
-                              complete_sum_over_r, correlation_matrix_cdiag,
+                              classify_tuple, correlation_matrix_cdiag,
                               full_average_moment, full_average_moment_naive,
                               is_generic_tuple, noncorrelation_moment,
-                              product_grid, r_correlation, r_linear_sum, r_profile,
-                              ratio_scan, sample_generic_tuples,
+                              product_grid, ratio_scan, sample_generic_tuples,
                               scan_bad_tuples, second_moment_r_lambda,
-                              second_moment_r_lambda_naive, shift_tuple,
-                              sigma_incomplete, sigma_neq, zero_sum_patterns)
+                              second_moment_r_lambda_naive, sigma_incomplete,
+                              sigma_neq, zero_sum_patterns)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +48,12 @@ def brute_big_r(ctx, r, lam, b):
                  * complex(ctx.twisted[f.mul(s, f.add(r, b[3]))])).conjugate()
         total += term
     return total
+
+
+def psi_column(ctx, lam):
+    """psi(lam * s) for every s, the column that turns a grid into big_r."""
+    f = ctx.field
+    return f.psi_vec[f.mul_vec(lam, np.arange(f.size))]
 
 
 # ----------------------------------------------------------------- big_k/big_r
@@ -122,7 +126,7 @@ def test_context_builds_row_table_lazily():
 
 def test_r_profile_matches_big_r(ctx13):
     b = (1, 2, 3, 5)
-    prof = r_profile(ctx13, 2, b)
+    prof = product_grid(ctx13, b) @ psi_column(ctx13, 2)
     for r in (0, 1, 5, 12):
         assert abs(prof[r] - big_r(ctx13, r, 2, b)) < 1e-10
 
@@ -153,9 +157,6 @@ def test_c_twist_covariance():
 ])
 def test_classify_tuple(b, k, expect):
     assert classify_tuple(b, k) == expect
-    st_ = shift_tuple(b, k)
-    assert st_.classification == expect
-    assert st_.k_parity_class == ("Sp" if k % 2 == 0 else "SL")
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,13 +221,8 @@ def test_sampler_agrees_with_enumeration(q, d, k):
 
 def test_complete_sum_diagonal_is_real_nonnegative(ctx13, ctx13k3):
     for ctx in (ctx13, ctx13k3):
-        v = complete_sum_over_r(ctx, 2, (1, 2, 1, 2))
+        v = product_grid(ctx, (1, 2, 1, 2))[:, 2].sum()
         assert abs(v.imag) < 1e-10 and v.real >= -1e-10
-
-
-def test_complete_sum_rejects_zero_s(ctx13):
-    with pytest.raises(ZeroS):
-        complete_sum_over_r(ctx13, 0, (1, 2, 3, 5))
 
 
 def test_complete_sum_c_multiplicativity():
@@ -234,27 +230,25 @@ def test_complete_sum_c_multiplicativity():
     t = kloosterman_table(2, f)
     ctx_c = SumProductContext(t, c=4)
     ctx_1 = SumProductContext(t, c=1)
+    G_c = product_grid(ctx_c, (1, 2, 3, 5))
+    G_1 = product_grid(ctx_1, (1, 2, 3, 5))
     for s in (1, 3, 7):
-        assert abs(complete_sum_over_r(ctx_c, s, (1, 2, 3, 5))
-                   - complete_sum_over_r(ctx_1, 4 * s % 13, (1, 2, 3, 5))) < 1e-10
-
-
-def test_complete_corr_rejects_bad_pairs(ctx13):
-    with pytest.raises(BadPair):
-        complete_corr_over_r(ctx13, 3, 3, (1, 2, 3, 5))
-    with pytest.raises(BadPair):
-        complete_corr_over_r(ctx13, 0, 3, (1, 2, 3, 5))
+        assert abs(G_c[:, s].sum() - G_1[:, 4 * s % 13].sum()) < 1e-10
 
 
 def test_complete_corr_conjugate_swap(ctx13):
-    v12 = complete_corr_over_r(ctx13, 2, 5, (1, 2, 3, 5))
-    v21 = complete_corr_over_r(ctx13, 5, 2, (1, 2, 3, 5))
+    # the full grid against the kernel's sliced route, s taken in swapped order
+    G = product_grid(ctx13, (1, 2, 3, 5))
+    H = sp._four_fold(ctx13, [(1, 2, 3, 5)], s=[5, 2])[0]
+    v12 = (G[:, 2] * np.conj(G[:, 5])).sum()
+    v21 = (H[:, 0] * np.conj(H[:, 1])).sum()
     assert abs(v12 - v21.conjugate()) < 1e-10
 
 
 def test_complete_corr_scan_bounded():
     ctx = SumProductContext(kloosterman_table(3, make_prime_field(53)))
-    v = complete_corr_over_r(ctx, 1, 2, (1, 2, 3, 5))
+    G = product_grid(ctx, (1, 2, 3, 5))
+    v = (G[:, 1] * np.conj(G[:, 2])).sum()
     assert abs(v) / math.sqrt(53) < 20
 
 
@@ -264,21 +258,25 @@ def test_r_linear_sum_fubini(ctx13):
     b = (1, 2, 3, 5)
     lam = 7
     direct = sum(big_r(ctx13, r, lam, b) for r in range(13))
-    assert abs(r_linear_sum(ctx13, lam, b) - direct) < 1e-9
+    assert abs(product_grid(ctx13, b).sum(0) @ psi_column(ctx13, lam) - direct) < 1e-9
 
 
 def test_r_correlation_degenerate_zero_tuple(ctx13):
     t = (np.abs(ctx13.twisted) ** 4).sum()
-    got = r_correlation(ctx13, 0, 0, (0, 0, 0, 0))
+    R = product_grid(ctx13, (0, 0, 0, 0)) @ psi_column(ctx13, 0)
+    got = R @ np.conj(R)
     # the r = 0 slice vanishes, leaving q - 1 identical terms
     assert abs(got - 12 * t * t) < 1e-8
 
 
 def test_r_correlation_matches_profiles(ctx13):
     b = (1, 2, 3, 5)
-    R1 = r_profile(ctx13, 1, b)
-    R2 = r_profile(ctx13, 4, b)
-    assert abs(r_correlation(ctx13, 1, 4, b) - (R1 * np.conj(R2)).sum()) < 1e-9
+    G = product_grid(ctx13, b)
+    got = (G @ psi_column(ctx13, 1)) @ np.conj(G @ psi_column(ctx13, 4))
+    # oracle: the profiles from scalar table lookups
+    want = sum(brute_big_r(ctx13, r, 1, b) * brute_big_r(ctx13, r, 4, b).conjugate()
+               for r in range(13))
+    assert abs(got - want) < 1e-9
 
 
 def test_plancherel_identity_per_r(ctx13):

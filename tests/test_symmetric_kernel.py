@@ -54,7 +54,7 @@ def _full_ratio_stats(ctx, tuples, svals, lam1, lam2):
             np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5)
 
 
-def _full_tuple_stats(ctx, tuples, lambdas, batch=None):
+def _full_tuple_stats(ctx, tuples, lambdas):
     Q = ctx.field.size
     R = _full_grids(ctx, tuples) @ _psi(ctx, lambdas).T
     lin = np.abs(R.sum(axis=1)).max(axis=1) / Q
