@@ -134,17 +134,12 @@ def _tuple_mesh(field, k: int, cap: int):
     if (Q - 1) ** (k - 1) > cap:
         raise ResourceLimit(
             f"naive evaluation needs (q^d - 1)^(k-1) = {(Q - 1) ** (k - 1)} <= {cap}")
-    units = np.arange(1, Q, dtype=np.int64) if field.degree == 1 \
-        else field.exp_table.copy()
+    units = np.arange(1, Q, dtype=np.int64)
     sums = units.copy()
     prods = units.copy()
     for _ in range(k - 2):
-        if field.degree == 1:
-            sums = ((sums[:, None] + units[None, :]) % Q).ravel()
-            prods = ((prods[:, None] * units[None, :]) % Q).ravel()
-        else:
-            sums = field.add_table()[sums[:, None], units[None, :]].ravel()
-            prods = field.mul_table()[prods[:, None], units[None, :]].ravel()
+        sums = field.add_vec(sums[:, None], units[None, :]).ravel()
+        prods = field.mul_vec(prods[:, None], units[None, :]).ravel()
     return sums, prods
 
 

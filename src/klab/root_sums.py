@@ -17,6 +17,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CharDividesK, NoKthRoots
 from .fields import build_extension, make_prime_field, roots_of_unity
 
@@ -57,24 +59,33 @@ def host_field(k: int, q: int, d: int | None = None):
     return base if d == 1 else build_extension(base, d)
 
 
+def _digit_add(host, a, b, sign=1):
+    """a + sign * b on encodings, digit by digit in base q (no dense table)."""
+    q = host.q
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(host.degree):
+        p = q**i
+        out += (a // p % q + sign * (b // p % q)) % q * p
+    return out
+
+
 def compute_sk(k: int, host) -> SkMultiset:
-    """Enumerate all k^3 triples over the order-k subgroup."""
+    """Enumerate all k^3 triples over the order-k subgroup at once: the
+    sums by digit addition, the k-th powers through the exp/log tables."""
     if (host.size - 1) % k != 0:
         raise NoKthRoots(f"k = {k} does not divide {host.size} - 1")
-    zs = roots_of_unity(host, k)
+    zs = np.array(roots_of_unity(host, k), dtype=np.int64)
     assert len(zs) == k
-    entries = Counter()
-    zero_count = 0
-    for z2 in zs:
-        for z3 in zs:
-            for z4 in zs:
-                w = host.sub(host.add(1, z2), host.add(z3, z4))
-                if w == 0:
-                    zero_count += 1
-                else:
-                    entries[host.pow(w, k)] += 1
-    return SkMultiset(k=k, field=host, entries=dict(entries),
-                      zero_sum_count=zero_count)
+    z2, z3, z4 = (z.ravel() for z in np.meshgrid(zs, zs, zs, indexing="ij"))
+    w = _digit_add(host, _digit_add(host, 1, z2), _digit_add(host, z3, z4), sign=-1)
+    w = w[w != 0]
+    powers = host.exp_table[k * host.log_table[w] % (host.size - 1)]
+    # entries in order of first appearance, as the triple loop meets them
+    vals, first, counts = np.unique(powers, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return SkMultiset(k=k, field=host,
+                      entries=dict(zip(vals[order].tolist(), counts[order].tolist())),
+                      zero_sum_count=k**3 - len(w))
 
 
 def multiplicity_one_element(sk: SkMultiset):
@@ -86,31 +97,37 @@ def multiplicity_one_element(sk: SkMultiset):
 def stabilizer_group(sk: SkMultiset, brute_force: bool = False) -> list:
     """All mu with mu * S = S as multisets, ascending by encoding.
 
-    mu * S = S forces mu = s / s0 for the smallest entry s0, so only |S|
-    candidates need checking; ``brute_force`` scans the whole unit group
-    instead (small fields, used to validate the candidate route).
+    In discrete logs mu * S is S shifted by log mu, and mu * S = S forces
+    log mu = log s - log s0 for a fixed entry s0, so only |S| candidate
+    shifts need checking, all at once.  ``brute_force`` instead multiplies
+    every unit of the field into S by scalar field arithmetic (small fields;
+    the oracle for the table route).
     """
     f = sk.field
-    entries = sk.entries
-    s0 = min(entries)
-    s0_inv = f.inv(s0)
+    L = f.size - 1
     if brute_force:
-        candidates = range(1, f.size)
+        out = []
+        for mu in range(1, f.size):
+            moved = Counter()
+            for s, m in sk.entries.items():
+                moved[f.mul(mu, s)] += m
+            if moved == sk.entries:
+                out.append(mu)
     else:
-        candidates = sorted({f.mul(s, s0_inv) for s in entries})
-    out = []
-    for mu in candidates:
-        moved = Counter()
-        for s, m in entries.items():
-            moved[f.mul(mu, s)] += m
-        if moved == entries:
-            out.append(mu)
+        logs = f.log_table[np.array(list(sk.entries), dtype=np.int64)]
+        mult = np.array(list(sk.entries.values()))
+        order = np.argsort(logs)
+        logs, mult = logs[order], mult[order]
+        shifts = (logs - logs[0]) % L
+        moved = (logs[None, :] + shifts[:, None]) % L
+        idx = np.argsort(moved, axis=1)
+        ok = ((np.take_along_axis(moved, idx, axis=1) == logs).all(axis=1)
+              & (mult[idx] == mult).all(axis=1))
+        out = f.exp_table[shifts[ok]].tolist()
     out = sorted(out)
-    members = set(out)
-    for a in out:  # a stabilizer is a group: closed under product and inverse
-        assert f.inv(a) in members
-        for b in out:
-            assert f.mul(a, b) in members
+    # a stabilizer is a group: its logs are closed under sum and negation
+    lg = set(f.log_table[np.array(out, dtype=np.int64)].tolist())
+    assert all((-a) % L in lg and all((a + b) % L in lg for b in lg) for a in lg)
     return out
 
 

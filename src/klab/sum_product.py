@@ -25,15 +25,22 @@ k-th roots of unity in F_q summing to zero against 1; those hyperplanes are
 the degenerate directions visible in the data (they contain the diagonal
 pairings and produce measurably inflated correlation sums).
 
-Every grid of four-fold products comes from one kernel.  The context caches,
-on first use, the twisted multiplication table T[u, s] = K_c(u*s) (Q^2
-complex entries, read off the dense mul table when d > 1).  For a batch of
-tuples the factor K_c(s(r+b_j)) over all (r, s) is then the row gather
-T[r + b_j]: one field addition per (tuple, r) and a contiguous copy per row,
-with no field arithmetic per cell.  The factors are multiplied a few tuples
-at a time, so the temporaries stay in cache, and always in the order
-((K1 K2) conj(K3 K4)), so every statistic is reproducible bit for bit.
-Sums over a short or repeated s-range gather rows of the slice T[:, s].
+Every grid of four-fold products comes from one kernel, a stepped
+generator.  The context caches, on first use, the twisted multiplication
+table T[u, s] = K_c(u*s) (Q^2 complex entries, read off the dense mul table
+when d > 1).  For a batch of tuples the factor K_c(s(r+b_j)) over all
+(r, s) is then the row gather T[r + b_j]: one field addition per (tuple, r)
+and a contiguous copy per row, with no field arithmetic per cell.  The
+kernel streams the grids a few tuples at a time (about KERNEL_STEP_CELLS
+cells per step) through three scratch buffers allocated once per call, so
+a step allocates nothing and stays in cache, and multiplies the factors
+always in the order ((K1 K2) conj(K3 K4)), so every statistic is
+reproducible bit for bit.  The scans reduce each step while it is still in
+cache (one matmul per step for the lam-transform, a column sum, the sum of
+|G|^2) and keep only those small results: no batch of grids is ever held,
+so memory grows with Q^2, not with the number of tuples.  Only the full
+complex route collects whole grids.  Sums over a short or repeated s-range
+gather rows of the slice T[:, s].
 
 The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) = K_c((-1)^k a), and the
 statistics that only need G over every s (the scans, the lam-transform
@@ -66,15 +73,15 @@ import numpy as np
 
 from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, RangeTooLarge,
                      ResourceLimit, WrongParity)
-from .fields import roots_of_unity
+from .fields import PAIR_TABLE_CAP, roots_of_unity
 from .kloosterman import (KloostermanTable, _mul_perm, _neg_perm,
                           conjugation_budget, conjugation_symmetry_check)
 
 FULL_SCAN_MAX_Q = 31
 DEFAULT_SAMPLES = 2000
 GRID_CAP = 1 << 24
-# The kernel multiplies its factors a few tuples at a time, so that each
-# step's temporaries (512 KiB of complex128 each) stay in a core's L2 cache;
+# The kernel streams its grids a few tuples at a time, so that each step's
+# scratch buffers (512 KiB of complex128 each) stay in a core's L2 cache;
 # whole 64-tuple batches at q = 199 ran about 2x slower.
 KERNEL_STEP_CELLS = 1 << 15
 # tuples per kernel call in the scans
@@ -124,7 +131,7 @@ class SumProductContext:
             raise NotSelfDual(f"conj Kl_k(a) - Kl_k((-1)^k a) reaches {dev:.3e}, "
                               f"beyond the budget {budget:.3e}")
         T = self.row_table
-        S = T.real.copy() if self.k % 2 == 0 else T[:, self.symmetric_units]
+        S = np.ascontiguousarray(T.real if self.k % 2 == 0 else T[:, self.symmetric_units])
         S.setflags(write=False)
         return S
 
@@ -242,44 +249,76 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 # the four-fold kernel
 # ----------------------------------------------------------------------
 
-def _four_fold(ctx, tuples, r=None, s=None, table=None) -> np.ndarray:
-    """The four-fold product G[m, i, j] at (r_i, s_j) for each shift tuple
-    b = tuples[m]; r and s default to the whole field.
+def _kernel_steps(ctx, tuples, T, r=None):
+    """Yield (lo, g), where g[i] is the four-fold product grid at (r, s_j)
+    of the shift tuple tuples[lo + i] for the table T[u, j] = K_c(u s_j);
+    r defaults to the whole field.
 
-    Each factor is a row gather T[r + b_j] from T[u, j] = K_c(u s_j): the
-    given ``table`` (``ctx.symmetric_table``), else the cached
-    ``ctx.row_table`` when s is omitted, else its Q x len(s) slice.  On a
-    real table the conjugation is the identity and is skipped.
+    The grids come a few tuples at a time (about KERNEL_STEP_CELLS cells per
+    step), built into three scratch buffers allocated once per call: g is
+    overwritten by the next step, so a caller keeps only what it reduces
+    from it.  Each factor is a row gather T[r + b_j]; on a real table the
+    conjugation is the identity and is skipped.
     """
     f = ctx.field
-    ids = np.arange(f.size, dtype=np.int64)
-    if table is not None:
-        T = table
-    elif s is None:
-        T = ctx.row_table
-    else:
-        T = ctx.twisted[f.mul_vec(ids[:, None], np.asarray(s, dtype=np.int64)[None, :])]
-    r = ids if r is None else np.asarray(r, dtype=np.int64)
+    r = np.arange(f.size, dtype=np.int64) if r is None else np.asarray(r, dtype=np.int64)
     u = f.add_vec(r[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])
-    G = np.empty((len(u), len(r), T.shape[1]), dtype=T.dtype)
+    # mode="clip" lets take write into the buffers directly; the range
+    # check it would otherwise make is made here, once
+    if u.size and not 0 <= u.min() <= u.max() < len(T):
+        raise IndexError("shift tuple outside the field")
+    width = len(r) * T.shape[1]
+    step = max(1, KERNEL_STEP_CELLS // (width or 1))
+    shape = (min(step, len(u)), len(r), T.shape[1])
+    # The buffers share one block.  glibc returns freed heap memory to the
+    # system once it exceeds twice the largest block freed so far; three
+    # separate buffers stayed under that size, so every call gave its pages
+    # back and faulted them in again.
+    g_buf, a_buf, b_buf = np.empty((3,) + shape, dtype=T.dtype)
     complex_table = np.iscomplexobj(T)
-    step = max(1, KERNEL_STEP_CELLS // (len(r) * T.shape[1] or 1))
     for lo in range(0, len(u), step):
         u1, u2, u3, u4 = u[lo:lo + step].transpose(1, 0, 2)
-        g = G[lo:lo + step]
-        np.multiply(T[u1], T[u2], out=g)
-        H = T[u3]
-        H *= T[u4]
+        m = len(u1)
+        g, a, b = g_buf[:m], a_buf[:m], b_buf[:m]
+        T.take(u1, axis=0, out=a, mode="clip")
+        T.take(u2, axis=0, out=b, mode="clip")
+        np.multiply(a, b, out=g)
+        T.take(u3, axis=0, out=a, mode="clip")
+        T.take(u4, axis=0, out=b, mode="clip")
+        a *= b
         if complex_table:
-            np.conj(H, out=H)
-        g *= H
+            np.conj(a, out=a)
+        g *= a
+        yield lo, g
+
+
+def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
+    """The full complex four-fold product G[m, i, j] at (r_i, s_j) for each
+    shift tuple b = tuples[m]; r and s default to the whole field.  The
+    table is the cached ``ctx.row_table`` when s is omitted, else its
+    Q x len(s) slice."""
+    f = ctx.field
+    if s is None:
+        T = ctx.row_table
+    else:
+        ids = np.arange(f.size, dtype=np.int64)
+        T = ctx.twisted[f.mul_vec(ids[:, None], np.asarray(s, dtype=np.int64)[None, :])]
+    G = np.empty((len(tuples), f.size if r is None else len(r), T.shape[1]),
+                 dtype=T.dtype)
+    for lo, g in _kernel_steps(ctx, tuples, T, r=r):
+        G[lo:lo + len(g)] = g
     return G
 
 
-def _lambda_transform(ctx, G, lam) -> np.ndarray:
-    """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s], from the
-    symmetric grids G; lam is [n], or [m, n] with one row per grid.
+def _lambda_transform(ctx, tuples, lam, svals=None):
+    """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s] for the
+    symmetric grid G of each shift tuple; lam is [n], or [m, n] with one row
+    per tuple.  Returns (R, col) with col[m] = sum_r G[m, r, svals[m]] for
+    ``svals`` (column indices of the symmetric table, one per tuple), or
+    col = None without them.
 
+    The grids are streamed from ``_kernel_steps``: each step is reduced by
+    one matmul into the preallocated R, so no batch of grids is ever held.
     Even k: G is real, so R = G @ Re psi + i G @ Im psi, one real matmul
     against the stacked columns [Re psi | Im psi].  Odd k: the column -s
     holds conj G[r, s] and psi(-lam s) = conj psi(lam s), so R is real,
@@ -290,12 +329,23 @@ def _lambda_transform(ctx, G, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.int64)
     n = lam.shape[-1]
     units = ctx.symmetric_units
+    even = ctx.k % 2 == 0
     P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]  # [..., S, n]
-    if ctx.k % 2 == 0:
-        X = G @ np.concatenate([P.real, P.imag], axis=-1)
-        return X[..., :n] + 1j * X[..., n:]
-    W = np.stack([P.real, -P.imag], axis=-2).reshape(*P.shape[:-2], 2 * len(units), n)
-    return 2.0 * (G.view(np.float64) @ W)
+    if even:
+        W = np.concatenate([P.real, P.imag], axis=-1)
+    else:
+        W = np.stack([P.real, -P.imag], axis=-2).reshape(*P.shape[:-2], 2 * len(units), n)
+    T = ctx.symmetric_table
+    X = np.empty((len(tuples), f.size, W.shape[-1]))
+    col = None if svals is None else np.empty(len(tuples), dtype=T.dtype)
+    for lo, g in _kernel_steps(ctx, tuples, T):
+        hi = lo + len(g)
+        np.matmul(g if even else g.view(np.float64), W if W.ndim == 2 else W[lo:hi],
+                  out=X[lo:hi])
+        if col is not None:
+            col[lo:hi] = g[np.arange(hi - lo), :, svals[lo:hi]].sum(axis=1)
+    R = X[..., :n] + 1j * X[..., n:] if even else 2.0 * X
+    return R, col
 
 
 def _psi_column(ctx, lam) -> np.ndarray:
@@ -307,9 +357,15 @@ def _psi_column(ctx, lam) -> np.ndarray:
 
 
 def _require_grid(ctx):
-    Q = ctx.field.size
+    """ResourceLimit unless the Q x Q tables of the kernel may be built: Q^2
+    within GRID_CAP, and for d > 1 Q within the dense tables' cap."""
+    f = ctx.field
+    Q = f.size
     if Q * Q > GRID_CAP:
-        raise ResourceLimit(f"(q^d)^2 grid too large: {Q * Q}")
+        raise ResourceLimit(f"(q^d)^2 grid too large: {Q * Q} > {GRID_CAP}")
+    if f.degree > 1 and Q > PAIR_TABLE_CAP:
+        raise ResourceLimit(f"F_{{q^d}} kernels need the dense tables, "
+                            f"q^d <= {PAIR_TABLE_CAP}; got {Q}")
 
 
 def product_grid(ctx, b) -> np.ndarray:
@@ -346,9 +402,9 @@ def second_moment_r_lambda(ctx, b) -> float:
     """
     _require_distinct(b)
     _require_grid(ctx)
-    G = _four_fold(ctx, [b], table=ctx.symmetric_table)[0]
-    Q = ctx.field.size
-    return float((1 if ctx.k % 2 == 0 else 2) * (np.abs(G) ** 2).sum() / Q)
+    for _, g in _kernel_steps(ctx, [b], ctx.symmetric_table):
+        total = (np.abs(g[0]) ** 2).sum()
+    return float((1 if ctx.k % 2 == 0 else 2) * total / ctx.field.size)
 
 
 def second_moment_r_lambda_naive(ctx, b) -> float:
@@ -378,11 +434,9 @@ def noncorrelation_moment(ctx, b) -> complex:
 
 def correlation_matrix_cdiag(ctx) -> np.ndarray:
     """C(s, s') = (1/Q) sum_b K_c(s b) conj(K_c(s' b)) for all (s, s')."""
-    Q = ctx.field.size
-    if Q > 5000:
-        raise ResourceLimit("correlation matrix is O(Q^3)")
+    _require_grid(ctx)
     M = ctx.row_table  # [s, b]
-    return (M @ np.conj(M.T)) / Q
+    return (M @ np.conj(M.T)) / ctx.field.size
 
 
 def full_average_moment(ctx) -> float:
@@ -496,8 +550,7 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
     for lo in range(0, n, SCAN_BATCH):
         tb = tuples[lo:lo + SCAN_BATCH]
         m = len(tb)
-        R = _lambda_transform(ctx, _four_fold(ctx, tb, table=ctx.symmetric_table),
-                              lambdas)
+        R, _ = _lambda_transform(ctx, tb, lambdas)
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
         CM = np.einsum("bri,brj->bij", R, np.conj(R))
@@ -514,6 +567,7 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
     Default thresholds are 3x the sample median of each ratio; with infinite
     thresholds only diagonal tuples are flagged.
     """
+    _require_grid(ctx)
     f = ctx.field
     Q = f.size
     exhaustive = Q <= FULL_SCAN_MAX_Q
@@ -557,13 +611,12 @@ def _ratio_stats(ctx, tuples, svals, lam1, lam2):
     lambda1 and lambda2, from the symmetric grids.  K reads the column of s
     or -s: the two sums over r are conjugate."""
     Q = ctx.field.size
-    G = _four_fold(ctx, tuples, table=ctx.symmetric_table)
     svals = np.asarray(svals, dtype=np.int64)
     if ctx.k % 2:
         svals = np.searchsorted(ctx.symmetric_units,
                                 np.minimum(svals, _neg_perm(ctx.field)[svals]))
-    K = np.abs(G[np.arange(len(G)), :, svals].sum(axis=1)) / Q**0.5
-    R = _lambda_transform(ctx, G, np.stack([lam1, lam2], axis=-1))
+    R, col = _lambda_transform(ctx, tuples, np.stack([lam1, lam2], axis=-1), svals)
+    K = np.abs(col) / Q**0.5
     R1, R2 = R[..., 0], R[..., 1]
     return (K, np.abs(R1.sum(axis=1)) / Q,
             np.abs((R1 * np.conj(R2)).sum(axis=1)) / Q**1.5,
@@ -584,6 +637,7 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     Returns {name: RatioReport}, with max_ratio averaged over replicates
     (the averaging tames the extreme-value noise of a single max).
     """
+    _require_grid(ctx)
     f = ctx.field
     Q = f.size
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from klab.cli import main, parse_config
+from klab.sum_product import SumProductContext
 
 
 def run(capsys, *argv):
@@ -160,6 +161,25 @@ def test_no_generic_tuple_exits_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "no generic shift tuple" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sumprod-scan", "--ratios", "--k", "2", "--q", "4099", "--samples", "1",
+      "--seed", "1"],
+     "grid too large"),
+    (["sumprod-scan", "--k", "2", "--q", "4099", "--samples", "1",
+      "--seed", "1"], "grid too large"),
+    (["moments", "--k", "2", "--q", "53", "--d", "2", "--samples", "1",
+      "--seed", "1"], "2048"),
+])
+def test_grid_caps_exit_1_before_any_grid_table(capsys, monkeypatch, argv, message):
+    def refuse(self):
+        raise AssertionError("a Q x Q table was built")
+
+    monkeypatch.setattr(SumProductContext, "row_table", property(refuse))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_kl_table_cache_roundtrip(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
@@ -242,3 +243,14 @@ def test_naive_route_ignores_dlog_tables():
         assert np.abs(naive_table(k, f).values - ref[k]).max() < 1e-12
         for a in (1, 2, 30):
             assert abs(kloosterman_naive(k, a, f) - ref[k][a]) < 1e-12
+
+
+@pytest.mark.parametrize("qd", [(7, 1), (3, 2), (5, 2), (3, 3)])
+def test_tuple_mesh_is_the_scalar_enumeration(qd):
+    # one path for every d: the units in encoding order, combined by add_vec
+    # and mul_vec, match the scalar sums and products tuple by tuple
+    f = _small_field(*qd)
+    sums, prods = kl._tuple_mesh(f, 4, kl.DEFAULT_NAIVE_CAP)
+    want = [(f.add(f.add(a, b), c), f.mul(f.mul(a, b), c))
+            for a, b, c in itertools.product(range(1, f.size), repeat=3)]
+    assert list(zip(sums.tolist(), prods.tolist())) == want

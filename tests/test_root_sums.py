@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from klab.errors import CharDividesK, NoKthRoots
-from klab.fields import make_prime_field
+from klab.fields import make_prime_field, roots_of_unity
 from klab.root_sums import (compute_sk, expected_stabilizer,
                             find_embedding_degree, host_field,
                             multiplicity_one_element, sk_to_dict,
@@ -53,7 +55,6 @@ def test_compute_sk_generator_independent():
     q = 13
     f = make_prime_field(q)
     zs = [z for z in range(1, q) if pow(z, 3, q) == 1]
-    from collections import Counter
     entries = Counter()
     zero = 0
     for z2 in reversed(zs):
@@ -126,3 +127,36 @@ def test_sk_to_dict_roundtrip():
     assert d["entries"] == [(2, 1), (4, 4)]
     assert d["multiplicity_one_witness"] == 2
     assert d["stabilizer"] == [1]
+
+
+def _scalar_sk(k, host):
+    """S_k by scalar field arithmetic, the triples in loop order."""
+    zs = roots_of_unity(host, k)
+    entries = Counter()
+    zero = 0
+    for z2 in zs:
+        for z3 in zs:
+            for z4 in zs:
+                w = host.sub(host.add(1, z2), host.add(z3, z4))
+                if w == 0:
+                    zero += 1
+                else:
+                    entries[host.pow(w, k)] += 1
+    return dict(entries), zero
+
+
+@pytest.mark.parametrize("k, q", [(5, 7), (7, 5), (4, 7), (6, 11), (2, 101),
+                                  (3, 103), (8, 3), (4, 5), (12, 13), (5, 31)])
+def test_table_route_matches_scalar_arithmetic(k, q):
+    host = host_field(k, q)
+    sk = compute_sk(k, host)
+    entries, zero = _scalar_sk(k, host)
+    assert list(sk.entries.items()) == list(entries.items())
+    assert sk.zero_sum_count == zero
+    assert all(type(e) is int and type(m) is int for e, m in sk.entries.items())
+
+
+@pytest.mark.parametrize("k, q", [(4, 7), (6, 11), (8, 3), (4, 5), (3, 5), (5, 11)])
+def test_stabilizer_table_route_matches_brute_force_on_extensions(k, q):
+    sk = compute_sk(k, host_field(k, q))
+    assert stabilizer_group(sk) == stabilizer_group(sk, brute_force=True)
