@@ -59,19 +59,28 @@ TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
 
 def _crt_symmetric(residues: np.ndarray, primes: tuple) -> list:
-    """The exact ints congruent to residues[i] mod primes[i] for each i, taken
-    in (-M/2, M/2] for M = prod(primes); Garner's digits in int64."""
+    """The exact ints congruent to residues[i] mod primes[i] for each of the
+    four primes, taken in (-M/2, M/2] for M = prod(primes).
+
+    Garner's digits d_i < p_i (int64) give v = hi p0 p1 + lo with the two
+    int64 halves lo = d0 + p0 d1 < p0 p1 and hi = d2 + p2 d3 < p2 p3, both
+    below 2^62.  v > M // 2 exactly when (hi, lo) > divmod(M // 2, p0 p1) in
+    lexicographic order, and then v - M = (hi - p2 p3) p0 p1 + lo, so the
+    fold stays in int64 and only the last multiply-add is on Python ints.
+    """
     digits = []
     for i, p in enumerate(primes):
         t = residues[i]
         for j in range(i):
             t = (t - digits[j]) % p * pow(primes[j], -1, p) % p
         digits.append(t)
-    v = digits[-1].astype(object)
-    for j in range(len(primes) - 2, -1, -1):
-        v = v * primes[j] + digits[j]
-    M = math.prod(primes)
-    return np.where(v > M // 2, v - M, v).tolist()
+    d0, d1, d2, d3 = digits
+    p0, p1, p2, p3 = primes
+    lo = d0 + p0 * d1
+    hi = d2 + p2 * d3
+    top_hi, top_lo = divmod(math.prod(primes) // 2, p0 * p1)
+    hi[(hi > top_hi) | ((hi == top_hi) & (lo > top_lo))] -= p2 * p3
+    return (hi.astype(object) * (p0 * p1) + lo).tolist()
 
 
 @dataclass(frozen=True)

@@ -25,41 +25,53 @@ k-th roots of unity in F_q summing to zero against 1; those hyperplanes are
 the degenerate directions visible in the data (they contain the diagonal
 pairings and produce measurably inflated correlation sums).
 
-Every grid of four-fold products comes from one kernel, a stepped
-generator.  The context caches, on first use, the twisted multiplication
+Grids of four-fold products come from two stepped generators.  Both stream
+the grids about KERNEL_STEP_CELLS cells at a time and multiply the factors
+always in the order ((K1 K2) conj(K3 K4)), so every statistic is
+reproducible bit for bit, and the scans reduce each step while it is still
+in cache (one matmul per step for the lam-transform, a column, the row sums
+of |G|^2): no batch of grids is ever held, so memory grows with Q^2, not
+with the number of tuples.
+
+The full complex route caches, on first use, the twisted multiplication
 table T[u, s] = K_c(u*s) (Q^2 complex entries, read off the dense mul table
 when d > 1).  For a batch of tuples the factor K_c(s(r+b_j)) over all
-(r, s) is then the row gather T[r + b_j]: one field addition per (tuple, r)
-and a contiguous copy per row, with no field arithmetic per cell.  The
-kernel streams the grids a few tuples at a time (about KERNEL_STEP_CELLS
-cells per step) through three scratch buffers allocated once per call, so
-a step allocates nothing and stays in cache, and multiplies the factors
-always in the order ((K1 K2) conj(K3 K4)), so every statistic is
-reproducible bit for bit.  The scans reduce each step while it is still in
-cache (one matmul per step for the lam-transform, a column sum, the sum of
-|G|^2) and keep only those small results: no batch of grids is ever held,
-so memory grows with Q^2, not with the number of tuples.  Only the full
-complex route collects whole grids.  Sums over a short or repeated s-range
-gather rows of the slice T[:, s].
+(r, s) is the row gather T[r + b_j], built into three scratch buffers
+allocated once per call.  ``product_grid``, ``big_r``, the moments over the
+correlation matrix and the sums over a short or repeated s-range (which
+gather rows of the slice T[:, s]) take this route, and it is the oracle the
+pair route is tested against.
 
-The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) = K_c((-1)^k a), and the
-statistics that only need G over every s (the scans, the lam-transform
-R(r, lam) and the second moment) use a second, lazily built *symmetric
-table*:
+The pair route serves the statistics that only need G over every s: the
+scans, the lam-transform R(r, lam) and the second moment.  Kl_k lives on
+the cyclic group F^x, so in discrete logs (s = g^j, u = g^l) the table is a
+Hankel matrix, T[u, s] = kappa[l + j] with kappa[i] = K_c(g^i), indices
+mod Q - 1.  The product of two factors is then one window of a pair table,
 
-* even k: T is real, and the table is the float64 Q x Q array Re T, so every
-  grid is real and R comes from one real matmul against [Re psi | Im psi];
-* odd k: T[u, -s] = conj T[u, s], so G[r, -s] = conj G[r, s]; the table is
-  the complex Q x (Q-1)/2 array T[:, s] over one representative s of each
-  pair {s, -s} of units (s < -s in encoding order), and
-  R = 2 Re(sum over the representatives of psi(lam s) G[r, s]).
+    K_c(s u1) K_c(s u2) = kappa[l1 + j] kappa[l2 + j] = PT[l2 - l1, l1 + j],
+    PT[d, i] = kappa[i] kappa[i + d],
 
-The shortcut is only as good as the symmetry, so the table is built only
+which depends only on the offset d and the start l1 + j; a zero last row of
+PT serves every pair with a factor at u = 0.  A grid row over the s in log
+order is then two window gathers and one multiply, with no field
+arithmetic per cell.  The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) =
+K_c((-1)^k a), which is what makes the window short and the conjugation
+free:
+
+* even k: kappa is real, and PT is float64 with 2(Q-1) columns, so every
+  window of width Q-1 is contiguous; every grid is real, and R comes from
+  one real matmul against [Re psi | Im psi];
+* odd k: -1 = g^((Q-1)/2), so conj kappa[i] = kappa[i + (Q-1)/2], and the
+  conjugated pair is the window that starts (Q-1)/2 further on: no conj
+  pass.  G[r, -s] = conj G[r, s], so the grid covers one s of each pair
+  {s, -s} (log s < (Q-1)/2), PT is complex with 3(Q-1)/2 columns, and
+  R = 2 Re(sum over those s of psi(lam s) G[r, s]).
+
+The pair route is only as good as that self-duality, so PT is built only
 after ``conjugation_symmetry_check`` on the table has come within
-k * q^d * 1e-15 (NotSelfDual otherwise).  The full complex grids
-(``row_table``, ``product_grid``, ``big_r`` and the sliced sums) stay
-unchanged as the second route that the symmetric statistics are tested
-against.
+k * q^d * 1e-15 (NotSelfDual otherwise); the licence covers the odd-k
+window shift as much as the even-k real table.  The scans never build the
+full Q x Q row table.
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, RangeTooLarge,
                      ResourceLimit, WrongParity)
@@ -112,17 +125,20 @@ class SumProductContext:
         T.setflags(write=False)
         return T
 
-    @cached_property
-    def symmetric_units(self) -> np.ndarray:
-        """The s of each column of ``symmetric_table``: every s for even k;
-        for odd k the units s < -s (in encoding order), one of each pair."""
-        ids = np.arange(self.field.size, dtype=np.int64)
-        return ids if self.k % 2 == 0 else np.flatnonzero(ids < _neg_perm(self.field))
+    @property
+    def pair_window(self) -> int:
+        """The s-width of the pair-table grids: every unit for even k, one
+        of each pair {s, -s} for odd k."""
+        L = self.field.size - 1
+        return L if self.k % 2 == 0 else L // 2
 
     @cached_property
-    def symmetric_table(self) -> np.ndarray:
-        """Re T (Q x Q) for even k, T[:, symmetric_units] (Q x (Q-1)/2) for
-        odd k; NotSelfDual unless the table is conjugation symmetric within
+    def pair_table(self) -> np.ndarray:
+        """PT[d, i] = kappa[i] kappa[i + d] for d < Q - 1, kappa[i] =
+        K_c(g^i) with indices mod Q - 1, and a zero last row; float64 from
+        Re kappa for even k, complex for odd k, with Q - 1 + ``pair_window``
+        columns so that every window of that width is contiguous.
+        NotSelfDual unless the table is conjugation symmetric within
         ``conjugation_budget``.
         """
         budget = conjugation_budget(self.table)
@@ -130,10 +146,16 @@ class SumProductContext:
         if not dev <= budget:
             raise NotSelfDual(f"conj Kl_k(a) - Kl_k((-1)^k a) reaches {dev:.3e}, "
                               f"beyond the budget {budget:.3e}")
-        T = self.row_table
-        S = np.ascontiguousarray(T.real if self.k % 2 == 0 else T[:, self.symmetric_units])
-        S.setflags(write=False)
-        return S
+        L = self.field.size - 1
+        kappa = self.twisted[self.field.exp_table]
+        if self.k % 2 == 0:
+            kappa = kappa.real
+        n = L + self.pair_window
+        ext = np.tile(kappa, 3)
+        PT = np.zeros((L + 1, n), dtype=kappa.dtype)
+        np.multiply(ext[:n], sliding_window_view(ext, n)[:L], out=PT[:L])
+        PT.setflags(write=False)
+        return PT
 
     @property
     def field(self):
@@ -246,7 +268,7 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the four-fold kernel
+# the four-fold kernels
 # ----------------------------------------------------------------------
 
 def _kernel_steps(ctx, tuples, T, r=None):
@@ -257,8 +279,7 @@ def _kernel_steps(ctx, tuples, T, r=None):
     The grids come a few tuples at a time (about KERNEL_STEP_CELLS cells per
     step), built into three scratch buffers allocated once per call: g is
     overwritten by the next step, so a caller keeps only what it reduces
-    from it.  Each factor is a row gather T[r + b_j]; on a real table the
-    conjugation is the identity and is skipped.
+    from it.  Each factor is a row gather T[r + b_j].
     """
     f = ctx.field
     r = np.arange(f.size, dtype=np.int64) if r is None else np.asarray(r, dtype=np.int64)
@@ -275,7 +296,6 @@ def _kernel_steps(ctx, tuples, T, r=None):
     # separate buffers stayed under that size, so every call gave its pages
     # back and faulted them in again.
     g_buf, a_buf, b_buf = np.empty((3,) + shape, dtype=T.dtype)
-    complex_table = np.iscomplexobj(T)
     for lo in range(0, len(u), step):
         u1, u2, u3, u4 = u[lo:lo + step].transpose(1, 0, 2)
         m = len(u1)
@@ -286,10 +306,62 @@ def _kernel_steps(ctx, tuples, T, r=None):
         T.take(u3, axis=0, out=a, mode="clip")
         T.take(u4, axis=0, out=b, mode="clip")
         a *= b
-        if complex_table:
-            np.conj(a, out=a)
+        np.conj(a, out=a)
         g *= a
         yield lo, g
+
+
+def _pair_steps(ctx, tuples):
+    """Yield (lo, r0, g), where g[i, j] is row r0 + j of the four-fold
+    product grid of the shift tuple tuples[lo + i], at the s with
+    log s = 0 .. W-1 for W = ``ctx.pair_window``, read off the pair table.
+
+    With u = r + b = g^l, the factor pair K_c(s u1) K_c(s u2) at s = g^j is
+    PT[l2 - l1, l1 + j] (the zero row when u1 or u2 is 0), so each grid row
+    is the product of two windows of width W: one field addition and one
+    log lookup per (tuple, r), no field arithmetic per cell.  For odd k
+    conj K_c(g^i) = K_c(g^(i + (Q-1)/2)), so the conjugated pair is the
+    window that starts (Q-1)/2 further on.
+
+    A step holds about KERNEL_STEP_CELLS cells: whole grids of a few tuples,
+    or a block of rows of one grid when a grid is larger, so that a step
+    stays in cache.  Both windows of a step come from one gather into a
+    fresh array, freed before the step is yielded, and their product goes
+    into one buffer allocated per call: g is overwritten by the next step.
+    Steps of whole large grids (2 MiB at q^d = 529) ran four times slower;
+    gathers still held when the next step allocated made glibc give the
+    freed blocks back to the system and fault them in again.
+    """
+    f = ctx.field
+    L = f.size - 1
+    W = ctx.pair_window
+    # advanced indexing, not np.take: take would first copy the whole
+    # (Q, Q, W) view
+    V = sliding_window_view(ctx.pair_table, W, axis=1)
+    r = np.arange(f.size, dtype=np.int64)
+    logs = f.log_table[f.add_vec(r, np.asarray(tuples, dtype=np.int64)[:, :, None])]
+    # a[:, p] and b[:, p] are the logs of the pair p = (u1, u2), (u3, u4),
+    # -1 at u = 0; D is its pair-table row and I its window start.  Index
+    # arithmetic by compare-and-add: % on int64 cost as much as the gathers.
+    a, b = logs[:, 0::2], logs[:, 1::2]
+    D = b - a
+    D[D < 0] += L
+    D[np.minimum(a, b) < 0] = L
+    # L - W is 0 for even k and (Q-1)/2 for odd k; a start of -1 (only at
+    # u1 or u3 = 0, on the zero row) indexes the last window
+    I = a + np.array([[0], [L - W]])
+    I[I >= L] -= L
+    rows = max(1, KERNEL_STEP_CELLS // W)
+    m_step, r_step = max(1, rows // f.size), min(rows, f.size)
+    g_buf = np.empty((min(m_step, len(D)), r_step, W), dtype=V.dtype)
+    for lo in range(0, len(D), m_step):
+        for r0 in range(0, f.size, r_step):
+            blk = (slice(lo, lo + m_step), slice(None), slice(r0, r0 + r_step))
+            p = V[D[blk], I[blk]]
+            g = g_buf[:len(p), :p.shape[2]]
+            np.multiply(p[:, 0], p[:, 1], out=g)
+            del p
+            yield lo, r0, g
 
 
 def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
@@ -310,42 +382,43 @@ def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
     return G
 
 
-def _lambda_transform(ctx, tuples, lam, svals=None):
+def _lambda_transform(ctx, tuples, lam, cols=None):
     """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s] for the
-    symmetric grid G of each shift tuple; lam is [n], or [m, n] with one row
-    per tuple.  Returns (R, col) with col[m] = sum_r G[m, r, svals[m]] for
-    ``svals`` (column indices of the symmetric table, one per tuple), or
-    col = None without them.
+    grid G of each shift tuple; lam is [n], or [m, n] with one row per
+    tuple.  Returns (R, col) with col[m] = sum_r G[m, r, g^cols[m]] for
+    ``cols`` (pair-window columns, one per tuple), or col = None without
+    them.
 
-    The grids are streamed from ``_kernel_steps``: each step is reduced by
-    one matmul into the preallocated R, so no batch of grids is ever held.
-    Even k: G is real, so R = G @ Re psi + i G @ Im psi, one real matmul
-    against the stacked columns [Re psi | Im psi].  Odd k: the column -s
-    holds conj G[r, s] and psi(-lam s) = conj psi(lam s), so R is real,
-    2 Re(G @ psi) over the representatives: one real matmul of G's
-    interleaved (re, im) pairs against the rows (Re psi, -Im psi).
+    The grids are streamed from ``_pair_steps``, with psi in the same log
+    order: each step is reduced by one matmul into the preallocated R, so no
+    batch of grids is ever held.  Even k: G is real, so R = G @ Re psi +
+    i G @ Im psi, one real matmul against the stacked columns
+    [Re psi | Im psi].  Odd k: the column of -s = g^(j + (Q-1)/2) holds
+    conj G[r, g^j] and psi(-lam s) = conj psi(lam s), so R is real,
+    2 Re(G @ psi) over j < (Q-1)/2: one real matmul of G's interleaved
+    (re, im) pairs against the rows (Re psi, -Im psi).
     """
     f = ctx.field
     lam = np.asarray(lam, dtype=np.int64)
     n = lam.shape[-1]
-    units = ctx.symmetric_units
+    units = f.exp_table[:ctx.pair_window]
     even = ctx.k % 2 == 0
-    P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]  # [..., S, n]
+    P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]  # [..., W, n]
     if even:
         W = np.concatenate([P.real, P.imag], axis=-1)
     else:
         W = np.stack([P.real, -P.imag], axis=-2).reshape(*P.shape[:-2], 2 * len(units), n)
-    T = ctx.symmetric_table
     X = np.empty((len(tuples), f.size, W.shape[-1]))
-    col = None if svals is None else np.empty(len(tuples), dtype=T.dtype)
-    for lo, g in _kernel_steps(ctx, tuples, T):
-        hi = lo + len(g)
+    kcol = None if cols is None else np.empty((len(tuples), f.size),
+                                              dtype=ctx.pair_table.dtype)
+    for lo, r0, g in _pair_steps(ctx, tuples):
+        hi, r1 = lo + len(g), r0 + g.shape[1]
         np.matmul(g if even else g.view(np.float64), W if W.ndim == 2 else W[lo:hi],
-                  out=X[lo:hi])
-        if col is not None:
-            col[lo:hi] = g[np.arange(hi - lo), :, svals[lo:hi]].sum(axis=1)
+                  out=X[lo:hi, r0:r1])
+        if kcol is not None:
+            kcol[lo:hi, r0:r1] = g[np.arange(hi - lo), :, cols[lo:hi]]
     R = X[..., :n] + 1j * X[..., n:] if even else 2.0 * X
-    return R, col
+    return R, None if kcol is None else kcol.sum(axis=1)
 
 
 def _psi_column(ctx, lam) -> np.ndarray:
@@ -398,13 +471,14 @@ def second_moment_r_lambda(ctx, b) -> float:
     """(1/Q^2) sum_{r,lam} |big_r|^2 via the exact Plancherel shortcut.
 
     Plancherel in lam collapses the double sum to (1/Q) sum_{r,s} |G[r,s]|^2,
-    read off the symmetric grid: each odd-k column stands for s and -s.
+    read off the pair-table grid: each odd-k column stands for s and -s.
     """
     _require_distinct(b)
     _require_grid(ctx)
-    for _, g in _kernel_steps(ctx, [b], ctx.symmetric_table):
-        total = (np.abs(g[0]) ** 2).sum()
-    return float((1 if ctx.k % 2 == 0 else 2) * total / ctx.field.size)
+    rows = np.empty(ctx.field.size)
+    for _, r0, g in _pair_steps(ctx, [b]):
+        rows[r0:r0 + g.shape[1]] = (np.abs(g[0]) ** 2).sum(axis=1)
+    return float((1 if ctx.k % 2 == 0 else 2) * rows.sum() / ctx.field.size)
 
 
 def second_moment_r_lambda_naive(ctx, b) -> float:
@@ -608,14 +682,11 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
 
 def _ratio_stats(ctx, tuples, svals, lam1, lam2):
     """The K, R, C and D ratios of ``ratio_scan`` for each tuple, at its s,
-    lambda1 and lambda2, from the symmetric grids.  K reads the column of s
-    or -s: the two sums over r are conjugate."""
+    lambda1 and lambda2, from the pair-table grids.  K reads the column
+    log s mod W, of s or -s: the two sums over r are conjugate."""
     Q = ctx.field.size
-    svals = np.asarray(svals, dtype=np.int64)
-    if ctx.k % 2:
-        svals = np.searchsorted(ctx.symmetric_units,
-                                np.minimum(svals, _neg_perm(ctx.field)[svals]))
-    R, col = _lambda_transform(ctx, tuples, np.stack([lam1, lam2], axis=-1), svals)
+    cols = ctx.field.log_table[np.asarray(svals, dtype=np.int64)] % ctx.pair_window
+    R, col = _lambda_transform(ctx, tuples, np.stack([lam1, lam2], axis=-1), cols)
     K = np.abs(col) / Q**0.5
     R1, R2 = R[..., 0], R[..., 1]
     return (K, np.abs(R1.sum(axis=1)) / Q,

@@ -141,6 +141,22 @@ def test_tau_crt_modulus_covers_deligne_bound():
     assert math.prod(TAU_PRIMES) ** 2 > (2 * 240) ** 2 * TAU_N_MAX**11
 
 
+def test_crt_symmetric_folds_at_the_boundary():
+    M = math.prod(TAU_PRIMES)
+    h = (M - 1) // 2  # M is odd, so the symmetric range is [-h, h]
+    values = [h, -h, h + 1, 0, 1, -1]
+    residues = np.array([[v % p for v in values] for p in TAU_PRIMES], dtype=np.int64)
+
+    def oracle(res):
+        v = sum(r * (M // p) * pow(M // p, -1, p) for r, p in zip(res, TAU_PRIMES)) % M
+        return v - M if v > M // 2 else v
+
+    want = [oracle([int(x) for x in col]) for col in residues.T]
+    assert want == [h, -h, -h, 0, 1, -1]
+    got = dv._crt_symmetric(residues, TAU_PRIMES)
+    assert got == want and all(type(x) is int for x in got)
+
+
 def test_tau_small_values(coeffs):
     assert coeffs.tau[1] == 1
     assert coeffs.tau[2] == -24

@@ -6,6 +6,7 @@ from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import klab.sum_product as sp
 from klab.errors import ResourceLimit
 from klab.fields import build_extension, make_prime_field
-from klab.kloosterman import _neg_perm, kloosterman_table
+from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, product_grid,
                               ratio_scan, scan_bad_tuples,
                               second_moment_r_lambda)
@@ -37,16 +38,17 @@ def _table(q, d, k):
 
 def _batch_grids(ctx, tuples):
     f = ctx.field
-    T = ctx.symmetric_table
+    L, W = f.size - 1, ctx.pair_window
+    V = sliding_window_view(ctx.pair_table, W, axis=1)
     ids = np.arange(f.size, dtype=np.int64)
-    u1, u2, u3, u4 = f.add_vec(ids[None, None, :],
-                               np.asarray(tuples, dtype=np.int64)[:, :, None]).transpose(1, 0, 2)
-    G = T[u1] * T[u2]
-    H = T[u3]
-    H *= T[u4]
-    if np.iscomplexobj(T):
-        np.conj(H, out=H)
-    G *= H
+    l1, l2, l3, l4 = f.log_table[f.add_vec(
+        ids[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])].transpose(1, 0, 2)
+
+    def pair(la, lb, shift):
+        return V[np.where((la < 0) | (lb < 0), L, (lb - la) % L), (la + shift) % L]
+
+    G = pair(l1, l2, 0)
+    G *= pair(l3, l4, L - W)
     return G
 
 
@@ -54,7 +56,7 @@ def _batch_lambda_transform(ctx, G, lam):
     f = ctx.field
     lam = np.asarray(lam, dtype=np.int64)
     n = lam.shape[-1]
-    units = ctx.symmetric_units
+    units = f.exp_table[:ctx.pair_window]
     P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]
     if ctx.k % 2 == 0:
         X = G @ np.concatenate([P.real, P.imag], axis=-1)
@@ -66,11 +68,8 @@ def _batch_lambda_transform(ctx, G, lam):
 def _batch_ratio_stats(ctx, tuples, svals, lam1, lam2):
     Q = ctx.field.size
     G = _batch_grids(ctx, tuples)
-    svals = np.asarray(svals, dtype=np.int64)
-    if ctx.k % 2:
-        svals = np.searchsorted(ctx.symmetric_units,
-                                np.minimum(svals, _neg_perm(ctx.field)[svals]))
-    K = np.abs(G[np.arange(len(G)), :, svals].sum(axis=1)) / Q**0.5
+    cols = ctx.field.log_table[np.asarray(svals, dtype=np.int64)] % ctx.pair_window
+    K = np.abs(G[np.arange(len(G)), :, cols].sum(axis=1)) / Q**0.5
     R = _batch_lambda_transform(ctx, G, np.stack([lam1, lam2], axis=-1))
     R1, R2 = R[..., 0], R[..., 1]
     return (K, np.abs(R1.sum(axis=1)) / Q,
@@ -91,7 +90,8 @@ def _batch_tuple_stats(ctx, tuples, lambdas):
 
 def _batch_second_moment(ctx, b):
     G = _batch_grids(ctx, [b])[0]
-    return float((1 if ctx.k % 2 == 0 else 2) * (np.abs(G) ** 2).sum() / ctx.field.size)
+    rows = (np.abs(G) ** 2).sum(axis=1)
+    return float((1 if ctx.k % 2 == 0 else 2) * rows.sum() / ctx.field.size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +102,7 @@ def test_streamed_route_is_bit_identical_to_batched_route(fd, k, data):
     cell = st.integers(0, Q - 1)
     unit = st.integers(1, Q - 1)
     ctx = SumProductContext(_table(q, d, k), c=data.draw(unit))
-    width = Q * ctx.symmetric_table.shape[1]
+    width = Q * ctx.pair_window
     # a few tuples per step, so that n crosses step boundaries, or the default
     per_step = data.draw(st.integers(1, 6))
     cells = per_step * width if per_step < 6 else sp.KERNEL_STEP_CELLS
@@ -123,6 +123,24 @@ def test_streamed_route_is_bit_identical_to_batched_route(fd, k, data):
     for g, w in zip(got_tuple, _batch_tuple_stats(ctx, tuples, lambdas)):
         assert np.array_equal(g, w)
     assert got_moment == _batch_second_moment(ctx, b)
+
+
+@pytest.mark.parametrize("qd", [(53, 1), (5, 2), (3, 3)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_row_block_steps_match_whole_grid_steps(qd, k):
+    # a grid larger than a step comes in blocks of rows; the K column and
+    # the second moment sum row by row, so they do not depend on the blocks
+    ctx = SumProductContext(_table(*qd, k), c=2)
+    tuples = np.array([(1, 2, 3, 4), (0, 5, 0, 5), (4, 3, 1, 0)])
+    svals, lam1, lam2 = np.array([1, 2, 3]), np.array([0, 1, 2]), np.array([1, 3, 4])
+    whole = sp._ratio_stats(ctx, tuples, svals, lam1, lam2)
+    moment = second_moment_r_lambda(ctx, (1, 2, 3, 4))
+    with mock.patch.object(sp, "KERNEL_STEP_CELLS", 5 * ctx.pair_window):
+        blocks = sp._ratio_stats(ctx, tuples, svals, lam1, lam2)
+        assert second_moment_r_lambda(ctx, (1, 2, 3, 4)) == moment
+    assert np.array_equal(blocks[0], whole[0])
+    for g, w in zip(blocks[1:], whole[1:]):
+        assert (np.abs(g - w) <= 1e-12 * (1 + np.abs(w))).all()
 
 
 def test_full_route_is_unchanged_by_the_step_size():
@@ -160,7 +178,7 @@ def test_scans_never_hold_a_batch_of_grids(k):
 @pytest.mark.parametrize("qd", [(53, 1), (7, 2)])
 @pytest.mark.parametrize("k", [2, 3])
 def test_symmetric_table_is_c_contiguous(qd, k):
-    assert SumProductContext(_table(*qd, k)).symmetric_table.flags.c_contiguous
+    assert SumProductContext(_table(*qd, k)).pair_table.flags.c_contiguous
 
 
 def test_every_kernel_route_refuses_an_extension_beyond_the_dense_tables():
@@ -173,4 +191,4 @@ def test_every_kernel_route_refuses_an_extension_beyond_the_dense_tables():
                 lambda: sp.full_average_moment(ctx)):
         with pytest.raises(ResourceLimit, match="dense tables"):
             run()
-    assert "row_table" not in vars(ctx)
+    assert "row_table" not in vars(ctx) and "pair_table" not in vars(ctx)

@@ -119,7 +119,7 @@ def test_product_grid_matches_scalar_big_k(fd, k, data):
 def test_context_builds_row_table_lazily():
     ctx = SumProductContext(kloosterman_table(2, make_prime_field(53)), c=3)
     assert "row_table" not in vars(ctx)
-    second_moment_r_lambda(ctx, (1, 2, 3, 5))
+    product_grid(ctx, (1, 2, 3, 5))
     T = vars(ctx)["row_table"]
     assert T.shape == (53, 53) and T[4, 7] == ctx.twisted[28]
 

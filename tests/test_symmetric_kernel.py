@@ -1,5 +1,6 @@
-"""The symmetric four-fold kernel (real grids for even k, half grids for odd
-k) against the full complex route, and the licence that guards it."""
+"""The symmetric four-fold kernel (the pair table in discrete-log
+coordinates: real grids for even k, half grids for odd k) against the full
+complex route, and the licence that guards it."""
 
 import dataclasses
 from functools import lru_cache
@@ -124,18 +125,21 @@ def test_scan_bad_tuples_matches_full_route(monkeypatch, k):
 
 
 def test_symmetric_table_shapes_and_laziness():
-    for k, width, dtype in ((2, 53, np.float64), (3, 26, np.complex128)):
+    for k, width, dtype in ((2, 104, np.float64), (3, 78, np.complex128)):
         ctx = SumProductContext(_table(53, 1, k), c=3)
-        assert "symmetric_table" not in vars(ctx)
-        S = ctx.symmetric_table
-        assert S.shape == (53, width) and S.dtype == dtype
-        units = ctx.symmetric_units
-        assert np.array_equal(S, ctx.row_table[:, units].real if k == 2
-                              else ctx.row_table[:, units])
+        assert "pair_table" not in vars(ctx)
+        PT = ctx.pair_table
+        assert PT.shape == (53, width) and PT.dtype == dtype
+        # PT[d, i] = K_c(g^i) K_c(g^(i+d)), read off the row table
+        f = ctx.field
+        T = ctx.row_table.real if k == 2 else ctx.row_table
+        s = f.exp_table[np.arange(width) % 52]
+        assert np.array_equal(PT[:52], T[1, s][None, :] * T[f.exp_table[:, None], s])
+        assert not PT[52].any()
     # odd k over F_{5^2}: one representative of each pair {s, -s} of units
     ctx = SumProductContext(_table(5, 2, 3))
-    units = set(ctx.symmetric_units.tolist())
     f = ctx.field
+    units = set(f.exp_table[:ctx.pair_window].tolist())
     assert len(units) == 12 and 0 not in units
     assert units.isdisjoint(f.neg(s) for s in units)
 
@@ -153,7 +157,7 @@ def test_licence_refuses_a_table_that_is_not_self_dual(k):
         second_moment_r_lambda(ctx, (1, 2, 3, 5))
     with pytest.raises(NotSelfDual):
         scan_bad_tuples(ctx, spec=ScanSpec(n_samples=8, seed=1))
-    assert "symmetric_table" not in vars(ctx)
+    assert "pair_table" not in vars(ctx)
     # the full complex route still serves the same context
     assert product_grid(ctx, (1, 2, 3, 5)).shape == (53, 53)
 
@@ -162,10 +166,42 @@ def test_licence_refuses_a_table_that_is_not_self_dual(k):
 def test_licence_passes_genuine_tables(q):
     for k in range(2, 7):
         ctx = SumProductContext(kloosterman_table(k, make_prime_field(q)))
-        assert ctx.symmetric_table.shape[0] == q
+        assert ctx.pair_table.shape[0] == q
 
 
 @pytest.mark.parametrize("qd", [(3, 2), (5, 2), (3, 3)])
 def test_licence_passes_genuine_extension_tables(qd):
     for k in range(2, 6):
-        assert SumProductContext(_table(*qd, k)).symmetric_table.shape[0] == qd[0] ** qd[1]
+        assert SumProductContext(_table(*qd, k)).pair_table.shape[0] == qd[0] ** qd[1]
+
+
+@pytest.mark.parametrize("qd", [(53, 1), (5, 2), (3, 3)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_degenerate_pair_rows_match_full_route(monkeypatch, qd, k):
+    # repeated coordinates take the offset-0 row of the pair table, and
+    # r + b_j = 0 the zero row
+    ctx = SumProductContext(_table(*qd, k), c=2)
+    tuples = np.array([(0, 0, 0, 0), (1, 1, 2, 2), (0, 5, 0, 5), (3, 0, 0, 3)])
+    svals, lam1, lam2 = np.array([1, 2, 3, 4]), np.array([0, 1, 2, 3]), np.array([1, 0, 4, 2])
+    got = sp._ratio_stats(ctx, tuples, svals, lam1, lam2)
+    full = _full_ratio_stats(ctx, tuples, svals, lam1, lam2)
+    for name, g, f in zip("KRCD", got, full):
+        assert _close(g, f), name
+    for g, f in zip(sp._batched_tuple_stats(ctx, tuples, (0, 1, 2)),
+                    _full_tuple_stats(ctx, tuples, (0, 1, 2))):
+        assert _close(g, f)
+    # the moment refuses repeated coordinates; its grid sum is checked here
+    monkeypatch.setattr(sp, "_require_distinct", lambda b: None)
+    for b in tuples:
+        b = tuple(int(x) for x in b)
+        assert _close(second_moment_r_lambda(ctx, b), _full_second_moment(ctx, b)), b
+
+
+def test_scans_never_build_the_row_table():
+    table = _table(53, 1, 3)
+    for run in (lambda ctx: ratio_scan(ctx, n_samples=8, seed=1),
+                lambda ctx: scan_bad_tuples(ctx, spec=ScanSpec(n_samples=8, seed=1)),
+                lambda ctx: second_moment_r_lambda(ctx, (1, 2, 3, 5))):
+        ctx = SumProductContext(table)
+        run(ctx)
+        assert "pair_table" in vars(ctx) and "row_table" not in vars(ctx)
