@@ -25,28 +25,18 @@ k-th roots of unity in F_q summing to zero against 1; those hyperplanes are
 the degenerate directions visible in the data (they contain the diagonal
 pairings and produce measurably inflated correlation sums).
 
-Grids of four-fold products come from two stepped generators.  Both stream
-the grids about KERNEL_STEP_CELLS cells at a time and multiply the factors
-always in the order ((K1 K2) conj(K3 K4)), so every statistic is
-reproducible bit for bit, and the scans reduce each step while it is still
-in cache (one matmul per step for the lam-transform, a column, the row sums
-of |G|^2): no batch of grids is ever held, so memory grows with Q^2, not
-with the number of tuples.
+Every grid of four-fold products comes from one stepped generator,
+``_pair_steps``.  It streams the grids about KERNEL_STEP_CELLS cells at a
+time and multiplies the factors always in the order ((K1 K2) conj(K3 K4)),
+so every statistic is reproducible bit for bit, and the scans reduce each
+step while it is still in cache (one matmul per step for the lam-transform,
+a column, the row sums of |G|^2): no batch of grids is ever held, so memory
+grows with Q^2, not with the number of tuples.
 
-The full complex route caches, on first use, the twisted multiplication
-table T[u, s] = K_c(u*s) (Q^2 complex entries, read off the dense mul table
-when d > 1).  For a batch of tuples the factor K_c(s(r+b_j)) over all
-(r, s) is the row gather T[r + b_j], built into three scratch buffers
-allocated once per call.  ``product_grid``, ``big_r``, the moments over the
-correlation matrix and the sums over a short or repeated s-range (which
-gather rows of the slice T[:, s]) take this route, and it is the oracle the
-pair route is tested against.
-
-The pair route serves the statistics that only need G over every s: the
-scans, the lam-transform R(r, lam) and the second moment.  Kl_k lives on
-the cyclic group F^x, so in discrete logs (s = g^j, u = g^l) the table is a
-Hankel matrix, T[u, s] = kappa[l + j] with kappa[i] = K_c(g^i), indices
-mod Q - 1.  The product of two factors is then one window of a pair table,
+Kl_k lives on the cyclic group F^x, so in discrete logs (s = g^j, u = g^l)
+the table K_c(u s) is a Hankel matrix, kappa[l + j] with kappa[i] =
+K_c(g^i), indices mod Q - 1.  The product of two factors is then one window
+of a pair table,
 
     K_c(s u1) K_c(s u2) = kappa[l1 + j] kappa[l2 + j] = PT[l2 - l1, l1 + j],
     PT[d, i] = kappa[i] kappa[i + d],
@@ -67,11 +57,18 @@ free:
   {s, -s} (log s < (Q-1)/2), PT is complex with 3(Q-1)/2 columns, and
   R = 2 Re(sum over those s of psi(lam s) G[r, s]).
 
-The pair route is only as good as that self-duality, so PT is built only
+``product_grid`` scatters these columns into the Q x Q grid indexed by s
+(the conjugates into the columns -s for odd k; the column s = 0 is 0),
+and ``big_r``, the naive moments and the incomplete sums read it; the
+incomplete sums weight its columns by how often each residue class mod q
+occurs in the s-range.  The full average over b needs no grid at all: in
+logs the correlation C(g^i, g^j) depends only on j - i, so it is one FFT
+autocorrelation of kappa.
+
+The pair table is only as good as that self-duality, so PT is built only
 after ``conjugation_symmetry_check`` on the table has come within
 k * q^d * 1e-15 (NotSelfDual otherwise); the licence covers the odd-k
-window shift as much as the even-k real table.  The scans never build the
-full Q x Q row table.
+window shift as much as the even-k real table.
 """
 
 from __future__ import annotations
@@ -87,8 +84,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, RangeTooLarge,
                      ResourceLimit, WrongParity)
 from .fields import PAIR_TABLE_CAP, roots_of_unity
-from .kloosterman import (KloostermanTable, _mul_perm, _neg_perm,
-                          conjugation_budget, conjugation_symmetry_check)
+from .kloosterman import (KloostermanTable, _mul_perm, conjugation_budget,
+                          conjugation_symmetry_check)
 
 FULL_SCAN_MAX_Q = 31
 DEFAULT_SAMPLES = 2000
@@ -115,15 +112,6 @@ class SumProductContext:
         tw = self.table.values[_mul_perm(self.table.field, self.c % self.table.field.size)]
         tw.setflags(write=False)
         object.__setattr__(self, "twisted", tw)
-
-    @cached_property
-    def row_table(self) -> np.ndarray:
-        """T[u, s] = K_c(u*s), a Q x Q table built on first use."""
-        f = self.field
-        ids = np.arange(f.size, dtype=np.int64)
-        T = self.twisted[f.mul_vec(ids[:, None], ids[None, :])]
-        T.setflags(write=False)
-        return T
 
     @property
     def pair_window(self) -> int:
@@ -271,46 +259,6 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 # the four-fold kernels
 # ----------------------------------------------------------------------
 
-def _kernel_steps(ctx, tuples, T, r=None):
-    """Yield (lo, g), where g[i] is the four-fold product grid at (r, s_j)
-    of the shift tuple tuples[lo + i] for the table T[u, j] = K_c(u s_j);
-    r defaults to the whole field.
-
-    The grids come a few tuples at a time (about KERNEL_STEP_CELLS cells per
-    step), built into three scratch buffers allocated once per call: g is
-    overwritten by the next step, so a caller keeps only what it reduces
-    from it.  Each factor is a row gather T[r + b_j].
-    """
-    f = ctx.field
-    r = np.arange(f.size, dtype=np.int64) if r is None else np.asarray(r, dtype=np.int64)
-    u = f.add_vec(r[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])
-    # mode="clip" lets take write into the buffers directly; the range
-    # check it would otherwise make is made here, once
-    if u.size and not 0 <= u.min() <= u.max() < len(T):
-        raise IndexError("shift tuple outside the field")
-    width = len(r) * T.shape[1]
-    step = max(1, KERNEL_STEP_CELLS // (width or 1))
-    shape = (min(step, len(u)), len(r), T.shape[1])
-    # The buffers share one block.  glibc returns freed heap memory to the
-    # system once it exceeds twice the largest block freed so far; three
-    # separate buffers stayed under that size, so every call gave its pages
-    # back and faulted them in again.
-    g_buf, a_buf, b_buf = np.empty((3,) + shape, dtype=T.dtype)
-    for lo in range(0, len(u), step):
-        u1, u2, u3, u4 = u[lo:lo + step].transpose(1, 0, 2)
-        m = len(u1)
-        g, a, b = g_buf[:m], a_buf[:m], b_buf[:m]
-        T.take(u1, axis=0, out=a, mode="clip")
-        T.take(u2, axis=0, out=b, mode="clip")
-        np.multiply(a, b, out=g)
-        T.take(u3, axis=0, out=a, mode="clip")
-        T.take(u4, axis=0, out=b, mode="clip")
-        a *= b
-        np.conj(a, out=a)
-        g *= a
-        yield lo, g
-
-
 def _pair_steps(ctx, tuples):
     """Yield (lo, r0, g), where g[i, j] is row r0 + j of the four-fold
     product grid of the shift tuple tuples[lo + i], at the s with
@@ -364,24 +312,6 @@ def _pair_steps(ctx, tuples):
             yield lo, r0, g
 
 
-def _four_fold(ctx, tuples, r=None, s=None) -> np.ndarray:
-    """The full complex four-fold product G[m, i, j] at (r_i, s_j) for each
-    shift tuple b = tuples[m]; r and s default to the whole field.  The
-    table is the cached ``ctx.row_table`` when s is omitted, else its
-    Q x len(s) slice."""
-    f = ctx.field
-    if s is None:
-        T = ctx.row_table
-    else:
-        ids = np.arange(f.size, dtype=np.int64)
-        T = ctx.twisted[f.mul_vec(ids[:, None], np.asarray(s, dtype=np.int64)[None, :])]
-    G = np.empty((len(tuples), f.size if r is None else len(r), T.shape[1]),
-                 dtype=T.dtype)
-    for lo, g in _kernel_steps(ctx, tuples, T, r=r):
-        G[lo:lo + len(g)] = g
-    return G
-
-
 def _lambda_transform(ctx, tuples, lam, cols=None):
     """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s] for the
     grid G of each shift tuple; lam is [n], or [m, n] with one row per
@@ -421,14 +351,6 @@ def _lambda_transform(ctx, tuples, lam, cols=None):
     return R, None if kcol is None else kcol.sum(axis=1)
 
 
-def _psi_column(ctx, lam) -> np.ndarray:
-    """psi(lam * s) for all s, as a vector indexed by s (a [m, s] array for a
-    vector of lam)."""
-    f = ctx.field
-    ids = np.arange(f.size, dtype=np.int64)
-    return f.psi_vec[f.mul_vec(np.asarray(lam)[..., None], ids)]
-
-
 def _require_grid(ctx):
     """ResourceLimit unless the Q x Q tables of the kernel may be built: Q^2
     within GRID_CAP, and for d > 1 Q within the dense tables' cap."""
@@ -442,9 +364,19 @@ def _require_grid(ctx):
 
 
 def product_grid(ctx, b) -> np.ndarray:
-    """G[r, s] = K_c(s(r+b1)) K_c(s(r+b2)) conj(K_c(s(r+b3)) K_c(s(r+b4)))."""
+    """G[r, s] = K_c(s(r+b1)) K_c(s(r+b2)) conj(K_c(s(r+b3)) K_c(s(r+b4))),
+    scattered from the pair-table grid: float64 for even k, and for odd k
+    the column -s = g^(j + (Q-1)/2) holds conj G[r, g^j]."""
     _require_grid(ctx)
-    return _four_fold(ctx, [b])[0]
+    f = ctx.field
+    W = ctx.pair_window
+    G = np.zeros((f.size, f.size), dtype=ctx.pair_table.dtype)
+    for _, r0, g in _pair_steps(ctx, [b]):
+        rows = slice(r0, r0 + g.shape[1])
+        G[rows, f.exp_table[:W]] = g[0]
+        if ctx.k % 2:
+            G[rows, f.exp_table[W:]] = np.conj(g[0])
+    return G
 
 
 def big_k(ctx, r: int, s: int, lam: int, b) -> complex:
@@ -459,7 +391,9 @@ def big_k(ctx, r: int, s: int, lam: int, b) -> complex:
 def big_r(ctx, r: int, lam: int, b) -> complex:
     """Sum of big_k over every s (the table's zero at 0 kills the s=0 term)."""
     assert ctx.twisted[0] == 0
-    return complex(_four_fold(ctx, [b], r=[r])[0, 0] @ _psi_column(ctx, lam))
+    f = ctx.field
+    psi = f.psi_vec[f.mul_vec(lam, np.arange(f.size, dtype=np.int64))]
+    return complex(product_grid(ctx, b)[r] @ psi)
 
 
 def _require_distinct(b):
@@ -484,12 +418,12 @@ def second_moment_r_lambda(ctx, b) -> float:
 def second_moment_r_lambda_naive(ctx, b) -> float:
     """Literal double sum over (r, lam); cross-check at tiny sizes."""
     _require_distinct(b)
-    Q = ctx.field.size
+    f = ctx.field
+    Q = f.size
     if Q > 256:
         raise ResourceLimit("naive second moment is O(Q^3); use the shortcut")
-    G = product_grid(ctx, b)
-    psi_mat = _psi_column(ctx, np.arange(Q, dtype=np.int64))  # [lam, s], symmetric
-    R = G @ psi_mat
+    ids = np.arange(Q, dtype=np.int64)
+    R = product_grid(ctx, b) @ f.psi_vec[f.mul_vec(ids[:, None], ids)]  # [r, lam]
     return float((np.abs(R) ** 2).sum() / Q**2)
 
 
@@ -497,31 +431,33 @@ def noncorrelation_moment(ctx, b) -> complex:
     """(1/Q^2) sum_{r,lam} big_r(r,lam,b) conj(big_r(r,-lam,b)), k odd.
 
     Averaging over lam pairs s with -s', so the double sum collapses exactly
-    to (1/Q) sum_{r,s} G[r,s] conj(G[r,-s]).
+    to (1/Q) sum_{r,s} G[r,s] conj(G[r,-s]) = (1/Q) sum_{r,s} G[r,s]^2, as
+    G[r,-s] = conj G[r,s]: 2 Re g^2 summed over the pair-table half grid.
     """
     if ctx.k % 2 == 0:
         raise WrongParity("defined for odd k only")
     _require_distinct(b)
-    G = product_grid(ctx, b)
-    return complex((G * np.conj(G[:, _neg_perm(ctx.field)])).sum() / ctx.field.size)
-
-
-def correlation_matrix_cdiag(ctx) -> np.ndarray:
-    """C(s, s') = (1/Q) sum_b K_c(s b) conj(K_c(s' b)) for all (s, s')."""
     _require_grid(ctx)
-    M = ctx.row_table  # [s, b]
-    return (M @ np.conj(M.T)) / ctx.field.size
+    rows = np.empty(ctx.field.size, dtype=np.complex128)
+    for _, r0, g in _pair_steps(ctx, [b]):
+        rows[r0:r0 + g.shape[1]] = (g[0] ** 2).sum(axis=1)
+    return complex(2 * rows.sum().real / ctx.field.size)
 
 
 def full_average_moment(ctx) -> float:
     """(1/Q^5) sum_{r, b} |big_r(r, 0, b)|^2, via the correlation reduction.
 
     Shifting r into the tuple and expanding the square turns the five-fold
-    average into sum over unit pairs (s, s') of |C(s,s')|^2 |C(s',s)|^2.
+    average into sum over unit pairs (s, s') of |C(s,s')|^2 |C(s',s)|^2, with
+    C(s, s') = (1/Q) sum_b K_c(s b) conj(K_c(s' b)).  C is Hermitian, and at
+    s = g^i, s' = g^j it depends only on j - i: Q C is the cyclic
+    autocorrelation c of kappa[i] = K_c(g^i), one FFT pair, and the moment
+    is (Q - 1) sum_d |c[d]|^4 / Q^4.
     """
-    C = correlation_matrix_cdiag(ctx)
-    Cu = C[1:, 1:]
-    return float((np.abs(Cu) ** 2 * np.abs(Cu.T) ** 2).sum().real)
+    f = ctx.field
+    kappa = ctx.twisted[f.exp_table]
+    c = np.fft.ifft(np.abs(np.fft.fft(kappa)) ** 2)
+    return float((f.size - 1) * (np.abs(c) ** 4).sum() / f.size**4)
 
 
 def full_average_moment_naive(ctx) -> float:
@@ -551,35 +487,30 @@ def _require_prime_field(ctx):
 
 
 def sigma_incomplete(ctx, b, A: int, M: int) -> complex:
-    """Sum over r mod q and integer 1 <= s <= 2AM of the 4-fold product."""
+    """Sum over r mod q and integer 1 <= s <= 2AM of the 4-fold product:
+    the column sums of the grid weighted by n[t] = #{s : s = t mod q}."""
     _require_prime_field(ctx)
     q = ctx.field.q
     smax = 2 * A * M
     if smax < 0 or q * max(smax, 1) > GRID_CAP:
         raise RangeTooLarge(f"s-range 2AM = {smax} too large")
-    if smax == 0:
-        return 0j
-    return complex(_four_fold(ctx, [b], s=np.arange(1, smax + 1) % q).sum())
+    n = np.bincount(np.arange(1, smax + 1) % q, minlength=q)
+    return complex(product_grid(ctx, b).sum(0) @ n)
 
 
 def sigma_neq(ctx, b, AM: int) -> complex:
     """Sum over r mod q and 1 <= s1, s2 <= AM with s1 != s2 mod q of the
-    8-fold product."""
+    8-fold product: with n the residue-class counts, sum_r |G[r] @ n|^2
+    less the pairs s1 = s2 mod q, sum_r |G[r]|^2 @ n^2."""
     _require_prime_field(ctx)
     q = ctx.field.q
     if AM < 0 or (2 * AM) ** 2 * q > GRID_CAP:
         raise RangeTooLarge(f"(2AM)^2 q = {(2 * AM) ** 2 * q} exceeds cap")
     if AM <= 1:
         return 0j
-    res = np.arange(1, AM + 1) % q
-    G = _four_fold(ctx, [b], s=res)[0]
-    rows = G.sum(axis=1)
-    total = (np.abs(rows) ** 2).sum()
-    # remove the pairs with s1 = s2 mod q, grouped by residue class
-    for t in np.unique(res):
-        cls = G[:, res == t].sum(axis=1)
-        total -= (np.abs(cls) ** 2).sum()
-    return complex(total)
+    G = product_grid(ctx, b)
+    n = np.bincount(np.arange(1, AM + 1) % q, minlength=q)
+    return complex((np.abs(G @ n) ** 2).sum() - (np.abs(G) ** 2 @ n**2).sum())
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,6 @@ def test_grid_caps_exit_1_before_any_grid_table(capsys, monkeypatch, argv, messa
     def refuse(self):
         raise AssertionError("a Q x Q table was built")
 
-    monkeypatch.setattr(SumProductContext, "row_table", property(refuse))
     monkeypatch.setattr(SumProductContext, "pair_table", property(refuse))
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -143,22 +143,6 @@ def test_row_block_steps_match_whole_grid_steps(qd, k):
         assert (np.abs(g - w) <= 1e-12 * (1 + np.abs(w))).all()
 
 
-def test_full_route_is_unchanged_by_the_step_size():
-    ctx = SumProductContext(_table(13, 1, 3), c=2)
-    tuples = [(1, 2, 3, 5), (0, 4, 4, 9), (7, 1, 12, 2)]
-    ref = np.stack([product_grid(ctx, b) for b in tuples])
-    with mock.patch.object(sp, "KERNEL_STEP_CELLS", 1):
-        assert np.array_equal(sp._four_fold(ctx, tuples), ref)
-        assert np.array_equal(sp._four_fold(ctx, tuples, r=[3, 0], s=[5, 2]),
-                              ref[:, [3, 0]][:, :, [5, 2]])
-
-
-def test_kernel_rejects_rows_outside_the_table():
-    ctx = SumProductContext(_table(5, 2, 2))
-    with pytest.raises(IndexError):
-        next(sp._kernel_steps(ctx, [(1, 2, 3, 4)], ctx.row_table[:-1]))
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_scans_never_hold_a_batch_of_grids(k):
     table = kloosterman_table(k, make_prime_field(199))
@@ -187,8 +171,9 @@ def test_every_kernel_route_refuses_an_extension_beyond_the_dense_tables():
     for run in (lambda: ratio_scan(ctx, n_samples=1),
                 lambda: scan_bad_tuples(ctx, spec=ScanSpec(n_samples=1)),
                 lambda: second_moment_r_lambda(ctx, (1, 2, 3, 4)),
-                lambda: product_grid(ctx, (1, 2, 3, 4)),
-                lambda: sp.full_average_moment(ctx)):
+                lambda: product_grid(ctx, (1, 2, 3, 4))):
         with pytest.raises(ResourceLimit, match="dense tables"):
             run()
-    assert "row_table" not in vars(ctx) and "pair_table" not in vars(ctx)
+    # the full average reads the Kloosterman table alone, in discrete logs
+    assert np.isfinite(sp.full_average_moment(ctx))
+    assert "pair_table" not in vars(ctx)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -7,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import klab.sum_product as sp
 from klab.errors import NoGenericTuple, NotDistinct, RangeTooLarge, WrongParity
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
-                              classify_tuple, correlation_matrix_cdiag,
-                              full_average_moment, full_average_moment_naive,
-                              is_generic_tuple, noncorrelation_moment,
-                              product_grid, ratio_scan, sample_generic_tuples,
-                              scan_bad_tuples, second_moment_r_lambda,
+                              classify_tuple, full_average_moment,
+                              full_average_moment_naive, is_generic_tuple,
+                              noncorrelation_moment, product_grid, ratio_scan,
+                              sample_generic_tuples, scan_bad_tuples,
+                              second_moment_r_lambda,
                               second_moment_r_lambda_naive, sigma_incomplete,
                               sigma_neq, zero_sum_patterns)
+
+from grid_oracle import correlation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +116,6 @@ def test_product_grid_matches_scalar_big_k(fd, k, data):
     b = tuple(data.draw(st.lists(cell, min_size=4, max_size=4)))
     r, s = data.draw(cell), data.draw(cell)
     assert abs(product_grid(ctx, b)[r, s] - big_k(ctx, r, s, 0, b)) < 1e-12
-
-
-def test_context_builds_row_table_lazily():
-    ctx = SumProductContext(kloosterman_table(2, make_prime_field(53)), c=3)
-    assert "row_table" not in vars(ctx)
-    product_grid(ctx, (1, 2, 3, 5))
-    T = vars(ctx)["row_table"]
-    assert T.shape == (53, 53) and T[4, 7] == ctx.twisted[28]
 
 
 def test_r_profile_matches_big_r(ctx13):
@@ -237,9 +231,9 @@ def test_complete_sum_c_multiplicativity():
 
 
 def test_complete_corr_conjugate_swap(ctx13):
-    # the full grid against the kernel's sliced route, s taken in swapped order
+    # the full grid against its columns taken in swapped order
     G = product_grid(ctx13, (1, 2, 3, 5))
-    H = sp._four_fold(ctx13, [(1, 2, 3, 5)], s=[5, 2])[0]
+    H = product_grid(ctx13, (1, 2, 3, 5))[:, [5, 2]]
     v12 = (G[:, 2] * np.conj(G[:, 5])).sum()
     v21 = (H[:, 0] * np.conj(H[:, 1])).sum()
     assert abs(v12 - v21.conjugate()) < 1e-10
@@ -323,15 +317,25 @@ def test_noncorrelation_parity(ctx13, ctx13k3):
     assert abs(v) / math.sqrt(13) < 25
 
 
-def test_noncorrelation_matches_definition():
-    ctx = SumProductContext(kloosterman_table(3, make_prime_field(11)))
+def _check_noncorrelation_definition(q, d):
+    ctx = SumProductContext(_property_table(q, d, 3))
+    f = ctx.field
     b = (1, 2, 3, 5)
-    Q = 11
+    Q = f.size
     total = 0j
     for r in range(Q):
         for lam in range(Q):
-            total += big_r(ctx, r, lam, b) * big_r(ctx, r, (-lam) % Q, b).conjugate()
+            total += big_r(ctx, r, lam, b) * big_r(ctx, r, f.neg(lam), b).conjugate()
     assert abs(total / Q**2 - noncorrelation_moment(ctx, b)) < 1e-8
+
+
+def test_noncorrelation_matches_definition():
+    _check_noncorrelation_definition(11, 1)
+
+
+@pytest.mark.parametrize("qd", [(5, 2), (3, 3)])
+def test_noncorrelation_matches_definition_over_extensions(qd):
+    _check_noncorrelation_definition(*qd)
 
 
 def test_full_average_reduction_vs_naive():
@@ -341,8 +345,30 @@ def test_full_average_reduction_vs_naive():
     assert abs(a - b) / abs(b) < 1e-6
 
 
+@pytest.mark.parametrize("qd", [(53, 1), (199, 1), (11, 2), (13, 2)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_full_average_matches_correlation_matrix(qd, k):
+    # the FFT autocorrelation against the literal matrix: sum over unit
+    # pairs of |C(s,s')|^2 |C(s',s)|^2
+    ctx = SumProductContext(_property_table(*qd, k), c=2)
+    C = np.abs(correlation_matrix(ctx)[1:, 1:]) ** 2
+    want = (C * C.T).sum()
+    assert abs(full_average_moment(ctx) - want) <= 1e-12 * want
+
+
+def test_full_average_holds_no_grid():
+    ctx = SumProductContext(kloosterman_table(3, make_prime_field(997)))
+    tracemalloc.start()
+    try:
+        full_average_moment(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def test_correlation_diag_constant(ctx13):
-    C = correlation_matrix_cdiag(ctx13)
+    C = correlation_matrix(ctx13)
     diag = np.diagonal(C)[1:]
     assert np.abs(diag - diag[0]).max() < 1e-10
 
@@ -353,19 +379,26 @@ def test_sigma_incomplete_empty(ctx13):
     assert sigma_incomplete(ctx13, (1, 2, 3, 5), 1, 0) == 0
 
 
-def test_sigma_incomplete_loop_reorder():
-    ctx = SumProductContext(kloosterman_table(2, make_prime_field(101)))
+def _check_sigma_incomplete_loop_reorder(q, A, M):
+    ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
     b = (1, 2, 3, 5)
-    A, M = 2, 5
     got = sigma_incomplete(ctx, b, A, M)
     tv = ctx.twisted
-    q = 101
     acc = 0j
     for s in range(1, 2 * A * M + 1):
         for r in range(q):
             acc += (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
                     * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
     assert abs(got - acc) < 1e-8
+
+
+def test_sigma_incomplete_loop_reorder():
+    _check_sigma_incomplete_loop_reorder(101, 2, 5)
+
+
+def test_sigma_incomplete_loop_reorder_repeated_classes():
+    # 2AM > q: the s-range wraps, so residue classes repeat
+    _check_sigma_incomplete_loop_reorder(13, 3, 5)
 
 
 def test_sigma_incomplete_diagonal_under_trivial_bound(ctx53):
@@ -384,13 +417,11 @@ def test_sigma_neq_empty(ctx13):
     assert sigma_neq(ctx13, (1, 2, 3, 5), 1) == 0
 
 
-def test_sigma_neq_nested_loop_oracle():
-    ctx = SumProductContext(kloosterman_table(2, make_prime_field(53)))
+def _check_sigma_neq_nested_loop_oracle(q, AM):
+    ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
     b = (1, 2, 3, 5)
-    AM = 6
     got = sigma_neq(ctx, b, AM)
     tv = ctx.twisted
-    q = 53
     acc = 0j
 
     def quad(s, r):
@@ -404,6 +435,16 @@ def test_sigma_neq_nested_loop_oracle():
             for r in range(q):
                 acc += quad(s1, r) * quad(s2, r).conjugate()
     assert abs(got - acc) < 1e-8
+
+
+def test_sigma_neq_nested_loop_oracle():
+    _check_sigma_neq_nested_loop_oracle(53, 6)
+
+
+def test_sigma_neq_nested_loop_oracle_repeated_classes():
+    # AM > 2q: classes occur two and three times, and the pairs s1 = s2
+    # mod q with s1 != s2 are excluded
+    _check_sigma_neq_nested_loop_oracle(13, 30)
 
 
 def test_sigma_neq_swap_conjugation(ctx53):

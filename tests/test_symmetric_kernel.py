@@ -1,6 +1,7 @@
 """The symmetric four-fold kernel (the pair table in discrete-log
-coordinates: real grids for even k, half grids for odd k) against the full
-complex route, and the licence that guards it."""
+coordinates: real grids for even k, half grids for odd k) against a literal
+grid built from the scalar field operations, and the licence that guards
+it."""
 
 import dataclasses
 from functools import lru_cache
@@ -17,6 +18,8 @@ from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, product_grid,
                               ratio_scan, scan_bad_tuples,
                               second_moment_r_lambda)
+
+from grid_oracle import literal_grid, literal_tables
 
 _FIELDS = ((5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
            (29, 1), (31, 1), (3, 2), (5, 2), (3, 3))
@@ -41,7 +44,7 @@ def _psi(ctx, lam):
 
 
 def _full_grids(ctx, tuples):
-    return np.stack([product_grid(ctx, tuple(int(x) for x in b)) for b in tuples])
+    return np.stack([literal_grid(ctx, b) for b in tuples])
 
 
 def _full_ratio_stats(ctx, tuples, svals, lam1, lam2):
@@ -66,7 +69,7 @@ def _full_tuple_stats(ctx, tuples, lambdas):
 
 
 def _full_second_moment(ctx, b):
-    return float((np.abs(product_grid(ctx, b)) ** 2).sum() / ctx.field.size)
+    return float((np.abs(literal_grid(ctx, b)) ** 2).sum() / ctx.field.size)
 
 
 def _close(got, full):
@@ -130,9 +133,10 @@ def test_symmetric_table_shapes_and_laziness():
         assert "pair_table" not in vars(ctx)
         PT = ctx.pair_table
         assert PT.shape == (53, width) and PT.dtype == dtype
-        # PT[d, i] = K_c(g^i) K_c(g^(i+d)), read off the row table
+        # PT[d, i] = K_c(g^i) K_c(g^(i+d)), read off the literal mul table
         f = ctx.field
-        T = ctx.row_table.real if k == 2 else ctx.row_table
+        T = ctx.twisted[literal_tables(f)[1]]
+        T = T.real if k == 2 else T
         s = f.exp_table[np.arange(width) % 52]
         assert np.array_equal(PT[:52], T[1, s][None, :] * T[f.exp_table[:, None], s])
         assert not PT[52].any()
@@ -157,9 +161,9 @@ def test_licence_refuses_a_table_that_is_not_self_dual(k):
         second_moment_r_lambda(ctx, (1, 2, 3, 5))
     with pytest.raises(NotSelfDual):
         scan_bad_tuples(ctx, spec=ScanSpec(n_samples=8, seed=1))
+    with pytest.raises(NotSelfDual):
+        product_grid(ctx, (1, 2, 3, 5))
     assert "pair_table" not in vars(ctx)
-    # the full complex route still serves the same context
-    assert product_grid(ctx, (1, 2, 3, 5)).shape == (53, 53)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 101, 499, 997])
@@ -204,4 +208,5 @@ def test_scans_never_build_the_row_table():
                 lambda ctx: second_moment_r_lambda(ctx, (1, 2, 3, 5))):
         ctx = SumProductContext(table)
         run(ctx)
-        assert "pair_table" in vars(ctx) and "row_table" not in vars(ctx)
+        # the pair table is the only table a context caches
+        assert set(vars(ctx)) == {"table", "c", "twisted", "pair_table"}
