@@ -20,7 +20,6 @@ of its inputs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -213,8 +212,11 @@ class _Field:
         inv = np.zeros(Q, dtype=np.int64)
         inv[exp] = exp[(-np.arange(Q - 1)) % (Q - 1)]
         self.inv_table = inv
-        root = cmath.exp(2j * math.pi / q)
-        self.psi_vec = np.asarray(root, dtype=np.complex128) ** self.trace_vec
+        # psi(x) = e(Tr x / q) from the angle reduced to (-q/2, q/2]; powers
+        # of one root e(1/q) would lose digits linearly in the trace
+        t = np.arange(q)
+        t[t > q // 2] -= q
+        self.psi_vec = np.exp(2j * np.pi * t / q)[self.trace_vec]
 
     def _find_generator(self):
         L = self.size - 1

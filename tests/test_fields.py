@@ -106,6 +106,16 @@ def test_psi_complete_sum_vanishes():
     assert abs(sum(_psi(f, 1, x) for x in range(5))) < 1e-12
 
 
+@pytest.mark.parametrize("q, d", [(999983, 1), (3, 12)])
+def test_psi_complete_sum_vanishes_at_scale(q, d):
+    # the sum over F is exactly 0; with psi read off the reduced angle it
+    # stays within Q * eps, where powers of one root drift linearly
+    f = make_prime_field(q)
+    if d > 1:
+        f = build_extension(f, d)
+    assert abs(f.psi_vec.sum()) <= f.size * np.finfo(float).eps
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
 def test_psi_additivity_ext(lam, x, y):
