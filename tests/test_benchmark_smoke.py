@@ -19,7 +19,6 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     # the smoke run is untraced, so a traced function renamed or deleted in
     # klab would break only `run.py --trace`; install and uninstall here
     monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
-    import klab
     import klab.cli  # noqa: F401  (loads every klab module)
     import spans
 

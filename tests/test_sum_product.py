@@ -233,7 +233,7 @@ def test_complete_sum_c_multiplicativity():
 def test_complete_corr_conjugate_swap(ctx13):
     # the full grid against its columns taken in swapped order
     G = product_grid(ctx13, (1, 2, 3, 5))
-    H = product_grid(ctx13, (1, 2, 3, 5))[:, [5, 2]]
+    H = G[:, [5, 2]]
     v12 = (G[:, 2] * np.conj(G[:, 5])).sum()
     v21 = (H[:, 0] * np.conj(H[:, 1])).sum()
     assert abs(v12 - v21.conjugate()) < 1e-10
@@ -317,25 +317,17 @@ def test_noncorrelation_parity(ctx13, ctx13k3):
     assert abs(v) / math.sqrt(13) < 25
 
 
-def _check_noncorrelation_definition(q, d):
-    ctx = SumProductContext(_property_table(q, d, 3))
-    f = ctx.field
-    b = (1, 2, 3, 5)
-    Q = f.size
-    total = 0j
-    for r in range(Q):
-        for lam in range(Q):
-            total += big_r(ctx, r, lam, b) * big_r(ctx, r, f.neg(lam), b).conjugate()
-    assert abs(total / Q**2 - noncorrelation_moment(ctx, b)) < 1e-8
-
-
 def test_noncorrelation_matches_definition():
-    _check_noncorrelation_definition(11, 1)
-
-
-@pytest.mark.parametrize("qd", [(5, 2), (3, 3)])
-def test_noncorrelation_matches_definition_over_extensions(qd):
-    _check_noncorrelation_definition(*qd)
+    b = (1, 2, 3, 5)
+    for q, d in ((11, 1), (5, 2), (3, 3)):
+        ctx = SumProductContext(_property_table(q, d, 3))
+        f = ctx.field
+        Q = f.size
+        total = 0j
+        for r in range(Q):
+            for lam in range(Q):
+                total += big_r(ctx, r, lam, b) * big_r(ctx, r, f.neg(lam), b).conjugate()
+        assert abs(total / Q**2 - noncorrelation_moment(ctx, b)) < 1e-8, (q, d)
 
 
 def test_full_average_reduction_vs_naive():
@@ -379,26 +371,19 @@ def test_sigma_incomplete_empty(ctx13):
     assert sigma_incomplete(ctx13, (1, 2, 3, 5), 1, 0) == 0
 
 
-def _check_sigma_incomplete_loop_reorder(q, A, M):
-    ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
-    b = (1, 2, 3, 5)
-    got = sigma_incomplete(ctx, b, A, M)
-    tv = ctx.twisted
-    acc = 0j
-    for s in range(1, 2 * A * M + 1):
-        for r in range(q):
-            acc += (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
-                    * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
-    assert abs(got - acc) < 1e-8
-
-
 def test_sigma_incomplete_loop_reorder():
-    _check_sigma_incomplete_loop_reorder(101, 2, 5)
-
-
-def test_sigma_incomplete_loop_reorder_repeated_classes():
-    # 2AM > q: the s-range wraps, so residue classes repeat
-    _check_sigma_incomplete_loop_reorder(13, 3, 5)
+    b = (1, 2, 3, 5)
+    # at q = 13, 2AM > q: the s-range wraps, so residue classes repeat
+    for q, A, M in ((101, 2, 5), (13, 3, 5)):
+        ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
+        got = sigma_incomplete(ctx, b, A, M)
+        tv = ctx.twisted
+        acc = 0j
+        for s in range(1, 2 * A * M + 1):
+            for r in range(q):
+                acc += (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
+                        * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
+        assert abs(got - acc) < 1e-8, q
 
 
 def test_sigma_incomplete_diagonal_under_trivial_bound(ctx53):
@@ -417,34 +402,27 @@ def test_sigma_neq_empty(ctx13):
     assert sigma_neq(ctx13, (1, 2, 3, 5), 1) == 0
 
 
-def _check_sigma_neq_nested_loop_oracle(q, AM):
-    ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
-    b = (1, 2, 3, 5)
-    got = sigma_neq(ctx, b, AM)
-    tv = ctx.twisted
-    acc = 0j
-
-    def quad(s, r):
-        return (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
-                * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
-
-    for s1 in range(1, AM + 1):
-        for s2 in range(1, AM + 1):
-            if (s1 - s2) % q == 0:
-                continue
-            for r in range(q):
-                acc += quad(s1, r) * quad(s2, r).conjugate()
-    assert abs(got - acc) < 1e-8
-
-
 def test_sigma_neq_nested_loop_oracle():
-    _check_sigma_neq_nested_loop_oracle(53, 6)
+    b = (1, 2, 3, 5)
+    # at q = 13, AM > 2q: classes occur two and three times, and the pairs
+    # s1 = s2 mod q with s1 != s2 are excluded
+    for q, AM in ((53, 6), (13, 30)):
+        ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
+        got = sigma_neq(ctx, b, AM)
+        tv = ctx.twisted
+        acc = 0j
 
+        def quad(s, r):
+            return (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
+                    * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
 
-def test_sigma_neq_nested_loop_oracle_repeated_classes():
-    # AM > 2q: classes occur two and three times, and the pairs s1 = s2
-    # mod q with s1 != s2 are excluded
-    _check_sigma_neq_nested_loop_oracle(13, 30)
+        for s1 in range(1, AM + 1):
+            for s2 in range(1, AM + 1):
+                if (s1 - s2) % q == 0:
+                    continue
+                for r in range(q):
+                    acc += quad(s1, r) * quad(s2, r).conjugate()
+        assert abs(got - acc) < 1e-8, q
 
 
 def test_sigma_neq_swap_conjugation(ctx53):
