@@ -330,6 +330,14 @@ def cmd_report(args):
 
 # ------------------------------------------------------------------ parser
 
+def positive_int(text: str) -> int:
+    """The type of every size flag (and of its config key): an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="klab", description=__doc__)
     p.add_argument("--config", help="flat key-value config file with [sections]")
@@ -361,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=positive_int, default=2000)
     sp.add_argument("--threshold", type=float)
     sp.add_argument("--ratios", action="store_true",
                     help="normalized cancellation ratios instead of flags")
-    sp.add_argument("--replicates", type=int, default=1)
+    sp.add_argument("--replicates", type=positive_int, default=1)
     common(sp, seeded=True)
     sp.set_defaults(func=cmd_sumprod_scan)
 
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=positive_int, default=50)
     common(sp, seeded=True)
     sp.set_defaults(func=cmd_moments)
 
@@ -382,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=int, nargs="+", required=True)
-    sp.add_argument("--N", type=int, nargs="+", required=True)
+    sp.add_argument("--M", type=positive_int, nargs="+", required=True)
+    sp.add_argument("--N", type=positive_int, nargs="+", required=True)
     sp.add_argument("--offset", type=int, default=1)
     common(sp, seeded=True)
     sp.set_defaults(func=cmd_bilinear_sweep)
@@ -392,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--M", type=positive_int, required=True)
+    sp.add_argument("--N", type=positive_int, required=True)
     sp.add_argument("--offset", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_opnorm)
@@ -402,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--A", type=int, required=True)
-    sp.add_argument("--B", type=int, required=True)
+    sp.add_argument("--M", type=positive_int, required=True)
+    sp.add_argument("--N", type=positive_int, required=True)
+    sp.add_argument("--A", type=positive_int, required=True)
+    sp.add_argument("--B", type=positive_int, required=True)
     sp.add_argument("--offset", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=10)
+    sp.add_argument("--samples", type=positive_int, default=10)
     common(sp, seeded=True)
     sp.set_defaults(func=cmd_shift_check)
 
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sk)
 
     sp = sub.add_parser("progression", help="divisor-convolution discrepancies")
-    sp.add_argument("--x", type=int, required=True)
+    sp.add_argument("--x", type=positive_int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int)
     sp.add_argument("--nmax", type=int, default=0)

@@ -5,17 +5,19 @@ The coefficient table tau(1..n_max) is exact: the generating series is the
 8th power of F = sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, shifted by one.  F
 has about sqrt(2 n_max) terms, so F^2 (which is eta^6, with coefficients
 below 2^26 up to ``TAU_N_MAX``) is one ``np.bincount`` over the pairs of
-terms.  F^4 and F^8 are two squarings by float FFT on balanced 11-bit limbs:
-a limb is at most 2^10 in size, so each limb-degree part sum_{i+j=d} A_i A_j
-(at most three products of n terms) is below 3 n 2^20 < 2^42, which leaves
-2^11 of the 2^53 float mantissa for the FFT's rounding error.  Every inverse
-FFT is checked, not trusted: an entry 0.25 or more from its nearest integer,
-or beyond 2^50, raises ``ResourceLimit``.  The exact parts are reduced modulo
-four word-size primes (``TAU_PRIMES``) and joined with 2^{11 d}; F^4 is
-only ever held modulo each prime.  The product of the primes exceeds twice
-the Deligne bound d(n) n^{11/2} up to ``TAU_N_MAX``, so Chinese remaindering
-to the symmetric residue recovers tau(n) as an exact int, and Hecke
-relations and the mod-691 congruence can be asserted exactly.  The
+terms.  F^4 and F^8 are two squarings by float FFT on balanced 11-bit limbs.
+A limb is at most 2^10 in size and F^4 has at most 6 limbs up to
+``TAU_N_MAX`` (Deligne's bound for eta(2z)^12 in S_6(Gamma_0(4))), so each
+limb-degree part sum_{i+j=d} A_i A_j is a sum of at most 6 products of n
+terms, below 6 n 2^20 < 2^43, which leaves 2^10 of the 2^53 float mantissa
+for the FFT's rounding error.  Every inverse FFT is checked, not trusted: an
+entry 0.25 or more from its nearest integer, or beyond 2^50, raises
+``ResourceLimit``.  The exact parts of (F^2)^2 are carried in int64 into
+balanced 11-bit digits, which are the limbs of F^4 itself; the carry is
+drained until it is zero, so nothing relies on the count of 6.  The parts
+of F^8 are carried the same way, packed into int64 words as they arrive and
+joined as Python ints.  Nothing is reduced modulo a prime: tau(n) is exact,
+and Hecke relations and the mod-691 congruence can be asserted exactly.  The
 normalized eigenvalues are lambda(n) = tau(n) / n^{11/2}, bounded by the
 divisor function d_2(n).
 
@@ -33,6 +35,7 @@ delta converts to the progression-range exponent via eta = delta / (4 -
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,37 +55,6 @@ INF = math.inf
 # exact tau table
 # ----------------------------------------------------------------------
 
-# four primes below 2^31 whose product (about 2^124) exceeds 2 * 240 *
-# TAU_N_MAX^{11/2} >= 2 max |tau(n)| (Deligne, with d(n) <= 240 for n <= 10^6),
-# so the symmetric residue modulo the product is tau(n) itself
-TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-
-
-def _crt_symmetric(residues: np.ndarray, primes: tuple) -> list:
-    """The exact ints congruent to residues[i] mod primes[i] for each of the
-    four primes, taken in (-M/2, M/2] for M = prod(primes).
-
-    Garner's digits d_i < p_i (int64) give v = hi p0 p1 + lo with the two
-    int64 halves lo = d0 + p0 d1 < p0 p1 and hi = d2 + p2 d3 < p2 p3, both
-    below 2^62.  v > M // 2 exactly when (hi, lo) > divmod(M // 2, p0 p1) in
-    lexicographic order, and then v - M = (hi - p2 p3) p0 p1 + lo, so the
-    fold stays in int64 and only the last multiply-add is on Python ints.
-    """
-    digits = []
-    for i, p in enumerate(primes):
-        t = residues[i]
-        for j in range(i):
-            t = (t - digits[j]) % p * pow(primes[j], -1, p) % p
-        digits.append(t)
-    d0, d1, d2, d3 = digits
-    p0, p1, p2, p3 = primes
-    lo = d0 + p0 * d1
-    hi = d2 + p2 * d3
-    top_hi, top_lo = divmod(math.prod(primes) // 2, p0 * p1)
-    hi[(hi > top_hi) | ((hi == top_hi) & (lo > top_lo))] -= p2 * p3
-    return (hi.astype(object) * (p0 * p1) + lo).tolist()
-
-
 @dataclass(frozen=True)
 class CuspFormCoeffs:
     """Exact tau(1..n_max) plus the normalized real eigenvalues."""
@@ -94,6 +66,8 @@ class CuspFormCoeffs:
 
 # limb width of the FFT squarings; see the module docstring for its headroom
 _LIMB_BITS = 11
+# limbs per int64 word of tau: five balanced 11-bit limbs stay below 2^55
+_WORD_LIMBS = 5
 
 
 def _fft_len(m: int) -> int:
@@ -124,39 +98,62 @@ def _rint_exact(x: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _limb_square_parts(a: np.ndarray):
-    """Yield (d, P_d) with P_d = sum_{i+j=d} A_i A_j truncated to len(a), as
-    exact int64, for a = sum_i A_i 2^{w i} in balanced w-bit limbs A_i."""
-    n, w = len(a), _LIMB_BITS
+def _balanced_limbs(parts, n: int):
+    """Yield the balanced w-bit limbs D_j, -2^(w-1) <= D_j < 2^(w-1), of
+    sum_d P_d 2^{w d} for the int64 parts P_0, P_1, ... of length n, taken
+    in order and carried in int64 until the carry is zero."""
+    w = _LIMB_BITS
     half = 1 << (w - 1)
-    limbs = []
-    while a.any():
-        low = ((a + half) & ((1 << w) - 1)) - half
-        limbs.append(low)
-        a = (a - low) >> w
+    carry = np.zeros(n, dtype=np.int64)
+    for part in itertools.chain(parts, itertools.repeat(None)):
+        if part is None and not carry.any():
+            return
+        if part is not None:
+            carry += part
+        low = ((carry + half) & ((1 << w) - 1)) - half
+        carry -= low
+        carry >>= w
+        yield low
+
+
+def _limb_square_parts(limbs, n: int):
+    """Yield P_d = sum_{i+j=d} A_i A_j truncated to n, for d = 0, 1, ...,
+    as exact int64, for a = sum_i A_i 2^{w i} given by its balanced w-bit
+    limbs A_i (each one is dropped once transformed)."""
     size = _fft_len(2 * n - 1)
     spectra = [np.fft.rfft(limb, size) for limb in limbs]
-    del limbs
     m = len(spectra)
     for d in range(2 * m - 1):
-        acc = np.zeros_like(spectra[0])
-        for i in range(max(0, d - m + 1), min(d, m - 1) + 1):
+        lo = max(0, d - m + 1)
+        acc = spectra[lo] * spectra[d - lo]
+        for i in range(lo + 1, min(d, m - 1) + 1):
             acc += spectra[i] * spectra[d - i]
-        yield d, _rint_exact(np.fft.irfft(acc, size)[:n])
+        if lo + m - 1 == d:
+            spectra[lo] = None  # no later part uses it
+        acc = np.fft.irfft(acc, size)  # the spectrum goes before the rounding check
+        yield _rint_exact(acc[:n])
 
 
-def _square_mod(a: np.ndarray, primes: tuple) -> np.ndarray:
-    """The first len(a) coefficients of a^2 modulo each prime, one row per
-    prime: each exact limb-degree part is reduced and weighted by 2^{w d}."""
-    out = np.zeros((len(primes), len(a)), dtype=np.int64)
-    for d, part in _limb_square_parts(a):
-        for row, p in zip(out, primes):
-            row += part % p * pow(2, _LIMB_BITS * d, p) % p
-            row %= p
-    return out
+def _carry_join(parts, n: int) -> list:
+    """The exact ints sum_d P_d[i] 2^{w d}, i < n, for the int64 parts P_d
+    taken in order: their balanced limbs are packed, as they arrive, into
+    int64 words of ``_WORD_LIMBS`` limbs, and the words joined as ints."""
+    w = _LIMB_BITS
+    words = []
+    for j, limb in enumerate(_balanced_limbs(parts, n)):
+        if j % _WORD_LIMBS == 0:
+            words.append(np.zeros(n, dtype=np.int64))
+        words[-1] += limb << (w * (j % _WORD_LIMBS))
+    out = words.pop().astype(object) if words else np.zeros(n, dtype=object)
+    for word in reversed(words):
+        out <<= w * _WORD_LIMBS
+        out += word
+    return out.tolist()
 
 
 def tau_table(n_max: int) -> CuspFormCoeffs:
+    if n_max < 0:
+        raise OutOfRange(f"n_max = {n_max} is negative")
     if n_max > TAU_N_MAX:
         raise ResourceLimit(f"tau table capped at {TAU_N_MAX}")
     L = n_max
@@ -170,10 +167,10 @@ def tau_table(n_max: int) -> CuspFormCoeffs:
     F2 = np.bincount(s[keep], weights=np.multiply.outer(c, c)[keep],
                      minlength=L).astype(np.int64)
     del s, keep
-    F4 = _square_mod(F2, TAU_PRIMES)
-    for row, p in zip(F4, TAU_PRIMES):
-        row[:] = _square_mod(row, (p,))[0]
-    tau = [0] + _crt_symmetric(F4, TAU_PRIMES)
+    # the limbs of F^4 are the carried parts of (F^2)^2; F^8 is their square
+    F4 = _balanced_limbs(_limb_square_parts(_balanced_limbs([F2], L), L), L)
+    del F2
+    tau = [0] + _carry_join(_limb_square_parts(F4, L), L)
     lam = np.zeros(n_max + 1)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     lam[1:] = np.array(tau[1:], dtype=np.float64) / ns ** 5.5
@@ -263,15 +260,17 @@ class ProgressionReport:
     normalized: float    # E * q / x
 
 
-def _require_prime_modulus(q: int) -> None:
+def _require_progression(x: int, q: int) -> None:
     # the class sums below take every a = 1..q-1 as invertible and phi = q - 1
     if not is_prime(q):
         raise CompositeModulus(f"q = {q} is not prime")
+    if x < 1:
+        raise OutOfRange(f"x = {x} is below 1")
 
 
 def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> list:
     """ProgressionReports for every invertible class a mod a prime q."""
-    _require_prime_modulus(q)
+    _require_progression(x, q)
     vals = lambda_star_one_table(coeffs, x)[1:]
     res = np.arange(1, x + 1) % q
     raw = np.bincount(res, weights=vals, minlength=q)
@@ -296,7 +295,7 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
     """
     if reports is None:
         reports = discrepancy_all(coeffs, x, q)
-    _require_prime_modulus(q)
+    _require_progression(x, q)
     d = np.arange(1, x + 1, dtype=np.int64)
     top, lam = x // d, coeffs.lam[1:x + 1]
     budget = 1e-13 * float(np.abs(lam) @ (top + 1))

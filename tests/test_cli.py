@@ -57,6 +57,26 @@ def test_progression_rejects_composite_modulus(capsys):
     assert "not prime" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sumprod-scan", "--k", "2", "--q", "53", "--samples", "0", "--seed", "1"],
+    ["opnorm", "--k", "2", "--q", "53", "--M", "0", "--N", "3"],
+    ["opnorm", "--k", "2", "--q", "53", "--M", "3", "--N", "0"],
+    ["bilinear-sweep", "--k", "2", "--q", "53", "--M", "5", "--N", "0", "--seed", "1"],
+    ["shift-check", "--k", "2", "--q", "53", "--M", "3", "--N", "3", "--A", "0",
+     "--B", "1", "--seed", "1"],
+    ["shift-check", "--k", "2", "--q", "53", "--M", "0", "--N", "3", "--A", "1",
+     "--B", "1", "--seed", "1"],
+    ["progression", "--x", "0", "--q", "53"],
+    ["sumprod-scan", "--k", "2", "--q", "53", "--samples", "5", "--seed", "1",
+     "--ratios", "--replicates", "0"],
+])
+def test_size_flags_below_one_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kl_check_small(capsys):
     code, out = run(capsys, "kl-check", "--k", "2", "--q", "11")
     assert code == 0
@@ -265,6 +285,7 @@ def test_config_explicit_flag_wins_at_default_value(tmp_path, capsys):
 @pytest.mark.parametrize("section, argv", [
     ("[exponent-lp]\nkappa = abc\n", ["exponent-lp", "--delta", "0.03"]),
     ("[moments]\nsamples = 2.5\n", ["moments", "--k", "2", "--q", "13", "--seed", "1"]),
+    ("[moments]\nsamples = 0\n", ["moments", "--k", "2", "--q", "13", "--seed", "1"]),
 ])
 def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
     cfg = tmp_path / "klab.cfg"

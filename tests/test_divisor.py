@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import klab.divisor as dv
 from klab.cli import main
-from klab.divisor import (TAU_N_MAX, TAU_PRIMES, ExponentConfig,
-                          bound_exponents, combined_bounds, d2_table,
-                          delta_star_search, delta_to_eta, discrepancy_all,
+from klab.divisor import (TAU_N_MAX, ExponentConfig, bound_exponents,
+                          combined_bounds, d2_table, delta_star_search,
+                          delta_to_eta, discrepancy_all,
                           exponent_case_analysis, hecke_violations,
                           hyperbola_residual, ktilde, ktilde_all,
                           lambda_star_one_table, sigma11_mod, tau_table)
@@ -20,6 +20,10 @@ from klab.errors import (CompositeModulus, HypothesisViolated, OutOfRange,
 from klab.fields import is_prime, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
+
+# the modular oracle's own primes, as in benchmark/oracles.py: tau_table
+# reduces nothing modulo a prime, so the oracle shares no modulus with it
+TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
 
 @pytest.fixture(scope="module")
@@ -141,20 +145,61 @@ def test_tau_crt_modulus_covers_deligne_bound():
     assert math.prod(TAU_PRIMES) ** 2 > (2 * 240) ** 2 * TAU_N_MAX**11
 
 
-def test_crt_symmetric_folds_at_the_boundary():
-    M = math.prod(TAU_PRIMES)
-    h = (M - 1) // 2  # M is odd, so the symmetric range is [-h, h]
-    values = [h, -h, h + 1, 0, 1, -1]
-    residues = np.array([[v % p for v in values] for p in TAU_PRIMES], dtype=np.int64)
+def _python_sums(parts: list) -> list:
+    """sum_d P_d[i] 2^{11 d} for each column i, in Python ints."""
+    return [sum(int(p[i]) << (11 * d) for d, p in enumerate(parts))
+            for i in range(len(parts[0]))]
 
-    def oracle(res):
-        v = sum(r * (M // p) * pow(M // p, -1, p) for r, p in zip(res, TAU_PRIMES)) % M
-        return v - M if v > M // 2 else v
 
-    want = [oracle([int(x) for x in col]) for col in residues.T]
-    assert want == [h, -h, -h, 0, 1, -1]
-    got = dv._crt_symmetric(residues, TAU_PRIMES)
+def test_carry_join_at_word_edges():
+    # columns that sum to +-(2^55 - 1), +-2^55 and +-2^110, the edges of the
+    # 55-bit words, through limbs of -1 and carries that cross a word edge
+    columns = [
+        [2047] * 5,              # 2^55 - 1: every limb -1, every carry +1
+        [-2047] * 5,
+        [-1, 0, 0, 0, 0, 1],     # 2^55 - 1 from a negative low word
+        [1, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 2048],      # 2^55, carried into the second word
+        [0, 0, 0, 0, -2048],
+        [-2**43, 2**32, 0, 0, 2048],
+        [0] * 9 + [2048],        # 2^110, carried into the third word
+        [0] * 9 + [-2048],
+        [2047] * 10,             # 2^110 - 1, a chain of ten carries
+        [-2**43 + 1] * 11,
+        [2**43 - 1, -2**43 + 1] * 5 + [1],
+    ]
+    depth = max(map(len, columns))
+    parts = [np.array([c[d] if d < len(c) else 0 for c in columns], dtype=np.int64)
+             for d in range(depth)]
+    want = _python_sums(parts)
+    edges = [2**55 - 1, -(2**55 - 1), 2**55, -2**55, 2**110, -2**110]
+    assert set(edges) <= set(want)
+    got = dv._carry_join(parts, len(columns))
     assert got == want and all(type(x) is int for x in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carry_join_equals_python_ints(data):
+    n = data.draw(st.integers(1, 6))
+    part = st.lists(st.integers(-2**43 + 1, 2**43 - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(part, min_size=1, max_size=11))
+    parts = [np.array(row, dtype=np.int64) for row in rows]
+    want = _python_sums(parts)
+    limbs = list(dv._balanced_limbs(parts, n))
+    assert all(((-1024 <= limb) & (limb < 1024)).all() for limb in limbs)
+    assert (_python_sums(limbs) if limbs else [0] * n) == want
+    assert dv._carry_join(parts, n) == want
+
+
+def test_inputs_below_one_are_out_of_range(coeffs):
+    with pytest.raises(OutOfRange):
+        tau_table(-1)
+    for x in (0, -5):
+        with pytest.raises(OutOfRange):
+            discrepancy_all(coeffs, x, 53)
+        with pytest.raises(OutOfRange):
+            hyperbola_residual(coeffs, x, 53)
 
 
 def test_tau_small_values(coeffs):
