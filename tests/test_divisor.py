@@ -178,7 +178,7 @@ def test_carry_join_at_word_edges():
     assert got == want and all(type(x) is int for x in got)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_carry_join_equals_python_ints(data):
     n = data.draw(st.integers(1, 6))
