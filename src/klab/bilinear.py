@@ -303,7 +303,6 @@ class SweepSpec:
     ensembles: tuple = ("steinhaus", "rademacher", "ones")
     seed: int = 1
     offset: int = 1
-    measure_opnorm: bool = False
 
 
 def _draw_coeffs(ensemble: str, n: int, rng) -> np.ndarray:

@@ -178,26 +178,10 @@ def tau_table(n_max: int) -> CuspFormCoeffs:
     return CuspFormCoeffs(n_max=n_max, tau=tau, lam=lam)
 
 
-def d2_table(n_max: int) -> np.ndarray:
-    """Divisor counts d_2(1..n_max) by sieve."""
-    d = np.zeros(n_max + 1, dtype=np.int64)
-    for i in range(1, n_max + 1):
-        d[i::i] += 1
-    return d
-
-
-def sigma11_mod(n_max: int, modulus: int = 691) -> np.ndarray:
-    """sigma_11(n) mod `modulus` by sieve (congruence oracle for tau)."""
-    s = np.zeros(n_max + 1, dtype=np.int64)
-    for i in range(1, n_max + 1):
-        s[i::i] += pow(i, 11, modulus)
-    return s % modulus
-
-
-def hecke_violations(coeffs: CuspFormCoeffs, n_limit: int | None = None) -> int:
+def hecke_violations(coeffs: CuspFormCoeffs) -> int:
     """Count failures of tau(p^{j+1}) = tau(p) tau(p^j) - p^11 tau(p^{j-1})
     and of multiplicativity across coprime factorizations; 0 when exact."""
-    n_max = n_limit or coeffs.n_max
+    n_max = coeffs.n_max
     tau = coeffs.tau
     bad = 0
     spf = np.zeros(n_max + 1, dtype=np.int64)  # smallest prime factor

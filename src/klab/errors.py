@@ -76,7 +76,7 @@ class NoConvergence(KlabError):
 
 
 class OutOfRange(KlabError):
-    """An index exceeds the precomputed table range."""
+    """A parameter lies outside the range that a table or computation supports."""
 
 
 class UsageError(KlabError):

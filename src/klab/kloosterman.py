@@ -9,34 +9,35 @@ Two independent evaluation routes are provided and cross-checked:
   (Q-1) x (Q-1) gather and matvec: O(Q^{k-1} + Q^2) for all a, Q = q^d.
   Both take 1/p = p^{Q-2} by square-and-multiply through ``field.mul_vec``,
   so over F_q they touch no discrete-log table and no FFT.
-* ``kloosterman_table`` -- (k-1)-fold multiplicative convolution of the
-  additive character with itself over the unit group, realized as a cyclic
-  convolution of length q^d - 1 in discrete-log indexing (schoolbook below
-  length 5000, FFT above; the two convolution paths agree on overlap).
+* ``kloosterman_table`` -- one Gauss-sum power.  In discrete logs Kl_k is
+  the k-fold cyclic convolution of psi(g^j), and fft(psi(g^j)) is the vector
+  of Gauss sums G(chi) (Katz 1988), so one forward FFT, a k-th power and one
+  inverse FFT of length q^d - 1 give the table for every k and field.
 
 Normalization divides the raw sum by q^{d(k-1)/2}.  The ``intro`` convention
 carries no sign; the ``sheaf`` convention multiplies by (-1)^{k-1}.  The sign
 cancels in every |.|^2 and 4-fold product statistic downstream.  The value at
 a = 0 is 0 (extension by zero).
 
-Float budget: a table entry accumulates ~q^d unit-modulus terms per
-convolution level, so entries are good to ~N_terms * 1e-15 relative; the
-cross-checks in the tests run at 1e-8 * k and pass with orders of magnitude
-to spare.
+Float budget of the FFT pair: each normalized Gauss sum has relative error
+about eps * log2(Q) and its k-th power k times that; the inverse FFT spreads
+those errors over Q - 1 entries, so an entry is good to about
+k * eps * log2(Q) in rms and k * sqrt(Q) * eps * log2(Q) at worst.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, KlabError, ResourceLimit
+from .errors import IoError, KlabError, OutOfRange, ResourceLimit
 
-SCHOOLBOOK_MAX = 5000
 DEFAULT_NAIVE_CAP = 1 << 25
 # cells of the psi(a / p) block that naive_table gathers at a time
 NAIVE_GATHER_CELLS = 1 << 20
@@ -88,42 +89,33 @@ def _neg_perm(field) -> np.ndarray:
 
 
 def _mul_perm(field, c: int) -> np.ndarray:
-    """Permutation a -> c*a on encodings, for c != 0."""
-    Q = field.size
-    out = np.zeros(Q, dtype=np.int64)
-    L = Q - 1
-    lc = int(field.log_table[c])
-    logs = field.log_table[field.exp_table]
-    out[field.exp_table] = field.exp_table[(logs + lc) % L]
+    """Permutation a -> c*a on encodings, for c != 0: g^j -> g^(j + log c)."""
+    out = np.zeros(field.size, dtype=np.int64)
+    out[field.exp_table] = np.roll(field.exp_table, -int(field.log_table[c]))
     return out
 
 
-def _cyclic_convolve(u: np.ndarray, v: np.ndarray, method: str) -> np.ndarray:
-    L = len(u)
-    if method == "schoolbook":
-        return np.convolve(u, np.concatenate([v, v]))[L:2 * L]
-    if method == "fft":
-        return np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))
-    raise ValueError(f"unknown convolution method {method!r}")
+def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
+    """Kl_k(g^m) = sign * sqrt(Q) * ifft(u^k)[m], u = fft(psi(g^j)) / sqrt(Q);
+    |u| = 1 off the trivial character, where u = -1/sqrt(Q).
 
-
-def kloosterman_table(k: int, field, convention: str = INTRO,
-                      method: str = "auto") -> KloostermanTable:
-    """Build the full table by iterated multiplicative convolution."""
+    OutOfRange unless k * Q^((k+1)/2) is below the largest float: an
+    unnormalized sum is at most k * Q^((k-1)/2) in modulus (Deligne), and
+    ``complete_sum_residual`` adds Q of them, so beyond that the reported
+    quantities would not be finite floats.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     Q = field.size
-    L = Q - 1
-    if method == "auto":
-        method = "schoolbook" if L <= SCHOOLBOOK_MAX else "fft"
-    u1 = field.psi_vec[field.exp_table]  # psi at g^j, log indexing
-    cur = u1.copy()
-    for _ in range(k - 1):
-        cur = _cyclic_convolve(cur, u1, method)
+    if math.log(k) + (k + 1) / 2 * math.log(Q) >= math.log(sys.float_info.max):
+        raise OutOfRange(f"k = {k} too large for q^d = {Q}: "
+                         f"k * Q^((k+1)/2) exceeds the float range")
+    u = np.fft.fft(field.psi_vec[field.exp_table]) / math.sqrt(Q)
+    kl = np.fft.ifft(np.power(u, k, out=u))
+    del u
+    kl *= sign_factor(k, convention) * math.sqrt(Q)
     vals = np.zeros(Q, dtype=np.complex128)
-    vals[field.exp_table] = cur
-    vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
-    vals[0] = 0.0
+    vals[field.exp_table] = kl
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)
 
@@ -203,8 +195,9 @@ def conjugation_symmetry_check(table: KloostermanTable) -> float:
 
 def conjugation_budget(table: KloostermanTable) -> float:
     """The float budget of ``conjugation_symmetry_check``: entries of size
-    up to k each carry about q^d * 1e-15 of convolution noise, so genuine
-    tables stay within k * q^d * 1e-15."""
+    up to k each carry at most about q^d * 1e-15 of noise (the FFT pair's
+    worst case, sqrt(Q) * eps * log2(Q) per unit of size, is below it), so
+    genuine tables stay within k * q^d * 1e-15."""
     return table.k * table.field.size * 1e-15
 
 

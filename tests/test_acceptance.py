@@ -13,10 +13,10 @@ import pytest
 from klab.bilinear import (nontrivial_threshold, operator_norm,
                            operator_norm_dense, shift_identity_check,
                            typeI_saving_exponent, typeII_saving_exponent)
-from klab.divisor import (d2_table, delta_star_search, discrepancy_all,
+from klab.divisor import (delta_star_search, discrepancy_all,
                           exponent_case_analysis, ExponentConfig,
                           hecke_violations, hyperbola_residual, ktilde_all,
-                          sigma11_mod, tau_table)
+                          tau_table)
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (conjugation_symmetry_check, kloosterman_table,
                               naive_table)
@@ -26,6 +26,8 @@ from klab.sum_product import (SumProductContext, full_average_moment,
                               full_average_moment_naive, product_grid,
                               ratio_scan, second_moment_r_lambda,
                               second_moment_r_lambda_naive)
+
+from divisor_oracle import d2_table, sigma11_mod
 
 MASTER_SEED = 777
 

@@ -77,6 +77,27 @@ def test_size_flags_below_one_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kl-table", "--k", "400", "--q", "53"],
+    ["kl-table", "--k", "358", "--q", "53"],
+    ["kl-check", "--k", "400", "--q", "53"],
+    ["sumprod-scan", "--k", "400", "--q", "53", "--seed", "1", "--samples", "5"],
+    ["report", "--k", "400", "--seed", "1"],
+    ["moments", "--k", "400", "--q", "53", "--seed", "1"],
+    ["opnorm", "--k", "400", "--q", "53", "--M", "3", "--N", "3"],
+    ["bilinear-sweep", "--k", "400", "--q", "53", "--M", "3", "--N", "3",
+     "--seed", "1"],
+    ["shift-check", "--k", "400", "--q", "53", "--M", "3", "--N", "3", "--A", "1",
+     "--B", "1", "--seed", "1"],
+])
+def test_k_beyond_the_float_range_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "float range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_kl_check_small(capsys):
     code, out = run(capsys, "kl-check", "--k", "2", "--q", "11")
     assert code == 0

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 import klab.divisor as dv
 from klab.cli import main
 from klab.divisor import (TAU_N_MAX, ExponentConfig, bound_exponents,
-                          combined_bounds, d2_table, delta_star_search,
+                          combined_bounds, delta_star_search,
                           delta_to_eta, discrepancy_all,
                           exponent_case_analysis, hecke_violations,
                           hyperbola_residual, ktilde, ktilde_all,
-                          lambda_star_one_table, sigma11_mod, tau_table)
+                          lambda_star_one_table, tau_table)
 from klab.errors import (CompositeModulus, HypothesisViolated, OutOfRange,
                          ResourceLimit)
 from klab.fields import is_prime, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
+
+from divisor_oracle import d2_table, sigma11_mod
 
 # the modular oracle's own primes, as in benchmark/oracles.py: tau_table
 # reduces nothing modulo a prime, so the oracle shares no modulus with it

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klab.kloosterman as kl
-from klab.errors import IoError, ResourceLimit
+from klab.errors import IoError, OutOfRange, ResourceLimit
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import (INTRO, SHEAF, KloostermanTable, cache_path,
                               conjugation_symmetry_check, cross_check,
@@ -90,11 +91,70 @@ def test_sign_conventions():
         assert ts.complete_sum_residual() < 1e-9
 
 
+def _schoolbook_table(k, f):
+    """Kl_k as k - 1 schoolbook cyclic convolutions of psi(g^j), in logs."""
+    u1 = f.psi_vec[f.exp_table]
+    L = len(u1)
+    cur = u1.copy()
+    for _ in range(k - 1):
+        cur = np.convolve(cur, np.concatenate([u1, u1]))[L:2 * L]
+    vals = np.zeros(f.size, dtype=np.complex128)
+    vals[f.exp_table] = cur / f.size ** ((k - 1) / 2)
+    return vals
+
+
 def test_convolution_paths_agree_on_overlap():
     f = make_prime_field(101)
-    t1 = kloosterman_table(3, f, method="schoolbook")
-    t2 = kloosterman_table(3, f, method="fft")
-    assert np.abs(t1.values - t2.values).max() < 1e-10
+    t = kloosterman_table(3, f)
+    assert np.abs(t.values - _schoolbook_table(3, f)).max() < 1e-10
+
+
+def _gauss_certificates(f, k, psi_vec):
+    """(|G(1) + 1|, max ||G(chi)|^2 / Q - 1| over chi != 1, the relative
+    Parseval residual of Kl_k) for the table built from ``psi_vec``."""
+    Q = f.size
+    G = np.fft.fft(psi_vec[f.exp_table])
+    stand_in = SimpleNamespace(size=Q, exp_table=f.exp_table, psi_vec=psi_vec)
+    kl_k = kloosterman_table(k, stand_in).values
+    energy = np.vdot(kl_k, kl_k).real
+    want = (1 + (Q - 2) * float(Q) ** k) / ((Q - 1) * float(Q) ** (k - 1))
+    return (abs(G[0] + 1), np.abs(np.abs(G[1:]) ** 2 / Q - 1).max(),
+            abs(energy / want - 1))
+
+
+@pytest.mark.parametrize("qd", [(100003, 1), (3, 10)])
+def test_gauss_sum_certificates_beyond_the_naive_cap(qd):
+    # G(1) = -1 and |G(chi)|^2 = Q for chi != 1 check psi itself, and with
+    # them Parseval fixes sum_{a != 0} |Kl_k(a)|^2; none holds by algebra
+    # for a wrong psi, so one entry turned by pi/3 breaks all three
+    f = _small_field(*qd)
+    Q, eps = f.size, np.finfo(float).eps
+    budgets = (Q * eps, 64 * eps * math.log2(Q), 64 * eps * math.log2(Q))
+    bad_psi = f.psi_vec.copy()
+    bad_psi[1] *= cmath.exp(1j * math.pi / 3)
+    for k in (2, 3, 4):
+        clean = _gauss_certificates(f, k, f.psi_vec)
+        assert all(c < b for c, b in zip(clean, budgets)), clean
+        broken = _gauss_certificates(f, k, bad_psi)
+        assert all(c > 1000 * b for c, b in zip(broken, budgets)), broken
+
+
+def test_table_refuses_k_beyond_the_float_range():
+    # every k the bound admits builds with finite reported quantities
+    f = make_prime_field(53)
+    k = 2
+    while True:
+        try:
+            t = kloosterman_table(k, f)
+        except OutOfRange:
+            break
+        assert np.isfinite(t.values).all()
+        assert np.isfinite([t.deligne_margin(), t.complete_sum_residual(),
+                            conjugation_symmetry_check(t)]).all()
+        k += 1
+    assert k > 340
+    with pytest.raises(OutOfRange):
+        kloosterman_table(400, f)
 
 
 def test_pullback_identity_and_group_action(f7):
@@ -106,6 +166,17 @@ def test_pullback_identity_and_group_action(f7):
     inv3 = pow(3, 5, 7)
     assert np.array_equal(SumProductContext(t3, c=inv3).twisted, t.values)
     assert t3.values[1] == t.values[3]
+
+
+@pytest.mark.parametrize("qd", [(53, 1), (5, 2)])
+def test_twist_is_the_scalar_product(qd):
+    # twisted[a] = Kl(c * a), with c * a from the scalar field product
+    f = _small_field(*qd)
+    t = kloosterman_table(2, f)
+    for c in (1, 2, -1):
+        cq = c % f.size
+        want = t.values[[f.mul(cq, a) for a in range(f.size)]]
+        assert np.array_equal(SumProductContext(t, c=c).twisted, want)
 
 
 def test_pullback_zero_rejected(f7):
