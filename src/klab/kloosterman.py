@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass
 
@@ -107,12 +106,12 @@ def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTabl
     if k < 2:
         raise ValueError("k must be >= 2")
     Q = field.size
-    if math.log(k) + (k + 1) / 2 * math.log(Q) >= math.log(sys.float_info.max):
+    if math.log(k) + (k + 1) / 2 * math.log(Q) >= math.log(np.finfo(float).max):
         raise OutOfRange(f"k = {k} too large for q^d = {Q}: "
                          f"k * Q^((k+1)/2) exceeds the float range")
     u = np.fft.fft(field.psi_vec[field.exp_table]) / math.sqrt(Q)
     kl = np.fft.ifft(np.power(u, k, out=u))
-    del u
+    del u  # one complex array fewer at the scatter: 160 MB at the dlog cap
     kl *= sign_factor(k, convention) * math.sqrt(Q)
     vals = np.zeros(Q, dtype=np.complex128)
     vals[field.exp_table] = kl
