@@ -28,7 +28,7 @@ from .fields import build_extension, make_prime_field
 from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
                           kloosterman_table, load_table, save_table)
-from .reporting import envelope, write_csv, write_json
+from .reporting import csv_text, envelope, json_text, write_csv, write_json
 from .sum_product import (ScanSpec, SumProductContext, full_average_moment,
                           noncorrelation_moment, ratio_scan,
                           sample_generic_tuples, scan_bad_tuples,
@@ -84,18 +84,17 @@ def parse_config(path: str) -> dict:
 
 
 def _emit(args, payload: dict, csv_part=None) -> None:
+    """The CSV part under --format csv (refused without one), else JSON."""
+    if args.format == "csv" and csv_part is None:
+        raise UsageError(f"{args.command} has no CSV form here; drop --format csv")
     data = envelope(_config_echo(args), payload)
     if args.out:
-        if args.format == "csv" and csv_part is not None:
+        if args.format == "csv":
             write_csv(args.out, *csv_part)
         else:
             write_json(args.out, data)
     else:
-        from .reporting import csv_text, json_text
-        if args.format == "csv" and csv_part is not None:
-            sys.stdout.write(csv_text(*csv_part))
-        else:
-            sys.stdout.write(json_text(data))
+        sys.stdout.write(csv_text(*csv_part) if args.format == "csv" else json_text(data))
 
 
 def _config_echo(args) -> dict:
@@ -140,6 +139,10 @@ def cmd_kl_check(args):
 
 
 def cmd_sumprod_scan(args):
+    if args.ratios and "threshold" in args.given:
+        raise UsageError("--ratios measures fixed statistics; it takes no --threshold")
+    if not args.ratios and "replicates" in args.given:
+        raise UsageError("--replicates applies only with --ratios")
     ctx = _context(args.k, args.q, 1, args.c)
     if args.ratios:
         reports = ratio_scan(ctx, n_samples=args.samples, seed=args.seed,
@@ -157,21 +160,22 @@ def cmd_sumprod_scan(args):
                           spec=ScanSpec(n_samples=args.samples, seed=args.seed))
     header = ["q", "k", "c", "b1", "b2", "b3", "b4", "lambda_set",
               "statistic", "value", "normalized_ratio"]
+    lin, corr = res.ratio_r_linear, res.ratio_corr
+    ratio = np.column_stack([lin, corr]).ravel()  # per tuple: r_linear, then corr
+    value = ratio * np.tile([args.q, args.q**1.5], len(lin))
+    n = len(ratio)
     lam = "|".join(str(x) for x in res.spec.lambdas)
-    rows = []
-    for row in res.rows:
-        rows.append((args.q, args.k, args.c, *row.b, lam, "r_linear",
-                     row.ratio_r_linear * args.q, row.ratio_r_linear))
-        rows.append((args.q, args.k, args.c, *row.b, lam, "corr",
-                     row.ratio_corr * args.q**1.5, row.ratio_corr))
+    rows = zip([args.q] * n, [args.k] * n, [args.c] * n,
+               *np.repeat(res.tuples, 2, axis=0).T.tolist(), [lam] * n,
+               ["r_linear", "corr"] * len(lin), value.tolist(), ratio.tolist())
     payload = {
-        "seed": args.seed, "samples": len(res.rows),
+        "seed": args.seed, "samples": len(res.tuples),
         "exhaustive": res.exhaustive,
         "thresholds": res.thresholds,
         "flagged_fraction": res.flagged_fraction,
         "expected_fraction": res.expected_fraction,
-        "max_r_linear": max(r.ratio_r_linear for r in res.rows),
-        "max_corr": max(r.ratio_corr for r in res.rows),
+        "max_r_linear": float(lin.max()),
+        "max_corr": float(corr.max()),
     }
     _emit(args, payload, csv_part=(header, rows))
     return EXIT_OK

@@ -72,10 +72,11 @@ class KloostermanTable:
         return float(np.abs(self.values).max() - self.k)
 
     def complete_sum_residual(self) -> float:
-        """|sum_a (unnormalized sum) - (-1)^k|; the complete sum collapses."""
-        Q = self.field.size
-        unnorm = self.values * (Q ** ((self.k - 1) / 2) / sign_factor(self.k, self.convention))
-        return abs(unnorm.sum() - (-1) ** self.k)
+        """|sum_a Kl_k(a) - sign (-1)^k / Q^((k-1)/2)|, in table units: the
+        unnormalized complete sum collapses to (-1)^k."""
+        sign = sign_factor(self.k, self.convention) * (-1) ** self.k
+        return float(abs(self.values.sum() - sign / self.size ** ((self.k - 1) / 2)))
+
 
 def _neg_perm(field) -> np.ndarray:
     """Permutation a -> -a on encodings."""
@@ -98,10 +99,9 @@ def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTabl
     """Kl_k(g^m) = sign * sqrt(Q) * ifft(u^k)[m], u = fft(psi(g^j)) / sqrt(Q);
     |u| = 1 off the trivial character, where u = -1/sqrt(Q).
 
-    OutOfRange unless k * Q^((k+1)/2) is below the largest float: an
-    unnormalized sum is at most k * Q^((k-1)/2) in modulus (Deligne), and
-    ``complete_sum_residual`` adds Q of them, so beyond that the reported
-    quantities would not be finite floats.
+    OutOfRange unless k * Q^((k+1)/2) is below the largest float: then the
+    trivial character's u^k = (-1/sqrt(Q))^k does not underflow, and no
+    unnormalized sum, at most k * Q^((k-1)/2) in modulus (Deligne), overflows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -11,28 +11,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 
 from . import __version__
 from .errors import IoError
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
-    return str(v)
-
-
 def csv_text(header, rows) -> str:
+    """The header, then the rows; csv.writer writes a float as its repr
+    (nan, inf, -0.0 and 5e-324 included) and any other value as its str."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([_cell(v) for v in row])
+    w.writerows(rows)
     return buf.getvalue()
 
 

@@ -74,7 +74,6 @@ window shift as much as the even-k real table.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -165,13 +164,14 @@ class RatioReport:
     normalization_exponent: float
 
 
-def classify_tuple(b, k: int) -> str:
-    """'diagonal' or 'generic' per the even-multiplicity / equal-pair rule."""
-    b = tuple(b)
+def diagonal_mask(tuples, k: int) -> np.ndarray:
+    """Which rows of the (n, 4) ``tuples`` are diagonal: for even k every
+    value has even multiplicity (sorted s0 = s1 and s2 = s3), for odd k the
+    pairs agree as multisets (sorted (b1, b2) = sorted (b3, b4))."""
     if k % 2 == 0:
-        counts = Counter(b)
-        return "diagonal" if all(v % 2 == 0 for v in counts.values()) else "generic"
-    return "diagonal" if Counter(b[:2]) == Counter(b[2:]) else "generic"
+        s = np.sort(tuples, axis=1)
+        return (s[:, 0] == s[:, 1]) & (s[:, 2] == s[:, 3])
+    return (np.sort(tuples[:, :2], axis=1) == np.sort(tuples[:, 2:], axis=1)).all(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -542,12 +542,28 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    rows: list
+    """A scan as columns, one entry per tuple: ``tuples`` (int64 [n, 4]),
+    the ``diagonal`` mask, the two ratios and ``reason`` ('diagonal',
+    'r_linear', 'corr', or '' when the tuple is not flagged)."""
+
+    tuples: np.ndarray
+    diagonal: np.ndarray
+    ratio_r_linear: np.ndarray
+    ratio_corr: np.ndarray
+    reason: np.ndarray
     thresholds: dict
     flagged_fraction: float
     expected_fraction: float  # Schwarz-Zippel style deg/q yardstick
     spec: ScanSpec
     exhaustive: bool
+
+    @cached_property
+    def rows(self) -> list:
+        """The same scan as one ScanRow per tuple, built on first read."""
+        classes = np.where(self.diagonal, "diagonal", "generic").tolist()
+        return [ScanRow(tuple(b), c, lin, corr, bool(r), r) for b, c, lin, corr, r
+                in zip(self.tuples.tolist(), classes, self.ratio_r_linear.tolist(),
+                       self.ratio_corr.tolist(), self.reason.tolist())]
 
 
 def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
@@ -556,6 +572,7 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
     n = len(tuples)
     lin = np.empty(n)
     corr = np.empty(n)
+    il, jl = np.triu_indices(len(lambdas), k=1)
     for lo in range(0, n, SCAN_BATCH):
         tb = tuples[lo:lo + SCAN_BATCH]
         m = len(tb)
@@ -563,7 +580,6 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
         CM = np.einsum("bri,brj->bij", R, np.conj(R))
-        il, jl = np.triu_indices(len(lambdas), k=1)
         off = np.abs(CM[:, il, jl])
         corr[lo:lo + m] = (off.max(axis=1) if len(il) else 0.0) / Q**1.5
     return lin, corr
@@ -588,30 +604,17 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
         rng = np.random.default_rng(spec.seed)
         tuples = rng.integers(0, Q, size=(spec.n_samples, 4))
     lin, corr = _batched_tuple_stats(ctx, tuples, spec.lambdas)
-    classes = [classify_tuple(tuple(int(x) for x in t), ctx.k) for t in tuples]
+    diagonal = diagonal_mask(tuples, ctx.k)
     if thresholds is None:
-        nondiag = np.array([c == "generic" for c in classes])
         thresholds = {
-            "r_linear": 3.0 * float(np.median(lin[nondiag])),
-            "corr": 3.0 * float(np.median(corr[nondiag])) if len(spec.lambdas) > 1 else math.inf,
+            "r_linear": 3.0 * float(np.median(lin[~diagonal])),
+            "corr": 3.0 * float(np.median(corr[~diagonal])) if len(spec.lambdas) > 1 else math.inf,
         }
-    rows = []
-    flagged = 0
-    for i, t in enumerate(tuples):
-        reason = ""
-        if classes[i] == "diagonal":
-            reason = "diagonal"
-        elif lin[i] > thresholds["r_linear"]:
-            reason = "r_linear"
-        elif corr[i] > thresholds["corr"]:
-            reason = "corr"
-        if reason:
-            flagged += 1
-        rows.append(ScanRow(b=tuple(int(x) for x in t), classification=classes[i],
-                            ratio_r_linear=float(lin[i]), ratio_corr=float(corr[i]),
-                            flagged=bool(reason), reason=reason))
-    return ScanResult(rows=rows, thresholds=thresholds,
-                      flagged_fraction=flagged / len(tuples),
+    reason = np.select([diagonal, lin > thresholds["r_linear"], corr > thresholds["corr"]],
+                       ["diagonal", "r_linear", "corr"], default="")
+    return ScanResult(tuples=tuples, diagonal=diagonal, ratio_r_linear=lin,
+                      ratio_corr=corr, reason=reason, thresholds=thresholds,
+                      flagged_fraction=float(np.count_nonzero(reason) / len(tuples)),
                       expected_fraction=1.0 / Q, spec=spec, exhaustive=exhaustive)
 
 

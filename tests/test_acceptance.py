@@ -108,12 +108,11 @@ def test_criterion_2_kloosterman_correctness():
             t = kloosterman_table(k, f)
             worst_margin = max(worst_margin, t.deligne_margin())
             worst_conj = max(worst_conj, conjugation_symmetry_check(t))
-            worst_collapse = max(worst_collapse,
-                                 t.complete_sum_residual() / q ** ((k - 1) / 2))
+            worst_collapse = max(worst_collapse, t.complete_sum_residual())
     ok &= worst_margin <= 1e-9 and worst_conj <= 1e-9 and worst_collapse <= 1e-12
     details.append(f"deligne margin {worst_margin:.2e}")
     details.append(f"conjugation {worst_conj:.2e}")
-    details.append(f"collapse {worst_collapse:.2e} (tol 1e-12 scaled)")
+    details.append(f"collapse {worst_collapse:.2e} (tol 1e-12)")
     verdict(2, "kloosterman correctness", ok, "; ".join(details))
 
 

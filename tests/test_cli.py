@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -354,3 +355,60 @@ def test_progression_reports_hyperbola_residual(capsys):
     data = json.loads(out)
     assert "centering_residual_exact" not in data
     assert 0 <= data["hyperbola_residual"] <= data["hyperbola_budget"] < 1e-9
+
+
+@pytest.mark.parametrize("k, q", [(12, 53), (60, 101)])
+def test_kl_table_complete_sum_residual_in_table_units(capsys, k, q):
+    code, out = run(capsys, "kl-table", "--k", str(k), "--q", str(q))
+    assert code == 0
+    assert json.loads(out)["complete_sum_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("config, argv, option", [
+    (None, ["sumprod-scan", "--k", "2", "--q", "37", "--samples", "4", "--seed", "1",
+            "--ratios", "--threshold", "0.5"], "--threshold"),
+    (None, ["sumprod-scan", "--k", "2", "--q", "11", "--seed", "1",
+            "--replicates", "3"], "--replicates"),
+    ("[sumprod-scan]\nreplicates = 3\n",
+     ["sumprod-scan", "--k", "2", "--q", "11", "--seed", "1"], "--replicates"),
+    (None, ["sumprod-scan", "--k", "2", "--q", "37", "--samples", "4", "--seed", "1",
+            "--ratios", "--format", "csv"], "--format csv"),
+    (None, ["kl-check", "--k", "2", "--q", "11", "--format", "csv"], "--format csv"),
+    (None, ["sk", "--k", "2", "--q", "7", "--format", "csv"], "--format csv"),
+    (None, ["exponent-lp", "--search", "--format", "csv"], "--format csv"),
+], ids=["ratios-threshold", "replicates-flag", "replicates-config", "ratios-csv",
+        "kl-check-csv", "sk-csv", "exponent-lp-csv"])
+def test_ignored_options_exit_1(tmp_path, capsys, config, argv, option):
+    out = tmp_path / "artifact"
+    pre = []
+    if config is not None:
+        cfg = tmp_path / "klab.cfg"
+        cfg.write_text(config)
+        pre = ["--config", str(cfg)]
+    assert main([*pre, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and option in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_csv_text_writes_floats_as_repr():
+    from klab.reporting import csv_text
+    vals = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3]
+    assert csv_text(["v"], [[v] for v in vals]).splitlines()[1:] == [repr(v) for v in vals]
+
+
+def test_sumprod_scan_csv_matches_rows(tmp_path):
+    from klab.fields import make_prime_field
+    from klab.kloosterman import kloosterman_table
+    from klab.sum_product import ScanSpec, scan_bad_tuples
+    p = tmp_path / "scan.csv"
+    assert main(["sumprod-scan", "--k", "3", "--q", "53", "--samples", "64",
+                 "--seed", "1", "--format", "csv", "--out", str(p)]) == 0
+    ctx = SumProductContext(kloosterman_table(3, make_prime_field(53)), c=1)
+    res = scan_bad_tuples(ctx, spec=ScanSpec(n_samples=64, seed=1))
+    lines = ["q,k,c,b1,b2,b3,b4,lambda_set,statistic,value,normalized_ratio"]
+    for row in res.rows:
+        head = ",".join(str(x) for x in (53, 3, 1, *row.b, "0|1"))
+        lines.append(f"{head},r_linear,{row.ratio_r_linear * 53!r},{row.ratio_r_linear!r}")
+        lines.append(f"{head},corr,{row.ratio_corr * 53**1.5!r},{row.ratio_corr!r}")
+    assert p.read_text() == "\n".join(lines) + "\n"

@@ -6,7 +6,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "klab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src" / "klab").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "benchmark").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:

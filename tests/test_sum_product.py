@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,7 @@ from klab.errors import NoGenericTuple, NotDistinct, RangeTooLarge, WrongParity
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
-                              classify_tuple, full_average_moment,
+                              diagonal_mask, full_average_moment,
                               full_average_moment_naive, is_generic_tuple,
                               noncorrelation_moment, product_grid, ratio_scan,
                               sample_generic_tuples, scan_bad_tuples,
@@ -141,6 +142,16 @@ def test_c_twist_covariance():
 
 # ------------------------------------------------------------ classification
 
+def classify_tuple(b, k: int) -> str:
+    """Oracle of ``diagonal_mask``, one tuple at a time: 'diagonal' or
+    'generic' per the even-multiplicity / equal-pair rule."""
+    b = tuple(b)
+    if k % 2 == 0:
+        counts = Counter(b)
+        return "diagonal" if all(v % 2 == 0 for v in counts.values()) else "generic"
+    return "diagonal" if Counter(b[:2]) == Counter(b[2:]) else "generic"
+
+
 @pytest.mark.parametrize("b,k,expect", [
     ((1, 2, 2, 1), 2, "diagonal"),
     ((2, 5, 5, 2), 3, "diagonal"),
@@ -151,6 +162,7 @@ def test_c_twist_covariance():
 ])
 def test_classify_tuple(b, k, expect):
     assert classify_tuple(b, k) == expect
+    assert diagonal_mask(np.array([b]), k).tolist() == [expect == "diagonal"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,6 +172,15 @@ def test_classify_sp_is_permutation_invariant(b):
     base = classify_tuple(tuple(b), 2)
     for perm in itertools.permutations(b):
         assert classify_tuple(perm, 2) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5),
+       st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=16))
+def test_diagonal_mask_matches_oracle(k, tuples):
+    # coordinates from {0..3}, so that repeats, pairs and triples are common
+    assert diagonal_mask(np.array(tuples), k).tolist() == [
+        classify_tuple(b, k) == "diagonal" for b in tuples]
 
 
 # ---------------------------------------------------------------- genericity
@@ -452,6 +473,27 @@ def test_scan_sampled_deterministic():
     assert not r1.exhaustive
     assert [row.b for row in r1.rows] == [row.b for row in r2.rows]
     assert r1.thresholds == r2.thresholds
+
+
+def test_scan_rows_view():
+    # the columns are the result; the ScanRow list is built on first read,
+    # with the Python types that readers of ``rows`` rely on
+    ctx = SumProductContext(kloosterman_table(3, make_prime_field(11)))
+    res = scan_bad_tuples(ctx, spec=ScanSpec(lambdas=(0, 1)))
+    assert "rows" not in vars(res)
+    rows = res.rows
+    assert rows is res.rows and len(rows) == len(res.tuples) == 11**4
+    for i, row in enumerate(rows):
+        assert type(row.b) is tuple and all(type(x) is int for x in row.b)
+        assert row.b == tuple(res.tuples[i].tolist())
+        assert row.classification == ("diagonal" if res.diagonal[i] else "generic")
+        assert type(row.ratio_r_linear) is float and type(row.ratio_corr) is float
+        assert row.ratio_r_linear == res.ratio_r_linear[i]
+        assert row.ratio_corr == res.ratio_corr[i]
+        assert type(row.flagged) is bool and type(row.reason) is str
+        assert row.reason == res.reason[i] and row.flagged == (row.reason != "")
+    assert {r.reason for r in rows} == {"diagonal", "r_linear", "corr", ""}
+    assert res.flagged_fraction == sum(r.flagged for r in rows) / len(rows)
 
 
 def test_scan_flagged_fraction_small_q():
