@@ -25,6 +25,7 @@ from .errors import (ConstraintViolated, HypothesisViolated, NoConvergence,
                      RangeTooLarge)
 
 MATRIX_CAP = 1 << 23
+OPNORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class BilinearInstance:
     offset: int  # the n-interval is {offset, ..., offset + N - 1} in [1, q-1]
     alpha: np.ndarray
     beta: np.ndarray
-    c: int = 1
 
     def __post_init__(self):
         if len(self.alpha) != self.M or len(self.beta) != self.N:
@@ -68,10 +68,6 @@ class ParameterPlan:
     B: int
     constraints: dict  # {"2B<q": bool, "AB<=N": bool, "AM<q": bool}
 
-    @property
-    def ok(self):
-        return all(self.constraints.values())
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -92,7 +88,6 @@ class BoundReport:
     thm12: float  # nan when hypotheses fail
     gamma: float  # log_q(trivial / measured)
     flags: tuple = ()
-    plan: ParameterPlan | None = None
 
 
 def kloosterman_matrix(ctx, M: int, N: int, offset: int = 1) -> np.ndarray:
@@ -183,26 +178,10 @@ BRACKET_PIECES = {
 }
 
 
-def _bracket_exponent(kind: str, eM: float, eN: float) -> float:
-    return float(max(a * eM + b * eN + c for a, b, c in BRACKET_PIECES[kind]))
-
-
-def typeII_bracket_exponent(eM: float, eN: float) -> float:
-    """q-exponent of the dominant general-bracket term."""
-    return _bracket_exponent("general", eM, eN)
-
-
-def typeI_bracket_exponent(eM: float, eN: float) -> float:
-    """q-exponent of (M^2 N^5 / q^3)^{-1/12}."""
-    return _bracket_exponent("special", eM, eN)
-
-
-def typeII_saving_exponent(eM: float, eN: float) -> float:
-    return -typeII_bracket_exponent(eM, eN)
-
-
-def typeI_saving_exponent(eM: float, eN: float) -> float:
-    return -typeI_bracket_exponent(eM, eN)
+def saving_exponent(kind: str, eM: float, eN: float) -> float:
+    """The q-exponent the ``kind`` bracket saves over the trivial bound: minus
+    its dominant term's exponent."""
+    return -float(max(a * eM + b * eN + c for a, b, c in BRACKET_PIECES[kind]))
 
 
 def nontrivial_threshold(kind: str) -> float:
@@ -244,7 +223,7 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
         raise ConstraintViolated("averaging parameters out of range: "
                                  + "; ".join(failed), failed)
     inst = BilinearInstance(M=M, N=N, offset=offset, alpha=np.asarray(alpha),
-                            beta=np.ones(N, dtype=np.complex128), c=ctx.c)
+                            beta=np.ones(N, dtype=np.complex128))
     direct = bilinear_form(ctx, inst)
     tv = ctx.twisted
     acc = 0j
@@ -264,9 +243,10 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
 # extremal oracle
 # ----------------------------------------------------------------------
 
-def operator_norm(ctx, M: int, N: int, offset: int = 1, tol: float = 1e-10) -> float:
+def operator_norm(ctx, M: int, N: int, offset: int = 1) -> float:
     """Largest singular value of [Kl_k(c m n)] by power iteration on the Gram
-    matrix, deterministic all-ones start; NoConvergence after 10^4 steps."""
+    matrix, deterministic all-ones start, until sigma moves by less than
+    ``OPNORM_TOL`` relative to max(1, sigma); NoConvergence after 10^4 steps."""
     A = kloosterman_matrix(ctx, M, N, offset)
     v = np.ones(N, dtype=np.complex128)
     v /= np.linalg.norm(v)
@@ -281,7 +261,7 @@ def operator_norm(ctx, M: int, N: int, offset: int = 1, tol: float = 1e-10) -> f
         v = u / nu
         gap = abs(new_sigma - sigma)
         sigma = new_sigma
-        if gap < tol * max(1.0, sigma):
+        if gap < OPNORM_TOL * max(1.0, sigma):
             return sigma
     raise NoConvergence(f"power iteration stalled at sigma = {sigma} (gap {gap})",
                         last_value=sigma, gap=gap)
@@ -300,32 +280,29 @@ def operator_norm_dense(ctx, M: int, N: int, offset: int = 1) -> float:
 @dataclass(frozen=True)
 class SweepSpec:
     sizes: tuple  # iterable of (M, N)
-    ensembles: tuple = ("steinhaus", "rademacher", "ones")
     seed: int = 1
     offset: int = 1
 
 
-def _draw_coeffs(ensemble: str, n: int, rng) -> np.ndarray:
-    if ensemble == "steinhaus":
-        return np.exp(2j * math.pi * rng.random(n))
-    if ensemble == "rademacher":
-        return rng.choice((-1.0, 1.0), size=n).astype(np.complex128)
-    if ensemble == "ones":
-        return np.ones(n, dtype=np.complex128)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+# saving_sweep draws alpha, then beta, from each ensemble in this order
+ENSEMBLES = {
+    "steinhaus": lambda n, rng: np.exp(2j * math.pi * rng.random(n)),
+    "rademacher": lambda n, rng: rng.choice((-1.0, 1.0), size=n).astype(np.complex128),
+    "ones": lambda n, rng: np.ones(n, dtype=np.complex128),
+}
 
 
 def saving_sweep(ctx, spec: SweepSpec) -> list:
-    """BoundReport rows over the named coefficient ensembles."""
+    """BoundReport rows over the ``ENSEMBLES``."""
     q = ctx.field.q
     out = []
     rng = np.random.default_rng(spec.seed)
     for M, N in spec.sizes:
-        for ens in spec.ensembles:
-            alpha = _draw_coeffs(ens, M, rng)
-            beta = _draw_coeffs(ens, N, rng)
+        for ens, draw in ENSEMBLES.items():
+            alpha = draw(M, rng)
+            beta = draw(N, rng)
             inst = BilinearInstance(M=M, N=N, offset=spec.offset,
-                                    alpha=alpha, beta=beta, c=ctx.c)
+                                    alpha=alpha, beta=beta)
             measured = abs(bilinear_form(ctx, inst))
             triv = trivial_bound(inst)
             flags = []
@@ -346,5 +323,5 @@ def saving_sweep(ctx, spec: SweepSpec) -> list:
                 q=q, k=ctx.k, c=ctx.c, M=M, N=N, offset=spec.offset,
                 ensemble=ens, seed=spec.seed, measured=measured, trivial=triv,
                 pv=pv_bound(inst, q), thm11=t11, thm12=t12, gamma=gamma,
-                flags=tuple(flags), plan=plan_parameters_typeII(M, N, q)))
+                flags=tuple(flags)))
     return out

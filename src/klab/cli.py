@@ -29,8 +29,8 @@ from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
                           kloosterman_table, load_table, save_table)
 from .reporting import csv_text, envelope, json_text, write_csv, write_json
-from .sum_product import (ScanSpec, SumProductContext, full_average_moment,
-                          noncorrelation_moment, ratio_scan,
+from .sum_product import (FULL_SCAN_MAX_Q, ScanSpec, SumProductContext,
+                          full_average_moment, noncorrelation_moment, ratio_scan,
                           sample_generic_tuples, scan_bad_tuples,
                           second_moment_r_lambda)
 
@@ -44,19 +44,19 @@ def _field(q: int, d: int):
     return base if d == 1 else build_extension(base, d)
 
 
-def _context(k: int, q: int, d: int, c: int, convention: str = INTRO):
+def _context(k: int, q: int, d: int, c: int):
     f = _field(q, d)
     cache_dir = os.environ.get("KLAB_CACHE_DIR")
     table = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        path = cache_path(cache_dir, k, f, convention)
+        path = cache_path(cache_dir, k, f, INTRO)
         if os.path.exists(path):
-            table = load_table(path, field=f, k=k, convention=convention)
+            table = load_table(path, field=f, k=k, convention=INTRO)
     if table is None:
-        table = kloosterman_table(k, f, convention)
+        table = kloosterman_table(k, f)
         if cache_dir:
-            save_table(table, cache_path(cache_dir, k, f, convention))
+            save_table(table, path)
     return SumProductContext(table, c=c)
 
 
@@ -95,6 +95,13 @@ def _emit(args, payload: dict, csv_part=None) -> None:
             write_json(args.out, data)
     else:
         sys.stdout.write(csv_text(*csv_part) if args.format == "csv" else json_text(data))
+
+
+def _refuse(args, reason: str, *dests) -> None:
+    """UsageError naming each of ``dests`` set by a flag or by the config."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests if dest in args.given]
+    if given:
+        raise UsageError(f"{reason}; it takes no " + ", ".join(given))
 
 
 def _config_echo(args) -> dict:
@@ -139,10 +146,12 @@ def cmd_kl_check(args):
 
 
 def cmd_sumprod_scan(args):
-    if args.ratios and "threshold" in args.given:
-        raise UsageError("--ratios measures fixed statistics; it takes no --threshold")
-    if not args.ratios and "replicates" in args.given:
-        raise UsageError("--replicates applies only with --ratios")
+    if args.ratios:
+        _refuse(args, "--ratios measures fixed statistics", "threshold")
+    else:
+        _refuse(args, "without --ratios the scan runs once", "replicates")
+        if args.q <= FULL_SCAN_MAX_Q:
+            _refuse(args, f"a scan at q <= {FULL_SCAN_MAX_Q} takes every tuple", "samples")
     ctx = _context(args.k, args.q, 1, args.c)
     if args.ratios:
         reports = ratio_scan(ctx, n_samples=args.samples, seed=args.seed,
@@ -260,10 +269,12 @@ def cmd_shift_check(args):
 
 def cmd_sk(args):
     if args.scan_smallest:
+        _refuse(args, "--scan-smallest tries every q up to --q-limit", "q", "d")
         qs = {k: rs.smallest_conforming_q(k, q_limit=args.q_limit)
               for k in range(2, args.k + 1)}
         _emit(args, {"smallest_conforming_q": {str(k): v for k, v in qs.items()}})
         return EXIT_OK
+    _refuse(args, "without --scan-smallest sk computes one q", "q_limit")
     if args.q is None:
         raise UsageError("sk requires --q (or --scan-smallest)")
     host = rs.host_field(args.k, args.q, args.d)
@@ -272,7 +283,7 @@ def cmd_sk(args):
 
 
 def cmd_progression(args):
-    coeffs = dv.tau_table(max(args.x, args.nmax))
+    coeffs = dv.tau_table(args.x)
     reports = dv.discrepancy_all(coeffs, args.x, args.q)
     residual, budget = dv.hyperbola_residual(coeffs, args.x, args.q, reports)
     if args.a is not None:
@@ -292,13 +303,11 @@ def cmd_progression(args):
 
 def cmd_exponent_lp(args):
     if args.search:
-        ignored = sorted({"delta", "eta", "kappa"} & args.given)
-        if ignored:
-            raise UsageError("--search computes delta* at --search-kappa; it takes no "
-                             + ", ".join(f"--{dest}" for dest in ignored))
+        _refuse(args, "--search computes delta* at --search-kappa", "delta", "eta", "kappa")
         res = dv.delta_star_search(kappa=args.search_kappa, slack=args.slack)
         _emit(args, res)
         return EXIT_OK
+    _refuse(args, "the case analysis runs at --kappa", "search_kappa")
     cfg = dv.ExponentConfig(delta=args.delta, eta=args.eta, kappa=args.kappa,
                             slack=args.slack)
     v = dv.exponent_case_analysis(cfg)
@@ -436,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=positive_int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int)
-    sp.add_argument("--nmax", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_progression)
 

@@ -321,27 +321,21 @@ def ktilde_all(K: np.ndarray, ctx3) -> np.ndarray:
 # bound calculators
 # ----------------------------------------------------------------------
 
-def combined_bounds(M: float, N: float, q: int, Q: float = 1.0, C1: float = 1.0,
-                    alpha_l2: float | None = None, beta_l2: float | None = None,
-                    strict: bool = False) -> dict:
+def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
     """The four bracket values used in the progression estimate.
 
-    Returns {"pv", "linear", "general_pv", "special", "special_failed"};
-    Q^{C1} multiplies the smooth-weight bounds, constants 1, q^eps dropped.
-    The general bracket takes the coefficient norms (default: unit-modulus
-    coefficients, so sqrt(M) and sqrt(N)).  The special bracket validates its
-    range hypotheses: violations are reported in "special_failed" (with the
-    bracket set to nan), or raised when ``strict``.
+    Returns {"pv", "linear", "general_pv", "special", "special_failed"},
+    constants 1, q^eps dropped.  The general bracket takes unit-modulus
+    coefficients, whose norms are sqrt(M) and sqrt(N).  The special bracket
+    validates its range hypotheses: violations are reported in
+    "special_failed" (with the bracket set to nan), or raised when ``strict``.
     """
     if M <= 0 or N <= 0:
         raise ValueError("ranges must be positive")
-    qc = Q ** C1
-    a2 = math.sqrt(M) if alpha_l2 is None else alpha_l2
-    b2 = math.sqrt(N) if beta_l2 is None else beta_l2
     out = {
-        "pv": qc * M * N * (1 / q + math.sqrt(q) / N),
-        "linear": qc * M * (q ** -0.125 + q ** 0.375 / math.sqrt(M)),
-        "general_pv": a2 * b2 * math.sqrt(M * N)
+        "pv": M * N * (1 / q + math.sqrt(q) / N),
+        "linear": M * (q ** -0.125 + q ** 0.375 / math.sqrt(M)),
+        "general_pv": math.sqrt(M) * math.sqrt(N) * math.sqrt(M * N)
         * (M ** -0.5 + q ** 0.25 / math.sqrt(N)),
     }
     failed = []
@@ -355,7 +349,7 @@ def combined_bounds(M: float, N: float, q: int, Q: float = 1.0, C1: float = 1.0,
         raise HypothesisViolated("smooth special bound out of range: "
                                  + "; ".join(failed), failed)
     out["special"] = (math.nan if failed else
-                      qc * M * N * q ** 0.25 / (M ** (1 / 6) * N ** (5 / 12)))
+                      M * N * q ** 0.25 / (M ** (1 / 6) * N ** (5 / 12)))
     out["special_failed"] = failed
     return out
 
@@ -377,7 +371,7 @@ _BREAKS = [(1, -2, 0)] + [(a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2,
                           in combinations(_PIECES, 2) if (a1, b1) != (a2, b2)]
 
 
-def bound_exponents(mu_p, nu_p, delta=0.0) -> tuple:
+def bound_exponents(mu_p, nu_p) -> tuple:
     """The five tau-exponent bounds at (mu', nu'), exact for Fraction
     arguments; inapplicable -> inf."""
     f = [mu_p + nu_p + max(a * mu_p + b * nu_p + c for a, b, c in pieces)

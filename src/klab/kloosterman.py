@@ -149,25 +149,23 @@ def _unit_inverses(field) -> np.ndarray:
     return inv
 
 
-def kloosterman_naive(k: int, a: int, field, cap: int = DEFAULT_NAIVE_CAP,
-                      convention: str = INTRO) -> complex:
-    """Direct brute-force sum over x_1 ... x_{k-1}, with x_k = a / prod."""
+def kloosterman_naive(k: int, a: int, field) -> complex:
+    """Direct brute-force sum over x_1 ... x_{k-1}, x_k = a / prod (``intro``)."""
     if a % field.size == 0:
         return 0.0 + 0.0j
-    sums, prods = _tuple_mesh(field, k, cap)
+    sums, prods = _tuple_mesh(field, k, DEFAULT_NAIVE_CAP)
     last = field.mul_vec(a, _unit_inverses(field)[prods])
     total = field.psi_vec[field.add_vec(sums, last)].sum()
-    return complex(total * sign_factor(k, convention) / field.size ** ((k - 1) / 2))
+    return complex(total / field.size ** ((k - 1) / 2))
 
 
-def naive_table(k: int, field, cap: int = DEFAULT_NAIVE_CAP,
-                convention: str = INTRO) -> KloostermanTable:
+def naive_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
     """Brute-force table: the tuple mesh binned by product (tests/oracles).
 
     h(p) sums psi(x_1 + ... + x_{k-1}) over the tuples with product p, and
     Kl(a) = sum_p h(p) psi(a / p) is one gather of psi_vec and one matvec.
     """
-    sums, prods = _tuple_mesh(field, k, cap)
+    sums, prods = _tuple_mesh(field, k, DEFAULT_NAIVE_CAP)
     Q = field.size
     h = (np.bincount(prods, weights=field.psi_vec.real[sums], minlength=Q)
          + 1j * np.bincount(prods, weights=field.psi_vec.imag[sums], minlength=Q))
@@ -200,9 +198,9 @@ def conjugation_budget(table: KloostermanTable) -> float:
     return table.k * table.field.size * 1e-15
 
 
-def cross_check(table: KloostermanTable, cap: int = DEFAULT_NAIVE_CAP) -> float:
+def cross_check(table: KloostermanTable) -> float:
     """max |table - naive| over all a, the naive table in the same convention."""
-    naive = naive_table(table.k, table.field, cap=cap, convention=table.convention)
+    naive = naive_table(table.k, table.field, convention=table.convention)
     return float(np.abs(table.values - naive.values).max())
 
 

@@ -14,7 +14,6 @@ and its multiplicative stabilizer {mu : mu*S = S} is trivial for k even and
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,37 +93,25 @@ def multiplicity_one_element(sk: SkMultiset):
     return ones[0] if ones else None
 
 
-def stabilizer_group(sk: SkMultiset, brute_force: bool = False) -> list:
+def stabilizer_group(sk: SkMultiset) -> list:
     """All mu with mu * S = S as multisets, ascending by encoding.
 
     In discrete logs mu * S is S shifted by log mu, and mu * S = S forces
     log mu = log s - log s0 for a fixed entry s0, so only |S| candidate
-    shifts need checking, all at once.  ``brute_force`` instead multiplies
-    every unit of the field into S by scalar field arithmetic (small fields;
-    the oracle for the table route).
+    shifts need checking, all at once.
     """
     f = sk.field
     L = f.size - 1
-    if brute_force:
-        out = []
-        for mu in range(1, f.size):
-            moved = Counter()
-            for s, m in sk.entries.items():
-                moved[f.mul(mu, s)] += m
-            if moved == sk.entries:
-                out.append(mu)
-    else:
-        logs = f.log_table[np.array(list(sk.entries), dtype=np.int64)]
-        mult = np.array(list(sk.entries.values()))
-        order = np.argsort(logs)
-        logs, mult = logs[order], mult[order]
-        shifts = (logs - logs[0]) % L
-        moved = (logs[None, :] + shifts[:, None]) % L
-        idx = np.argsort(moved, axis=1)
-        ok = ((np.take_along_axis(moved, idx, axis=1) == logs).all(axis=1)
-              & (mult[idx] == mult).all(axis=1))
-        out = f.exp_table[shifts[ok]].tolist()
-    out = sorted(out)
+    logs = f.log_table[np.array(list(sk.entries), dtype=np.int64)]
+    mult = np.array(list(sk.entries.values()))
+    order = np.argsort(logs)
+    logs, mult = logs[order], mult[order]
+    shifts = (logs - logs[0]) % L
+    moved = (logs[None, :] + shifts[:, None]) % L
+    idx = np.argsort(moved, axis=1)
+    ok = ((np.take_along_axis(moved, idx, axis=1) == logs).all(axis=1)
+          & (mult[idx] == mult).all(axis=1))
+    out = sorted(f.exp_table[shifts[ok]].tolist())
     # a stabilizer is a group: its logs are closed under sum and negation
     lg = set(f.log_table[np.array(out, dtype=np.int64)].tolist())
     assert all((-a) % L in lg and all((a + b) % L in lg for b in lg) for a in lg)

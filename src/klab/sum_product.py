@@ -190,20 +190,6 @@ def zero_sum_patterns(field, k: int):
     return out
 
 
-def is_generic_tuple(b, k: int, field) -> bool:
-    """Pairwise distinct and off every zero-sum-pattern hyperplane."""
-    b = tuple(b)
-    if len(set(b)) < 4:
-        return False
-    for z2, z3, z4 in zero_sum_patterns(field, k):
-        v = field.add(b[0], field.mul(z2, b[1]))
-        v = field.sub(v, field.mul(z3, b[2]))
-        v = field.sub(v, field.mul(z4, b[3]))
-        if v == 0:
-            return False
-    return True
-
-
 def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
     """Whether any tuple is generic for the zero-sum patterns ``pats``.
 

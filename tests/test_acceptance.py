@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from klab.bilinear import (nontrivial_threshold, operator_norm,
-                           operator_norm_dense, shift_identity_check,
-                           typeI_saving_exponent, typeII_saving_exponent)
+                           operator_norm_dense, saving_exponent,
+                           shift_identity_check)
 from klab.divisor import (delta_star_search, discrepancy_all,
                           exponent_case_analysis, ExponentConfig,
                           hecke_violations, hyperbola_residual, ktilde_all,
@@ -212,8 +212,8 @@ def test_criterion_5_sk_suite():
 def test_criterion_6_bound_brackets():
     q = 2003
     e = math.log(math.isqrt(q) + 1, q)  # M = N = ceil(sqrt(q))
-    s2 = typeII_saving_exponent(e, e)
-    s1 = typeI_saving_exponent(e, e)
+    s2 = saving_exponent("general", e, e)
+    s1 = saving_exponent("special", e, e)
     cross2 = nontrivial_threshold("general")
     cross1 = nontrivial_threshold("special")
     ok = (abs(s2 - 1 / 64) <= 0.01 and abs(s1 - 1 / 24) <= 0.01
@@ -230,7 +230,7 @@ def test_criterion_6_bound_brackets():
 def test_criterion_7_extremal_envelope():
     ctx = SumProductContext(kloosterman_table(2, make_prime_field(499)))
     M = N = 22
-    sigma = operator_norm(ctx, M, N, offset=1, tol=1e-10)
+    sigma = operator_norm(ctx, M, N, offset=1)
     dense = operator_norm_dense(ctx, M, N, offset=1)
     rel = abs(sigma - dense) / dense
     envelope_ok = sigma * math.sqrt(M * N) <= ctx.k * M * N + 1e-9

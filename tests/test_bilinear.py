@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from klab.bilinear import (BilinearInstance, SweepSpec, bilinear_form,
                            kloosterman_matrix, nontrivial_threshold,
                            operator_norm, operator_norm_dense, pv_bound,
-                           plan_parameters_typeII,
+                           plan_parameters_typeII, saving_exponent,
                            saving_sweep, shift_identity_check,
-                           thm_typeI_bound, thm_typeII_bound, trivial_bound,
-                           typeI_saving_exponent, typeII_bracket_exponent,
-                           typeII_saving_exponent)
+                           thm_typeI_bound, thm_typeII_bound, trivial_bound)
 from klab.errors import ConstraintViolated, HypothesisViolated
 from klab.fields import make_prime_field
 from klab.kloosterman import kloosterman_table
@@ -99,8 +97,8 @@ def test_typeI_hypothesis_violation():
 
 
 def test_saving_exponents_at_sqrt_q():
-    assert abs(typeII_saving_exponent(0.5, 0.5) - 1 / 64) < 1e-12
-    assert abs(typeI_saving_exponent(0.5, 0.5) - 1 / 24) < 1e-12
+    assert abs(saving_exponent("general", 0.5, 0.5) - 1 / 64) < 1e-12
+    assert abs(saving_exponent("special", 0.5, 0.5) - 1 / 24) < 1e-12
 
 
 def test_nontrivial_thresholds():
@@ -118,7 +116,8 @@ def test_nontrivial_thresholds_exact():
 @given(st.floats(0.3, 0.62), st.floats(0.3, 0.62), st.floats(0.001, 0.05))
 def test_typeII_bracket_monotone_in_N(eM, eN, step):
     # larger N (fixed M, q) never increases the bracket exponent
-    assert typeII_bracket_exponent(eM, eN + step) <= typeII_bracket_exponent(eM, eN) + 1e-12
+    assert (saving_exponent("general", eM, eN + step)
+            >= saving_exponent("general", eM, eN) - 1e-12)
 
 
 def test_plan_typeII_rounding():

@@ -252,8 +252,8 @@ def test_truncated_cache_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_sumprod_scan_flag_route(tmp_path, capsys):
     p = str(tmp_path / "scan.csv")
-    code = main(["sumprod-scan", "--k", "2", "--q", "19", "--samples", "50",
-                 "--seed", "3", "--format", "csv", "--out", p])
+    code = main(["sumprod-scan", "--k", "2", "--q", "19", "--seed", "3",
+                 "--format", "csv", "--out", p])
     assert code == 0
     lines = open(p).read().splitlines()
     assert lines[0].startswith("q,k,c,b1,b2,b3,b4,lambda_set,statistic")
@@ -376,8 +376,21 @@ def test_kl_table_complete_sum_residual_in_table_units(capsys, k, q):
     (None, ["kl-check", "--k", "2", "--q", "11", "--format", "csv"], "--format csv"),
     (None, ["sk", "--k", "2", "--q", "7", "--format", "csv"], "--format csv"),
     (None, ["exponent-lp", "--search", "--format", "csv"], "--format csv"),
+    (None, ["sumprod-scan", "--k", "2", "--q", "11", "--samples", "50", "--seed", "1"],
+     "--samples"),
+    ("[sumprod-scan]\nsamples = 50\n",
+     ["sumprod-scan", "--k", "2", "--q", "11", "--seed", "1"], "--samples"),
+    (None, ["sk", "--k", "2", "--q", "7", "--q-limit", "60"], "--q-limit"),
+    (None, ["sk", "--k", "3", "--scan-smallest", "--q", "7"], "--q"),
+    (None, ["sk", "--k", "3", "--scan-smallest", "--d", "2"], "--d"),
+    ("[sk]\nq-limit = 60\n", ["sk", "--k", "2", "--q", "7"], "--q-limit"),
+    (None, ["exponent-lp", "--delta", "0.03", "--search-kappa", "0.01"],
+     "--search-kappa"),
+    ("[progression]\nnmax = 5\n", ["progression", "--x", "100", "--q", "7"], "nmax"),
 ], ids=["ratios-threshold", "replicates-flag", "replicates-config", "ratios-csv",
-        "kl-check-csv", "sk-csv", "exponent-lp-csv"])
+        "kl-check-csv", "sk-csv", "exponent-lp-csv", "exhaustive-samples-flag",
+        "exhaustive-samples-config", "sk-q-limit", "sk-scan-q", "sk-scan-d",
+        "sk-q-limit-config", "exponent-lp-search-kappa", "progression-nmax-config"])
 def test_ignored_options_exit_1(tmp_path, capsys, config, argv, option):
     out = tmp_path / "artifact"
     pre = []

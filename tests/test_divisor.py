@@ -379,7 +379,7 @@ def test_combined_bounds_hypothesis_violation():
 # ------------------------------------------------------------- exponent LP
 
 def test_bound_exponents_spec_point():
-    vals = bound_exponents(0.75, 0.75, 0.0)
+    vals = bound_exponents(0.75, 0.75)
     assert abs(vals[4] - 1.3125) < 1e-12  # 1.5 + 0.25 - 0.125 - 0.3125
 
 
@@ -403,7 +403,7 @@ def test_bound_exponents_replacements_hold(mu_p, nu_p):
     delta = 0.05
     if not 1 <= mu_p + nu_p <= 1 + delta:
         return
-    f1, f2, *_ = bound_exponents(mu_p, nu_p, delta)
+    f1, f2, *_ = bound_exponents(mu_p, nu_p)
     assert abs(f1 - (mu_p + 0.5)) < 1e-12  # nu' <= 3/2 on the band
     f2bis = (mu_p + nu_p) / 2 + nu_p / 2 + 0.375
     assert abs(f2 - f2bis) < 1e-12 or f2 <= 1 + delta - 0.125 + 1e-12

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every parameter
+of a function in ``src/klab`` is read by its body."""
 
 import ast
 import pathlib
@@ -6,8 +7,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "klab").glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                *(ROOT / "benchmark").glob("*.py")])
+SRC = sorted((ROOT / "src" / "klab").glob("*.py"))
+FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py"), *(ROOT / "benchmark").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -35,3 +36,35 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """``name(param)`` for each parameter of a function in ``source`` that its
+    body never reads; ``self``, ``cls`` and names starting with ``_`` are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)}
+        out += [f"{fn.name}({p.arg})" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")]
+    return out
+
+
+def test_guard_sees_an_unread_parameter():
+    src = ("def f(a, b=0, *rest, c, _d, **kw):\n"
+           "    def g(self, e):\n"
+           "        return a + c\n"
+           "    return kw\n")
+    assert unread_parameters(src) == ["f(b)", "f(rest)", "g(e)"]
+    assert unread_parameters("def f(x, cls):\n    return lambda: x\n") == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

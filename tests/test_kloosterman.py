@@ -51,9 +51,10 @@ def test_naive_matches_table_k2_q7(f7):
         assert abs(kloosterman_naive(2, a, f7) - t.values[a]) < 1e-12
 
 
-def test_naive_resource_cap(f7):
+def test_naive_resource_cap(f7, monkeypatch):
+    monkeypatch.setattr(kl, "DEFAULT_NAIVE_CAP", 10)
     with pytest.raises(ResourceLimit):
-        kloosterman_naive(4, 1, f7, cap=10)
+        kloosterman_naive(4, 1, f7)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

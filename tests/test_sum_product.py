@@ -14,7 +14,7 @@ from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
                               diagonal_mask, full_average_moment,
-                              full_average_moment_naive, is_generic_tuple,
+                              full_average_moment_naive,
                               noncorrelation_moment, product_grid, ratio_scan,
                               sample_generic_tuples, scan_bad_tuples,
                               second_moment_r_lambda,
@@ -184,6 +184,21 @@ def test_diagonal_mask_matches_oracle(k, tuples):
 
 
 # ---------------------------------------------------------------- genericity
+
+def is_generic_tuple(b, k: int, field) -> bool:
+    """Pairwise distinct and off every zero-sum-pattern hyperplane: the
+    scalar oracle of ``sample_generic_tuples``."""
+    b = tuple(b)
+    if len(set(b)) < 4:
+        return False
+    for z2, z3, z4 in zero_sum_patterns(field, k):
+        v = field.add(b[0], field.mul(z2, b[1]))
+        v = field.sub(v, field.mul(z3, b[2]))
+        v = field.sub(v, field.mul(z4, b[3]))
+        if v == 0:
+            return False
+    return True
+
 
 def test_zero_sum_patterns_k2():
     f = make_prime_field(11)
