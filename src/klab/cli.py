@@ -13,6 +13,7 @@ binary table cache.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import bilinear as bl
 from . import divisor as dv
 from . import root_sums as rs
-from .errors import (ConstraintViolated, HypothesisViolated, KlabError,
+from .errors import (ConstraintViolated, HypothesisViolated, IoError, KlabError,
                      UsageError)
 from .fields import build_extension, make_prime_field
 from .kloosterman import (INTRO, cache_path, conjugation_budget,
@@ -44,13 +45,21 @@ def _field(q: int, d: int):
     return base if d == 1 else build_extension(base, d)
 
 
+def _cache_file(cache_dir: str, k: int, f, convention: str) -> str:
+    """The table's path in ``cache_dir``, which is created when missing."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create cache directory {cache_dir}: {e}") from e
+    return cache_path(cache_dir, k, f, convention)
+
+
 def _context(k: int, q: int, d: int, c: int):
     f = _field(q, d)
     cache_dir = os.environ.get("KLAB_CACHE_DIR")
     table = None
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = cache_path(cache_dir, k, f, INTRO)
+        path = _cache_file(cache_dir, k, f, INTRO)
         if os.path.exists(path):
             table = load_table(path, field=f, k=k, convention=INTRO)
     if table is None:
@@ -106,7 +115,7 @@ def _refuse(args, reason: str, *dests) -> None:
 
 def _config_echo(args) -> dict:
     # the output destination is not part of the result-determining config
-    skip = {"func", "out", "given"}
+    skip = {"out", "given"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -118,8 +127,7 @@ def cmd_kl_table(args):
     t = kloosterman_table(args.k, f, args.convention)
     cache_dir = args.cache or os.environ.get("KLAB_CACHE_DIR")
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_table(t, cache_path(cache_dir, args.k, f, args.convention))
+        save_table(t, _cache_file(cache_dir, args.k, f, args.convention))
     payload = {
         "k": args.k, "q": args.q, "d": args.d, "convention": args.convention,
         "modulus": list(f.modulus),
@@ -270,8 +278,7 @@ def cmd_shift_check(args):
 def cmd_sk(args):
     if args.scan_smallest:
         _refuse(args, "--scan-smallest tries every q up to --q-limit", "q", "d")
-        qs = {k: rs.smallest_conforming_q(k, q_limit=args.q_limit)
-              for k in range(2, args.k + 1)}
+        qs = rs.smallest_conforming_qs(args.k, args.q_limit)
         _emit(args, {"smallest_conforming_q": {str(k): v for k, v in qs.items()}})
         return EXIT_OK
     _refuse(args, "without --scan-smallest sk computes one q", "q_limit")
@@ -283,6 +290,8 @@ def cmd_sk(args):
 
 
 def cmd_progression(args):
+    if args.a is not None and not 1 <= args.a < args.q:
+        raise UsageError(f"--a {args.a} is outside the classes 1 <= a < q = {args.q}")
     coeffs = dv.tau_table(args.x)
     reports = dv.discrepancy_all(coeffs, args.x, args.q)
     residual, budget = dv.hyperbola_residual(coeffs, args.x, args.q, reports)
@@ -351,177 +360,118 @@ def positive_int(text: str) -> int:
     return value
 
 
+# An option's kind is a converter, a tuple of choices, ``bool`` for a switch
+# or ``[converter]`` for one or more values; REQUIRED stands for the default
+# of an option that has none.
+REQUIRED = object()
+KQ = {"k": (int, REQUIRED), "q": (int, REQUIRED)}
+MN = {"M": (positive_int, REQUIRED), "N": (positive_int, REQUIRED)}
+EMIT = {"out": (str, None), "format": (("csv", "json"), "json")}
+SEED = {"seed": (int, REQUIRED)}
+OPTION_HELP = {"out": "output path (stdout when omitted)",
+               "ratios": "normalized cancellation ratios instead of flags",
+               "cache": "directory for the binary table cache"}
+
+# command -> (function, help line, option -> (kind, default) in usage order)
+COMMANDS = {
+    "kl-table": (cmd_kl_table, "build a table, emit health metrics", {
+        **KQ, "d": (int, 1), "convention": (("intro", "sheaf"), "intro"),
+        "cache": (str, None), **EMIT}),
+    "kl-check": (cmd_kl_check, "naive vs convolution cross-check", {
+        **KQ, "d": (int, 1), **EMIT}),
+    "sumprod-scan": (cmd_sumprod_scan, "tuple scans and ratio statistics", {
+        **KQ, "c": (int, 1), "samples": (positive_int, 2000), "threshold": (float, None),
+        "ratios": (bool, False), "replicates": (positive_int, 1), **EMIT, **SEED}),
+    "moments": (cmd_moments, "second-moment statistics", {
+        **KQ, "d": (int, 1), "c": (int, 1), "samples": (positive_int, 50), **EMIT, **SEED}),
+    "bilinear-sweep": (cmd_bilinear_sweep, "ensemble sweep with bound brackets", {
+        **KQ, "c": (int, 1), "M": ([positive_int], REQUIRED),
+        "N": ([positive_int], REQUIRED), "offset": (int, 1), **EMIT, **SEED}),
+    "opnorm": (cmd_opnorm, "largest singular value of the kernel matrix", {
+        **KQ, "c": (int, 1), **MN, "offset": (int, 1), **EMIT}),
+    "shift-check": (cmd_shift_check, "exact shift-by-ab re-indexing check", {
+        **KQ, "c": (int, 1), **MN, "A": (positive_int, REQUIRED),
+        "B": (positive_int, REQUIRED), "offset": (int, 1), "samples": (positive_int, 10),
+        **EMIT, **SEED}),
+    "sk": (cmd_sk, "root-of-unity sum multiset and stabilizer", {
+        "k": (int, REQUIRED), "q": (int, None), "d": (int, None),
+        "scan_smallest": (bool, False), "q_limit": (int, 300), **EMIT}),
+    "progression": (cmd_progression, "divisor-convolution discrepancies", {
+        "x": (positive_int, REQUIRED), "q": (int, REQUIRED), "a": (int, None), **EMIT}),
+    "exponent-lp": (cmd_exponent_lp, "distribution-exponent case analysis", {
+        "delta": (float, None), "eta": (float, None), "kappa": (float, 1e-3),
+        "slack": (float, 0.0), "search": (bool, False), "search_kappa": (float, 0.0),
+        **EMIT}),
+    "report": (cmd_report, "small default battery, combined JSON", {
+        "k": (int, 2), "q": (int, 53), **EMIT, **SEED}),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, built on first use.  No subcommand option
+    has a default, so a parse holds exactly the options given as flags."""
     p = argparse.ArgumentParser(prog="klab", description=__doc__)
     p.add_argument("--config", help="flat key-value config file with [sections]")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, seeded=False):
-        sp.add_argument("--out", help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
-        if seeded:
-            sp.add_argument("--seed", type=int, required=True)
-
-    sp = sub.add_parser("kl-table", help="build a table, emit health metrics")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--convention", choices=("intro", "sheaf"), default="intro")
-    sp.add_argument("--cache", help="directory for the binary table cache")
-    common(sp)
-    sp.set_defaults(func=cmd_kl_table)
-
-    sp = sub.add_parser("kl-check", help="naive vs convolution cross-check")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    common(sp)
-    sp.set_defaults(func=cmd_kl_check)
-
-    sp = sub.add_parser("sumprod-scan", help="tuple scans and ratio statistics")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--samples", type=positive_int, default=2000)
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--ratios", action="store_true",
-                    help="normalized cancellation ratios instead of flags")
-    sp.add_argument("--replicates", type=positive_int, default=1)
-    common(sp, seeded=True)
-    sp.set_defaults(func=cmd_sumprod_scan)
-
-    sp = sub.add_parser("moments", help="second-moment statistics")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--samples", type=positive_int, default=50)
-    common(sp, seeded=True)
-    sp.set_defaults(func=cmd_moments)
-
-    sp = sub.add_parser("bilinear-sweep", help="ensemble sweep with bound brackets")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=positive_int, nargs="+", required=True)
-    sp.add_argument("--N", type=positive_int, nargs="+", required=True)
-    sp.add_argument("--offset", type=int, default=1)
-    common(sp, seeded=True)
-    sp.set_defaults(func=cmd_bilinear_sweep)
-
-    sp = sub.add_parser("opnorm", help="largest singular value of the kernel matrix")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=positive_int, required=True)
-    sp.add_argument("--N", type=positive_int, required=True)
-    sp.add_argument("--offset", type=int, default=1)
-    common(sp)
-    sp.set_defaults(func=cmd_opnorm)
-
-    sp = sub.add_parser("shift-check", help="exact shift-by-ab re-indexing check")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--M", type=positive_int, required=True)
-    sp.add_argument("--N", type=positive_int, required=True)
-    sp.add_argument("--A", type=positive_int, required=True)
-    sp.add_argument("--B", type=positive_int, required=True)
-    sp.add_argument("--offset", type=int, default=1)
-    sp.add_argument("--samples", type=positive_int, default=10)
-    common(sp, seeded=True)
-    sp.set_defaults(func=cmd_shift_check)
-
-    sp = sub.add_parser("sk", help="root-of-unity sum multiset and stabilizer")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--scan-smallest", action="store_true")
-    sp.add_argument("--q-limit", type=int, default=300)
-    common(sp)
-    sp.set_defaults(func=cmd_sk)
-
-    sp = sub.add_parser("progression", help="divisor-convolution discrepancies")
-    sp.add_argument("--x", type=positive_int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_progression)
-
-    sp = sub.add_parser("exponent-lp", help="distribution-exponent case analysis")
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--kappa", type=float, default=1e-3)
-    sp.add_argument("--slack", type=float, default=0.0)
-    sp.add_argument("--search", action="store_true")
-    sp.add_argument("--search-kappa", type=float, default=0.0)
-    common(sp)
-    sp.set_defaults(func=cmd_exponent_lp)
-
-    sp = sub.add_parser("report", help="small default battery, combined JSON")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--q", type=int, default=53)
-    common(sp, seeded=True)
-    sp.set_defaults(func=cmd_report)
-
+    for name, (_func, help_line, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        for dest, (kind, default) in options.items():
+            if kind is bool:
+                spec = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            elif isinstance(kind, list):
+                spec = {"type": kind[0], "nargs": "+"}
+            else:
+                spec = {"type": kind}
+            sp.add_argument("--" + dest.replace("_", "-"), required=default is REQUIRED,
+                            help=OPTION_HELP.get(dest), **spec)
     return p
 
 
-def _explicit_options(parser, argv) -> set:
-    """Destinations of the options given on the command line: a second parse
-    in which no option has a default (``parser`` keeps none afterwards)."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for p in [parser, *(sp for a in subs for sp in a.choices.values())]:
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(parser, args, argv):
-    """Fill options from the config file; ``args.given`` records the
-    destinations set by a flag or by the config."""
-    args.given = _explicit_options(parser, argv)
-    if not args.config:
-        return args
-    sections = parse_config(args.config)
-    overrides = sections.get(args.command, {})
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subs.choices[args.command]._actions}
+def _complete(args) -> None:
+    """Fill the options no flag gave, from the config file and then from the
+    defaults; ``args.given`` records the options a flag or the config set."""
+    args.given = set(vars(args))
+    options = COMMANDS[args.command][2]
+    overrides = parse_config(args.config).get(args.command, {}) if args.config else {}
     for key, val in overrides.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None or not hasattr(args, action.dest):
+        dest = key.replace("-", "_")
+        if dest not in options:
             raise UsageError(f"unknown config key {key!r} for {args.command}")
-        if action.dest not in args.given:
-            setattr(args, action.dest, _coerce(key, val, action))
-            args.given.add(action.dest)
-    return args
+        if dest not in args.given:
+            setattr(args, dest, _coerce(key, val, options[dest][0]))
+            args.given.add(dest)
+    for dest, (_kind, default) in options.items():
+        if dest not in args.given:
+            setattr(args, dest, default)
 
 
-def _coerce(key: str, val: str, action):
-    """A config value converted as its flag's own argparse action would."""
-    if isinstance(action, argparse._StoreTrueAction):
+def _coerce(key: str, val: str, kind):
+    """A config value converted as its flag's value would be."""
+    if kind is bool:
         if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
             raise UsageError(f"config key {key!r}: {val!r} is not a boolean")
         return val.lower() in ("1", "true", "yes")
-    conv = action.type or str
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise UsageError(f"config key {key!r}: {val!r} not one of {kind}")
+        return val
     try:
-        out = [conv(v) for v in val.split()] if action.nargs == "+" else conv(val)
+        return [kind[0](v) for v in val.split()] if isinstance(kind, list) else kind(val)
     except ValueError as e:
         raise UsageError(f"config key {key!r}: bad value {val!r} ({e})") from e
-    if action.choices is not None and out not in action.choices:
-        raise UsageError(f"config key {key!r}: {val!r} not one of {action.choices}")
-    return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_OK
     try:
-        args = _apply_config(parser, args, argv)
-        return args.func(args)
+        _complete(args)
+        return COMMANDS[args.command][0](args)
     except (HypothesisViolated, ConstraintViolated) as e:
         sys.stderr.write(f"hypothesis violated: {e}\n")
         return EXIT_HYPOTHESIS

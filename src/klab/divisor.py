@@ -43,6 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .bilinear import BRACKET_PIECES, typeI_hypotheses
 from .errors import (CompositeModulus, HypothesisViolated, OutOfRange,
                      ResourceLimit)
 from .fields import is_prime
@@ -327,7 +328,8 @@ def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
     Returns {"pv", "linear", "general_pv", "special", "special_failed"},
     constants 1, q^eps dropped.  The general bracket takes unit-modulus
     coefficients, whose norms are sqrt(M) and sqrt(N).  The special bracket
-    validates its range hypotheses: violations are reported in
+    validates the theorem's range hypotheses (``typeI_hypotheses``, shared
+    with ``bilinear``): violations are reported in
     "special_failed" (with the bracket set to nan), or raised when ``strict``.
     """
     if M <= 0 or N <= 0:
@@ -338,13 +340,7 @@ def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
         "general_pv": math.sqrt(M) * math.sqrt(N) * math.sqrt(M * N)
         * (M ** -0.5 + q ** 0.25 / math.sqrt(N)),
     }
-    failed = []
-    if not M <= N * N:
-        failed.append("M <= N^2")
-    if not N < q:
-        failed.append("N < q")
-    if not M * N <= q ** 1.5:
-        failed.append("MN <= q^{3/2}")
+    failed = typeI_hypotheses(M, N, q)
     if failed and strict:
         raise HypothesisViolated("smooth special bound out of range: "
                                  + "; ".join(failed), failed)
@@ -362,7 +358,7 @@ BOUND_PIECES = (
     ((0, 0, Fraction(-1, 8)), (Fraction(-1, 2), 0, Fraction(3, 8))),
     ((Fraction(-1, 2), 0, 0), (0, Fraction(-1, 2), Fraction(1, 4))),
     ((0, Fraction(-1, 2), 0), (Fraction(-1, 2), 0, Fraction(1, 4))),
-    ((Fraction(-1, 6), Fraction(-5, 12), Fraction(1, 4)),),
+    BRACKET_PIECES["special"],
 )
 _PIECES = [p for pieces in BOUND_PIECES for p in pieces]
 # g = min of the bounds is affine between the lines where two pieces are

@@ -34,10 +34,14 @@ class SkMultiset:
         return sum(self.entries.values())
 
 
+def _require_k(k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+
 def find_embedding_degree(k: int, q: int) -> int:
     """Smallest d with k | q^d - 1 (the multiplicative order of q mod k)."""
-    if k <= 1:
-        return 1
+    _require_k(k)
     if math.gcd(k, q) != 1:
         raise CharDividesK(f"gcd({k}, {q}) != 1: no k-th roots in characteristic {q}")
     d, power = 1, q % k
@@ -141,6 +145,12 @@ def smallest_conforming_q(k: int, q_limit: int = 1000) -> int | None:
         if stabilizer_group(sk) == expected_stabilizer(sk):
             return q
     return None
+
+
+def smallest_conforming_qs(k_max: int, q_limit: int) -> dict:
+    """smallest_conforming_q(k, q_limit) for each k = 2..k_max."""
+    _require_k(k_max)
+    return {k: smallest_conforming_q(k, q_limit) for k in range(2, k_max + 1)}
 
 
 def sk_to_dict(sk: SkMultiset) -> dict:

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 
 import pytest
 
-from klab.cli import main, parse_config
+from klab.cli import COMMANDS, build_parser, main, parse_config
 from klab.sum_product import SumProductContext
 
 
@@ -425,3 +427,56 @@ def test_sumprod_scan_csv_matches_rows(tmp_path):
         lines.append(f"{head},r_linear,{row.ratio_r_linear * 53!r},{row.ratio_r_linear!r}")
         lines.append(f"{head},corr,{row.ratio_corr * 53**1.5!r},{row.ratio_corr!r}")
     assert p.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, messages", [
+    *([["sk", "--k", k, *route], ["error: k must be >= 2"]]
+      for k in ("-2", "0", "1") for route in (["--q", "7"], ["--scan-smallest"])),
+    *([["progression", "--x", "100", "--q", "7", "--a", a],
+       ["usage error: --a", "1 <= a < q"]] for a in ("7", "0", "-1")),
+], ids=[*(f"sk-k{k}{route}" for k in (-2, 0, 1) for route in ("", "-scan")),
+        *(f"progression-a{a}" for a in (7, 0, -1))])
+def test_values_out_of_range_exit_1(tmp_path, capsys, argv, messages):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["environment", "flag"])
+def test_uncreatable_cache_dir_exits_1(tmp_path, capsys, monkeypatch, route):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "artifact"
+    if route == "environment":
+        monkeypatch.setenv("KLAB_CACHE_DIR", str(blocker / "cache"))
+        argv = ["moments", "--k", "2", "--q", "13", "--samples", "4", "--seed", "1"]
+    else:
+        argv = ["kl-table", "--k", "2", "--q", "13", "--cache", str(blocker)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create cache directory") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: klab {command} ")
+
+
+def test_readme_examples_parse_and_name_every_command():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("klab ")]
+    named = {build_parser().parse_args(argv).command for argv in examples}
+    assert named == set(COMMANDS)
+
+
+def test_parser_is_built_once(capsys):
+    build_parser.cache_clear()
+    assert main(["exponent-lp", "--delta", "0.03"]) == 0
+    assert main(["sk", "--k", "2", "--q", "7"]) == 0
+    assert build_parser.cache_info().misses == 1

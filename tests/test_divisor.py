@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klab.divisor as dv
+from klab.bilinear import typeI_hypotheses
 from klab.cli import main
 from klab.divisor import (TAU_N_MAX, ExponentConfig, bound_exponents,
                           combined_bounds, delta_star_search,
@@ -371,9 +372,17 @@ def test_combined_bounds_substitutions():
 
 def test_combined_bounds_hypothesis_violation():
     out = combined_bounds(M=100.0, N=2.0, q=11)
-    assert set(out["special_failed"]) == {"M <= N^2", "MN <= q^{3/2}"}
+    assert set(out["special_failed"]) == {"1 <= M <= N^2", "MN < q^{3/2}"}
     with pytest.raises(HypothesisViolated):
         combined_bounds(M=100.0, N=2.0, q=11, strict=True)
+
+
+@pytest.mark.parametrize("M, N, q, failed", [(8.0, 8.0, 16, ["MN < q^{3/2}"]),
+                                             (0.5, 4.0, 101, ["1 <= M <= N^2"])])
+def test_combined_bounds_checks_the_theorem_hypotheses(M, N, q, failed):
+    out = combined_bounds(M, N, q)
+    assert out["special_failed"] == typeI_hypotheses(M, N, q) == failed
+    assert math.isnan(out["special"])
 
 
 # ------------------------------------------------------------- exponent LP

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every parameter
-of a function in ``src/klab`` is read by its body."""
+"""Every name a module imports is used in that module, every parameter of a
+function in ``src/klab`` is read by its body, and ``src/klab`` reaches into
+no argparse internals."""
 
 import ast
 import pathlib
@@ -68,3 +69,9 @@ def test_guard_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_argparse_internals(path):
+    source = path.read_text()
+    assert "argparse._" not in source and "._actions" not in source
