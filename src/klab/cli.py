@@ -278,6 +278,9 @@ def cmd_shift_check(args):
 def cmd_sk(args):
     if args.scan_smallest:
         _refuse(args, "--scan-smallest tries every q up to --q-limit", "q", "d")
+        if args.q_limit < 3:
+            raise UsageError(f"--q-limit {args.q_limit} is below 3, the smallest odd "
+                             "prime: the scan would try no q")
         qs = rs.smallest_conforming_qs(args.k, args.q_limit)
         _emit(args, {"smallest_conforming_q": {str(k): v for k, v in qs.items()}})
         return EXIT_OK

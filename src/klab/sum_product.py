@@ -25,13 +25,14 @@ k-th roots of unity in F_q summing to zero against 1; those hyperplanes are
 the degenerate directions visible in the data (they contain the diagonal
 pairings and produce measurably inflated correlation sums).
 
-Every grid of four-fold products comes from one stepped generator,
-``_pair_steps``.  It streams the grids about KERNEL_STEP_CELLS cells at a
-time and multiplies the factors always in the order ((K1 K2) conj(K3 K4)),
-so every statistic is reproducible bit for bit, and the scans reduce each
-step while it is still in cache (one matmul per step for the lam-transform,
-a column, the row sums of |G|^2): no batch of grids is ever held, so memory
-grows with Q^2, not with the number of tuples.
+Every grid of four-fold products comes from one index pass over all the
+tuples of a call, ``_pair_index``, and one stepped generator, ``_pair_steps``.
+It streams the grids about KERNEL_STEP_CELLS cells at a time and multiplies
+the factors always in the order ((K1 K2) conj(K3 K4)), so every statistic
+is reproducible bit for bit, and the scans reduce each step while it is
+still in cache (one matmul per step for the lam-transform, the row sums of
+|G|^2): no batch of grids is ever held, so memory grows with Q^2, not with
+the number of tuples.
 
 Kl_k lives on the cyclic group F^x, so in discrete logs (s = g^j, u = g^l)
 the table K_c(u s) is a Hankel matrix, kappa[l + j] with kappa[i] =
@@ -42,9 +43,11 @@ of a pair table,
     PT[d, i] = kappa[i] kappa[i + d],
 
 which depends only on the offset d and the start l1 + j; a zero last row of
-PT serves every pair with a factor at u = 0.  A grid row over the s in log
-order is then two window gathers and one multiply, with no field
-arithmetic per cell.  The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) =
+PT serves every pair with a factor at u = 0.  The index pass gives each
+pair its window's start in the flattened PT, so a grid row over the s in
+log order is one gather and one multiply, with no field arithmetic per
+cell, and one column (the K column of ``ratio_scan``) two reads of PT per
+row.  The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) =
 K_c((-1)^k a), which is what makes the window short and the conjugation
 free:
 
@@ -75,13 +78,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, RangeTooLarge,
-                     ResourceLimit, WrongParity)
+from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, OutOfRange,
+                     RangeTooLarge, ResourceLimit, WrongParity)
 from .fields import PAIR_TABLE_CAP, roots_of_unity
 from .kloosterman import (KloostermanTable, _mul_perm, conjugation_budget,
                           conjugation_symmetry_check)
@@ -181,13 +184,8 @@ def diagonal_mask(tuples, k: int) -> np.ndarray:
 def zero_sum_patterns(field, k: int):
     """(z2, z3, z4) in mu_k(F_{q^d})^3 with 1 + z2 - z3 - z4 = 0."""
     zs = roots_of_unity(field, k)
-    out = []
-    for z2 in zs:
-        for z3 in zs:
-            for z4 in zs:
-                if field.add(field.add(1, z2), field.neg(field.add(z3, z4))) == 0:
-                    out.append((z2, z3, z4))
-    return out
+    return [(z2, z3, z4) for z2 in zs for z3 in zs for z4 in zs
+            if field.add(1, z2) == field.add(z3, z4)]
 
 
 def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
@@ -217,24 +215,37 @@ def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
     return not bad.all()
 
 
+def _require_at_least(lo: int, **counts) -> None:
+    """OutOfRange naming the first count below lo."""
+    for name, v in counts.items():
+        if v < lo:
+            raise OutOfRange(f"{name} = {v}: need at least {lo}")
+
+
 def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
     """n seeded generic tuples, as an (n, 4) int array of encodings;
-    NoGenericTuple, before any draw, when the field has none."""
+    OutOfRange for n < 0, and NoGenericTuple when the field has none, both
+    before any draw."""
+    _require_at_least(0, n=n)
     q = field.size
     pats = np.array(zero_sum_patterns(field, k), dtype=np.int64).reshape(-1, 3)
     if n > 0 and not _generic_tuple_exists(field, pats):
         raise NoGenericTuple(f"F_{q} has no generic shift tuple for k = {k}")
+    # generic: no form z . b is 0, for the six b_i - b_j and each pattern's
+    # b1 + z2 b2 - z3 b3 - z4 b4, all in one broadcast (over F_q a matmul)
+    m1 = field.neg(1)
+    forms = np.array([(1, m1, 0, 0), (1, 0, m1, 0), (1, 0, 0, m1), (0, 1, m1, 0), (0, 1, 0, m1),
+                      (0, 0, 1, m1), *((1, z2, field.neg(z3), field.neg(z4))
+                                       for z2, z3, z4 in pats)]).T
     out = np.empty((n, 4), dtype=np.int64)
     got = 0
     while got < n:
         batch = rng.integers(0, q, size=(2 * (n - got) + 16, 4))
-        b1, b2, b3, b4 = batch.T
-        ok = ((b1 != b2) & (b1 != b3) & (b1 != b4) & (b2 != b3) & (b2 != b4)
-              & (b3 != b4))
-        for z2, z3, z4 in pats:
-            ok &= (field.add_vec(b1, field.mul_vec(z2, b2))
-                   != field.add_vec(field.mul_vec(z3, b3), field.mul_vec(z4, b4)))
-        sel = batch[ok]
+        if field.degree == 1:
+            zb = batch @ forms % q
+        else:
+            zb = reduce(field.add_vec, map(field.mul_vec, batch.T[:, :, None], forms))
+        sel = batch[zb.all(axis=1)]
         take = min(len(sel), n - got)
         out[got:got + take] = sel[:take]
         got += take
@@ -245,17 +256,38 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 # the four-fold kernels
 # ----------------------------------------------------------------------
 
-def _pair_steps(ctx, tuples):
-    """Yield (lo, r0, g), where g[i, j] is row r0 + j of the four-fold
-    product grid of the shift tuple tuples[lo + i], at the s with
-    log s = 0 .. W-1 for W = ``ctx.pair_window``, read off the pair table.
+def _pair_index(ctx, tuples):
+    """The index pass: P[m, p, r], the start in the flattened pair table of
+    the window (width ``ctx.pair_window``) of the pair p = (u1, u2) or
+    (u3, u4), u = r + b, in row r of the grid of tuples[m].  With u1 = g^l1
+    and u2 = g^l2 it is PT[l2 - l1, l1:], the row (l2 - l1) mod L, L = Q - 1,
+    read off a table of length 2L + 1, and one mask sends each pair with
+    u1 or u2 = 0 to the zero row.  For odd k conj K_c(g^i) = K_c(g^(i + L/2)),
+    so the conjugated pair starts L/2 further on, mod L.  Over F_q the logs
+    are read at r + b from the log table doubled, with no reduction mod q.
+    """
+    f = ctx.field
+    L, n = f.size - 1, ctx.pair_table.shape[1]
+    t = np.asarray(tuples, dtype=np.int64)[:, :, None]
+    r = np.arange(f.size, dtype=np.int64)
+    if f.degree == 1:
+        logs = np.concatenate([f.log_table, f.log_table])[r + t % f.size]
+    else:
+        logs = f.log_table[f.add_vec(r, t)]
+    a, b = logs[:, 0::2], logs[:, 1::2]
+    P = (np.arange(-L, L + 1) % L * n)[b - a + L] + a
+    shift = L - ctx.pair_window
+    if shift:  # odd k
+        P[:, 1] += np.where(a[:, 1] < L - shift, shift, shift - L)
+    P[(a | b) < 0] = L * n
+    return P
 
-    With u = r + b = g^l, the factor pair K_c(s u1) K_c(s u2) at s = g^j is
-    PT[l2 - l1, l1 + j] (the zero row when u1 or u2 is 0), so each grid row
-    is the product of two windows of width W: one field addition and one
-    log lookup per (tuple, r), no field arithmetic per cell.  For odd k
-    conj K_c(g^i) = K_c(g^(i + (Q-1)/2)), so the conjugated pair is the
-    window that starts (Q-1)/2 further on.
+
+def _pair_steps(ctx, P):
+    """Yield (lo, r0, g), where g[i, j] is row r0 + j of the four-fold
+    product grid of the tuple lo + i of the index pass P, at the s with
+    log s = 0 .. W-1 for W = ``ctx.pair_window``: one window gather and one
+    multiply, no field arithmetic per cell.
 
     A step holds about KERNEL_STEP_CELLS cells: whole grids of a few tuples,
     or a block of rows of one grid when a grid is larger, so that a step
@@ -266,36 +298,18 @@ def _pair_steps(ctx, tuples):
     gathers still held when the next step allocated made glibc give the
     freed blocks back to the system and fault them in again.
     """
-    f = ctx.field
-    L = f.size - 1
+    Q = ctx.field.size
     W = ctx.pair_window
-    # V[d, i] is the window PT[d, i:i + W], the read-only view that
-    # sliding_window_view(PT, W, axis=1) makes in a tenth of its time;
-    # advanced indexing, not np.take: take would first copy the whole
-    # (Q, Q, W) view
+    # V[i] is the window PT.flat[i:i + W], a read-only view of the table;
+    # advanced indexing, not np.take: take would first copy the whole view
     PT = ctx.pair_table
-    V = np.ndarray((len(PT), PT.shape[1] - W + 1, W), PT.dtype, PT, 0,
-                   PT.strides + PT.strides[1:])
-    r = np.arange(f.size, dtype=np.int64)
-    logs = f.log_table[f.add_vec(r, np.asarray(tuples, dtype=np.int64)[:, :, None])]
-    # a[:, p] and b[:, p] are the logs of the pair p = (u1, u2), (u3, u4),
-    # -1 at u = 0; D is its pair-table row and I its window start.  Index
-    # arithmetic by compare-and-add: % on int64 cost as much as the gathers.
-    a, b = logs[:, 0::2], logs[:, 1::2]
-    D = b - a
-    D[D < 0] += L
-    D[np.minimum(a, b) < 0] = L
-    # L - W is 0 for even k and (Q-1)/2 for odd k; a start of -1 (only at
-    # u1 or u3 = 0, on the zero row) indexes the last window
-    I = a + np.array([[0], [L - W]])
-    I[I >= L] -= L
+    V = np.ndarray((PT.size - W + 1, W), PT.dtype, PT, 0, PT.strides[1:] * 2)
     rows = max(1, KERNEL_STEP_CELLS // W)
-    m_step, r_step = max(1, rows // f.size), min(rows, f.size)
-    g_buf = np.empty((min(m_step, len(D)), r_step, W), dtype=V.dtype)
-    for lo in range(0, len(D), m_step):
-        for r0 in range(0, f.size, r_step):
-            blk = (slice(lo, lo + m_step), slice(None), slice(r0, r0 + r_step))
-            p = V[D[blk], I[blk]]
+    m_step, r_step = max(1, rows // Q), min(rows, Q)
+    g_buf = np.empty((min(m_step, len(P)), r_step, W), dtype=V.dtype)
+    for lo in range(0, len(P), m_step):
+        for r0 in range(0, Q, r_step):
+            p = V[P[lo:lo + m_step, :, r0:r0 + r_step]]
             g = g_buf[:len(p), :p.shape[2]]
             np.multiply(p[:, 0], p[:, 1], out=g)
             del p
@@ -319,26 +333,34 @@ def _lambda_transform(ctx, tuples, lam, cols=None):
     (re, im) pairs against the rows (Re psi, -Im psi).
     """
     f = ctx.field
+    L, W = f.size - 1, ctx.pair_window
     lam = np.asarray(lam, dtype=np.int64)
     n = lam.shape[-1]
-    units = f.exp_table[:ctx.pair_window]
     even = ctx.k % 2 == 0
-    P = f.psi_vec[f.mul_vec(lam[..., None, :], units[:, None])]  # [..., W, n]
-    if even:
-        W = np.concatenate([P.real, P.imag], axis=-1)
-    else:
-        W = np.stack([P.real, -P.imag], axis=-2).reshape(*P.shape[:-2], 2 * len(units), n)
-    X = np.empty((len(tuples), f.size, W.shape[-1]))
-    kcol = None if cols is None else np.empty((len(tuples), f.size),
-                                              dtype=ctx.pair_table.dtype)
-    for lo, r0, g in _pair_steps(ctx, tuples):
+    # runs of Re psi and Im psi (odd k: -Im psi) of g^0 .. g^(L+W-2), then
+    # W times of 0: psi(lam g^j) is at log lam + j, psi(0) at L + W - 1 + j
+    psi = f.psi_vec[np.concatenate([f.exp_table, f.exp_table[:W - 1],
+                                    np.zeros(W, dtype=np.int64)])]
+    N = len(psi)
+    T = np.concatenate([psi.real, psi.imag if even else -psi.imag])
+    start = f.log_table[lam]
+    start[start < 0] = L + W - 1
+    if even:  # [Re psi | Im psi], [..., W, 2n]
+        base, offs = np.concatenate([start, start + N], axis=-1), np.arange(W)
+    else:  # rows (Re psi, -Im psi) interleaved, [..., 2W, n]
+        base, offs = start, (np.arange(W)[:, None] + [0, N]).ravel()
+    Y = T[base[..., None, :] + offs[:, None]]  # C-contiguous: R's last bits depend on it
+    P = _pair_index(ctx, tuples)
+    X = np.empty((len(tuples), f.size, Y.shape[-1]))
+    for lo, r0, g in _pair_steps(ctx, P):
         hi, r1 = lo + len(g), r0 + g.shape[1]
-        np.matmul(g if even else g.view(np.float64), W if W.ndim == 2 else W[lo:hi],
+        np.matmul(g if even else g.view(np.float64), Y if Y.ndim == 2 else Y[lo:hi],
                   out=X[lo:hi, r0:r1])
-        if kcol is not None:
-            kcol[lo:hi, r0:r1] = g[np.arange(hi - lo), :, cols[lo:hi]]
     R = X[..., :n] + 1j * X[..., n:] if even else 2.0 * X
-    return R, None if kcol is None else kcol.sum(axis=1)
+    if cols is None:
+        return R, None
+    k = ctx.pair_table.ravel()[P + np.asarray(cols)[:, None, None]]
+    return R, (k[:, 0] * k[:, 1]).sum(axis=1)
 
 
 def _require_grid(ctx):
@@ -361,7 +383,7 @@ def product_grid(ctx, b) -> np.ndarray:
     f = ctx.field
     W = ctx.pair_window
     G = np.zeros((f.size, f.size), dtype=ctx.pair_table.dtype)
-    for _, r0, g in _pair_steps(ctx, [b]):
+    for _, r0, g in _pair_steps(ctx, _pair_index(ctx, [b])):
         rows = slice(r0, r0 + g.shape[1])
         G[rows, f.exp_table[:W]] = g[0]
         if ctx.k % 2:
@@ -400,7 +422,7 @@ def second_moment_r_lambda(ctx, b) -> float:
     _require_distinct(b)
     _require_grid(ctx)
     rows = np.empty(ctx.field.size)
-    for _, r0, g in _pair_steps(ctx, [b]):
+    for _, r0, g in _pair_steps(ctx, _pair_index(ctx, [b])):
         rows[r0:r0 + g.shape[1]] = (np.abs(g[0]) ** 2).sum(axis=1)
     return float((1 if ctx.k % 2 == 0 else 2) * rows.sum() / ctx.field.size)
 
@@ -429,7 +451,7 @@ def noncorrelation_moment(ctx, b) -> complex:
     _require_distinct(b)
     _require_grid(ctx)
     rows = np.empty(ctx.field.size, dtype=np.complex128)
-    for _, r0, g in _pair_steps(ctx, [b]):
+    for _, r0, g in _pair_steps(ctx, _pair_index(ctx, [b])):
         rows[r0:r0 + g.shape[1]] = (g[0] ** 2).sum(axis=1)
     return complex(2 * rows.sum().real / ctx.field.size)
 
@@ -576,7 +598,8 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
     """Flag diagonal tuples and tuples whose normalized sums spike.
 
     Default thresholds are 3x the sample median of each ratio; with infinite
-    thresholds only diagonal tuples are flagged.
+    thresholds only diagonal tuples are flagged.  A sampled scan refuses
+    ``spec.n_samples`` below 1 with OutOfRange, before any draw.
     """
     _require_grid(ctx)
     f = ctx.field
@@ -587,6 +610,7 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
         tuples = np.stack(np.meshgrid(ids, ids, ids, ids, indexing="ij"),
                           axis=-1).reshape(-1, 4)
     else:
+        _require_at_least(1, n_samples=spec.n_samples)
         rng = np.random.default_rng(spec.seed)
         tuples = rng.integers(0, Q, size=(spec.n_samples, 4))
     lin, corr = _batched_tuple_stats(ctx, tuples, spec.lambdas)
@@ -630,34 +654,33 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     * D:  |sum_r |big_r(r, lam1)|^2 - q^{2d}| / q^{3d/2}
 
     Returns {name: RatioReport}, with max_ratio averaged over replicates
-    (the averaging tames the extreme-value noise of a single max).
+    (the averaging tames the extreme-value noise of a single max);
+    OutOfRange, before any draw, unless n_samples and replicates are >= 1.
     """
+    _require_at_least(1, n_samples=n_samples, replicates=replicates)
     _require_grid(ctx)
     f = ctx.field
     Q = f.size
     rng = np.random.default_rng(seed)
-    rep_max = {name: [] for name in "KRCD"}
-    rep_mean = {name: [] for name in "KRCD"}
-    for _ in range(replicates):
+    # the max and the mean of each statistic (rows K, R, C, D) per replicate;
+    # each row is contiguous, so its mean sums in np.mean's pairwise order
+    rep = np.empty((2, 4, replicates))
+    for i in range(replicates):
         tuples = sample_generic_tuples(f, ctx.k, n_samples, rng)
         svals = rng.integers(1, Q, size=n_samples)
         lam1 = rng.integers(0, Q, size=n_samples)
         lam2 = (lam1 + rng.integers(1, Q, size=n_samples)) % Q
-        vals = {name: np.empty(n_samples) for name in "KRCD"}
+        vals = np.empty((4, n_samples))
         for lo in range(0, n_samples, SCAN_BATCH):
             hi = lo + SCAN_BATCH
-            stats = _ratio_stats(ctx, tuples[lo:hi], svals[lo:hi], lam1[lo:hi],
-                                 lam2[lo:hi])
-            for name, v in zip("KRCD", stats):
-                vals[name][lo:hi] = v
-        for name in "KRCD":
-            rep_max[name].append(vals[name].max())
-            rep_mean[name].append(vals[name].mean())
+            vals[:, lo:hi] = _ratio_stats(ctx, tuples[lo:hi], svals[lo:hi],
+                                          lam1[lo:hi], lam2[lo:hi])
+        rep[0, :, i] = vals.max(axis=1)
+        rep[1, :, i] = vals.mean(axis=1)
+    max_ratio, mean_ratio = rep.mean(axis=2).tolist()
     norm = {"K": 0.5, "R": 1.0, "C": 1.5, "D": 1.5}
     desc = (f"q={f.q} d={f.degree} k={ctx.k} c={ctx.c} n={n_samples} "
             f"seed={seed} replicates={replicates}")
-    return {name: RatioReport(statistic=name, sample=desc,
-                              max_ratio=float(np.mean(rep_max[name])),
-                              mean_ratio=float(np.mean(rep_mean[name])),
-                              normalization_exponent=norm[name])
-            for name in "KRCD"}
+    return {name: RatioReport(statistic=name, sample=desc, max_ratio=mx,
+                              mean_ratio=mn, normalization_exponent=norm[name])
+            for name, mx, mn in zip("KRCD", max_ratio, mean_ratio)}

@@ -444,6 +444,18 @@ def test_values_out_of_range_exit_1(tmp_path, capsys, argv, messages):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q_limit", ["2", "0", "-5"])
+def test_scan_smallest_q_limit_below_3_exits_1(tmp_path, capsys, q_limit):
+    # no q < 3 is an odd prime, so the scan would try none and emit the
+    # artifact of a search that found nothing
+    out = tmp_path / "artifact"
+    argv = ["sk", "--k", "3", "--scan-smallest", "--q-limit", q_limit]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: --q-limit" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("route", ["environment", "flag"])
 def test_uncreatable_cache_dir_exits_1(tmp_path, capsys, monkeypatch, route):
     blocker = tmp_path / "file"

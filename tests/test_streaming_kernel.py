@@ -16,8 +16,8 @@ from klab.errors import ResourceLimit
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, product_grid,
-                              ratio_scan, scan_bad_tuples,
-                              second_moment_r_lambda)
+                              ratio_scan, sample_generic_tuples,
+                              scan_bad_tuples, second_moment_r_lambda)
 
 _FIELDS = ((5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
            (29, 1), (31, 1), (3, 2), (5, 2), (3, 3))
@@ -123,6 +123,40 @@ def test_streamed_route_is_bit_identical_to_batched_route(fd, k, data):
     for g, w in zip(got_tuple, _batch_tuple_stats(ctx, tuples, lambdas)):
         assert np.array_equal(g, w)
     assert got_moment == _batch_second_moment(ctx, b)
+
+
+def _reference_ratio_scan(ctx, n_samples, seed, replicates):
+    """ratio_scan's reports from the batched route: the same draws in the
+    same order, one list per statistic of the replicate maxima and means,
+    and np.mean over each list."""
+    f = ctx.field
+    Q = f.size
+    rng = np.random.default_rng(seed)
+    rep_max = {name: [] for name in "KRCD"}
+    rep_mean = {name: [] for name in "KRCD"}
+    for _ in range(replicates):
+        tuples = sample_generic_tuples(f, ctx.k, n_samples, rng)
+        svals = rng.integers(1, Q, size=n_samples)
+        lam1 = rng.integers(0, Q, size=n_samples)
+        lam2 = (lam1 + rng.integers(1, Q, size=n_samples)) % Q
+        for name, v in zip("KRCD", _batch_ratio_stats(ctx, tuples, svals, lam1, lam2)):
+            rep_max[name].append(v.max())
+            rep_mean[name].append(v.mean())
+    return {name: (float(np.mean(rep_max[name])), float(np.mean(rep_mean[name])))
+            for name in "KRCD"}
+
+
+@pytest.mark.parametrize("qd", [(53, 1), (11, 2)])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("replicates", [1, 3, 9])
+def test_ratio_scan_reports_match_batched_reference_bit_for_bit(qd, k, replicates):
+    # nine replicates cross numpy's 8-way pairwise unroll, so a mean over
+    # the replicates taken in another order than np.mean's fails here
+    ctx = SumProductContext(_table(*qd, k), c=2)
+    got = ratio_scan(ctx, n_samples=24, seed=5, replicates=replicates)
+    want = _reference_ratio_scan(ctx, 24, 5, replicates)
+    for name in "KRCD":
+        assert (got[name].max_ratio, got[name].mean_ratio) == want[name], name
 
 
 @pytest.mark.parametrize("qd", [(53, 1), (5, 2), (3, 3)])

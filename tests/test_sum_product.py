@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab.errors import NoGenericTuple, NotDistinct, RangeTooLarge, WrongParity
+from klab.errors import (NoGenericTuple, NotDistinct, OutOfRange, RangeTooLarge,
+                         WrongParity)
 from klab.fields import build_extension, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
@@ -245,6 +246,63 @@ def test_sampler_agrees_with_enumeration(q, d, k):
         with pytest.raises(NoGenericTuple):
             sample_generic_tuples(f, k, 20, rng)
         assert rng.bit_generator.state == state
+
+
+def scalar_rejection_sampler(field, k, n, rng):
+    """The sampler's draws, row by row: batches of 2 (n - got) + 16 tuples,
+    each row kept when ``is_generic_tuple`` holds, until n are kept."""
+    got = []
+    while len(got) < n:
+        batch = rng.integers(0, field.size, size=(2 * (n - len(got)) + 16, 4))
+        for b in batch.tolist():
+            if len(got) < n and is_generic_tuple(b, k, field):
+                got.append(b)
+    return np.array(got, dtype=np.int64).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("q, d", [(7, 1), (11, 1), (13, 1), (3, 2)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sampler_draws_what_a_scalar_rejection_sampler_draws(q, d, k):
+    # the same generator, the same batch sizes, the same rows kept: a change
+    # in the broadcast test that kept or dropped other tuples fails here.
+    # F_9 has no generic tuple for k = 4; there both draw nothing.
+    f = make_prime_field(q)
+    if d > 1:
+        f = build_extension(f, d)
+    exists = any(is_generic_tuple(b, k, f)
+                 for b in itertools.product(range(f.size), repeat=4))
+    for n, seed in ((50, 1), (7, 2), (0, 3)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if exists or n == 0:
+            got = sample_generic_tuples(f, k, n, rng)
+            assert np.array_equal(got, scalar_rejection_sampler(f, k, n, ref_rng))
+        else:
+            with pytest.raises(NoGenericTuple):
+                sample_generic_tuples(f, k, n, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sampler_refuses_a_negative_count_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(OutOfRange, match="n = -1"):
+        sample_generic_tuples(make_prime_field(53), 2, -1, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_ratio_scan_refuses_no_samples(ctx53):
+    with pytest.raises(OutOfRange, match="n_samples = 0"):
+        ratio_scan(ctx53, n_samples=0, seed=1)
+
+
+def test_ratio_scan_refuses_no_replicates(ctx53):
+    with pytest.raises(OutOfRange, match="replicates = 0"):
+        ratio_scan(ctx53, n_samples=8, seed=1, replicates=0)
+
+
+def test_sampled_scan_refuses_no_samples(ctx53):
+    with pytest.raises(OutOfRange, match="n_samples = 0"):
+        scan_bad_tuples(ctx53, spec=ScanSpec(n_samples=0, seed=1))
 
 
 # ------------------------------------------------------------ complete sums
