@@ -363,6 +363,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """The type of every float flag (and of its config key): a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 # An option's kind is a converter, a tuple of choices, ``bool`` for a switch
 # or ``[converter]`` for one or more values; REQUIRED stands for the default
 # of an option that has none.
@@ -383,8 +391,9 @@ COMMANDS = {
     "kl-check": (cmd_kl_check, "naive vs convolution cross-check", {
         **KQ, "d": (int, 1), **EMIT}),
     "sumprod-scan": (cmd_sumprod_scan, "tuple scans and ratio statistics", {
-        **KQ, "c": (int, 1), "samples": (positive_int, 2000), "threshold": (float, None),
-        "ratios": (bool, False), "replicates": (positive_int, 1), **EMIT, **SEED}),
+        **KQ, "c": (int, 1), "samples": (positive_int, 2000),
+        "threshold": (finite_float, None), "ratios": (bool, False),
+        "replicates": (positive_int, 1), **EMIT, **SEED}),
     "moments": (cmd_moments, "second-moment statistics", {
         **KQ, "d": (int, 1), "c": (int, 1), "samples": (positive_int, 50), **EMIT, **SEED}),
     "bilinear-sweep": (cmd_bilinear_sweep, "ensemble sweep with bound brackets", {
@@ -402,9 +411,9 @@ COMMANDS = {
     "progression": (cmd_progression, "divisor-convolution discrepancies", {
         "x": (positive_int, REQUIRED), "q": (int, REQUIRED), "a": (int, None), **EMIT}),
     "exponent-lp": (cmd_exponent_lp, "distribution-exponent case analysis", {
-        "delta": (float, None), "eta": (float, None), "kappa": (float, 1e-3),
-        "slack": (float, 0.0), "search": (bool, False), "search_kappa": (float, 0.0),
-        **EMIT}),
+        "delta": (finite_float, None), "eta": (finite_float, None),
+        "kappa": (finite_float, 1e-3), "slack": (finite_float, 0.0), "search": (bool, False),
+        "search_kappa": (finite_float, 0.0), **EMIT}),
     "report": (cmd_report, "small default battery, combined JSON", {
         "k": (int, 2), "q": (int, 53), **EMIT, **SEED}),
 }

@@ -27,10 +27,12 @@ hyperbola count sum_d lambda(d) #{m <= x/d : d m = a mod q}, in closed form
 per d, checks every class sum against a stated float budget.
 
 The bound calculators implement the completion/bilinear estimates; an exact
-rational analysis over the vertices of their (mu', nu') line arrangement
-finds the largest distribution-exponent offset delta* = 1/26 they sustain;
-delta converts to the progression-range exponent via eta = delta / (4 -
-2*delta), so eta* = 1/102.
+analysis over the vertices of their (mu', nu') line arrangement finds the
+largest distribution-exponent offset delta* = 1/26 they sustain; delta
+converts to the progression-range exponent via eta = delta / (4 - 2*delta),
+so eta* = 1/102.  The analysis runs in Python integers: the bound pieces over
+one common denominator, each vertex a reduced integer triple, and Fractions
+only in what it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -360,11 +362,31 @@ BOUND_PIECES = (
     ((0, Fraction(-1, 2), 0), (Fraction(-1, 2), 0, Fraction(1, 4))),
     BRACKET_PIECES["special"],
 )
-_PIECES = [p for pieces in BOUND_PIECES for p in pieces]
-# g = min of the bounds is affine between the lines where two pieces are
-# equal and the line mu' = 2 nu' where the special bound switches on
-_BREAKS = [(1, -2, 0)] + [(a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2, c2)
-                          in combinations(_PIECES, 2) if (a1, b1) != (a2, b2)]
+# The case analysis runs in integers: pieces over their common denominator _D
+# (24), a point (x / d, y / d) as the reduced (x, y, d), d > 0, and a line as
+# (a, b, c).  g = min of the bounds is affine between the lines where two
+# pieces are equal and mu' = 2 nu', where the special bound switches on.
+_D = math.lcm(*(Fraction(v).denominator for ps in BOUND_PIECES for p in ps for v in p))
+_BOUNDS = [[tuple(int(v * _D) for v in p) for p in pieces] for pieces in BOUND_PIECES]
+_PIECES = [p for pieces in _BOUNDS for p in pieces]
+_BREAKS = [(1, -2, 0)] + [tuple(v // math.gcd(*line) for v in line) for line in (
+    (a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2, c2)
+    in combinations(_PIECES, 2) if (a1, b1) != (a2, b2))]
+_EDGES = [(1, 0, 0), (0, 1, 0), (1, 1, -1)]  # the band edges no call moves
+
+
+def _crossings(new, old, edges) -> set:
+    """The points inside `edges` where a line of `new` meets a later one or one of `old`."""
+    out = set()
+    for (a1, b1, c1), (a2, b2, c2) in chain(combinations(new, 2), product(new, old)):
+        d, x, y = a1 * b2 - a2 * b1, b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+        if d and all((a * x + b * y + c * d) * d >= 0 for a, b, c in edges):
+            g = math.gcd(x, y, d) * (1 if d > 0 else -1)
+            out.add((x // g, y // g, d // g))
+    return out
+
+
+_FIXED_VERTICES = _crossings(_EDGES + _BREAKS, (), _EDGES)
 
 
 def bound_exponents(mu_p, nu_p) -> tuple:
@@ -375,6 +397,12 @@ def bound_exponents(mu_p, nu_p) -> tuple:
     return (*f[:4], f[4] if 0 <= mu_p <= 2 * nu_p else INF)
 
 
+def _require_finite(**values) -> None:
+    for name, v in values.items():
+        if v is not None and not abs(v) < INF:
+            raise OutOfRange(f"{name} = {v} is not finite")
+
+
 @dataclass(frozen=True)
 class ExponentConfig:
     delta: float | None = None
@@ -383,6 +411,11 @@ class ExponentConfig:
     slack: float = 0.0
 
     def __post_init__(self):
+        _require_finite(delta=self.delta, eta=self.eta, kappa=self.kappa,
+                        slack=self.slack)
+        if self.eta is not None and 1 + 2 * self.eta == 0:
+            raise OutOfRange(f"eta = {self.eta} is the pole of delta = "
+                             "4 eta / (1 + 2 eta)")
         if self.delta is not None and self.eta is not None:
             implied = 4 * self.eta / (1 + 2 * self.eta)
             if abs(self.delta - implied) > 1e-9:
@@ -402,29 +435,25 @@ def delta_to_eta(delta):
     return delta / (4 - 2 * delta)
 
 
-def _integral(line) -> tuple:
-    """The line (a, b, c) scaled by a positive integer to integer coefficients."""
-    m = math.lcm(*(Fraction(x).denominator for x in line))
-    return tuple(int(x * m) for x in line)
-
-
 def _vertices(slack: Fraction, top=None, lines=()) -> set:
-    """Exact (mu', nu') where two of the break lines, `lines` and the edges of
+    """The points (x, y, d) where two of the breaks, the integer `lines` and the edges of
     {mu', nu' >= 0, nu' <= 1 + slack, 1 <= mu' + nu' <= top or inf} cross in it."""
     if slack > Fraction(2, 3):
         # f5 >= min(f1..f4) on mu' = 2 nu' only while nu' <= 5/3; beyond,
         # g jumps there and its extrema need not sit at vertices
         raise OutOfRange(f"slack = {float(slack)} above 2/3")
-    band = [(1, 0, 0), (0, 1, 0), (0, -1, 1 + slack), (1, 1, -1)]
-    band = [_integral(h) for h in band + ([] if top is None else [(-1, -1, top)])]
-    out = set()
-    for (a1, b1, c1), (a2, b2, c2) in combinations(
-            band + [_integral(l) for l in _BREAKS + list(lines)], 2):
-        # the crossing is (x / d, y / d), tested against the band in integers
-        d, x, y = a1 * b2 - a2 * b1, b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
-        if d and all((a * x + b * y + c * d) * d >= 0 for a, b, c in band):
-            out.add((Fraction(x, d), Fraction(y, d)))
-    return out
+    moving = [(0, -slack.denominator, slack.denominator + slack.numerator)] + (
+        [] if top is None else [(-top.denominator, -top.denominator, top.numerator)])
+    return _crossings(moving + list(lines), _EDGES + _BREAKS, _EDGES + moving) | {
+        (x, y, d) for x, y, d in _FIXED_VERTICES
+        if all(a * x + b * y + c * d >= 0 for a, b, c in moving)}
+
+
+def _scaled_bound(x: int, y: int, d: int) -> int:
+    """_D * d * min(bound_exponents(x / d, y / d)), exactly, for d > 0."""
+    bounds = _BOUNDS if 0 <= x <= 2 * y else _BOUNDS[:-1]
+    return _D * (x + y) + min(max(a * x + b * y + c * d for a, b, c in pieces)
+                              for pieces in bounds)
 
 
 @dataclass(frozen=True)
@@ -442,12 +471,15 @@ def exponent_case_analysis(config: ExponentConfig) -> ExponentVerdict:
     """Check that min over the five bounds is <= 1 - kappa on the whole band;
     it is affine between break lines, so its maximum sits at a vertex."""
     delta, slack = config.resolved_delta(), Fraction(config.slack)
-    ranked = sorted(((min(bound_exponents(*p)), p)
-                     for p in _vertices(slack, 1 + delta + slack)), reverse=True)
-    if not ranked:
+    points = _vertices(slack, 1 + delta + slack)
+    if not points:
         # e.g. delta + slack < 0; a bounded nonempty band has a vertex
         raise OutOfRange(f"empty band at delta = {float(delta)}, "
                          f"slack = {float(slack)}")
+    L = math.lcm(*(d for _, _, d in points))  # keys (_D g, mu', nu') times L, in ints
+    top = sorted(((_scaled_bound(x, y, d) * (L // d), x * (L // d), y * (L // d))
+                  for x, y, d in points), reverse=True)[:8]
+    ranked = [(Fraction(g, _D * L), (Fraction(x, L), Fraction(y, L))) for g, x, y in top]
     worst, worst_at = ranked[0]
     level = 1 - Fraction(config.kappa)
     witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
@@ -462,10 +494,14 @@ def delta_star_search(kappa: float = 0.0, slack: float = 0.0) -> dict:
     mu' + nu' where min of the bounds reaches 1 - kappa, a vertex once the
     level lines are added.  kappa = 0 locates the boundary itself; a positive
     kappa shifts delta* down by about (18/13) kappa."""
-    level = 1 - Fraction(kappa)
-    levels = [(1 + a, 1 + b, c - level) for a, b, c in _PIECES]
-    ds = min(mu + nu for mu, nu in _vertices(Fraction(slack), lines=levels)
-             if min(bound_exponents(mu, nu)) >= level) - 1 - Fraction(slack)
+    _require_finite(kappa=kappa, slack=slack)
+    n, m = (1 - Fraction(kappa)).as_integer_ratio()  # the level n / m
+    levels = [((_D + a) * m, (_D + b) * m, c * m - _D * n) for a, b, c in _PIECES]
+    sums = [Fraction(x + y, d) for x, y, d in _vertices(Fraction(slack), lines=levels)
+            if _scaled_bound(x, y, d) * m >= _D * d * n]
+    if not sums:
+        raise OutOfRange(f"empty band at slack = {float(slack)}")
+    ds = min(sums) - 1 - Fraction(slack)
     es = delta_to_eta(ds)
     return {"delta_star": float(ds), "eta_star": float(es),
             "delta_star_exact": str(ds), "eta_star_exact": str(es),

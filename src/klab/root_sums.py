@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharDividesK, NoKthRoots
+from .errors import CharDividesK, NoKthRoots, OutOfRange
 from .fields import build_extension, make_prime_field, roots_of_unity
 
 
@@ -133,6 +133,9 @@ def smallest_conforming_q(k: int, q_limit: int = 1000) -> int | None:
     both structural claims hold."""
     from .fields import is_prime
 
+    if q_limit < 3:
+        raise OutOfRange(f"q_limit = {q_limit} is below 3, the smallest odd prime: "
+                         "the search would try no q")
     for q in range(3, q_limit + 1):
         if not is_prime(q) or math.gcd(k, q) != 1:
             continue

@@ -492,3 +492,51 @@ def test_parser_is_built_once(capsys):
     assert main(["exponent-lp", "--delta", "0.03"]) == 0
     assert main(["sk", "--k", "2", "--q", "7"]) == 0
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent-lp", "--delta", "inf"],
+    ["exponent-lp", "--delta", "nan"],
+    ["exponent-lp", "--eta", "inf"],
+    ["exponent-lp", "--delta", "0.03", "--kappa", "inf"],
+    ["exponent-lp", "--delta", "0.03", "--slack", "inf"],
+    ["exponent-lp", "--delta", "0.03", "--slack", "nan"],
+    ["exponent-lp", "--search", "--search-kappa", "inf"],
+    ["exponent-lp", "--search", "--slack", "inf"],
+    ["sumprod-scan", "--k", "2", "--q", "7", "--seed", "1", "--threshold", "nan"],
+    ["sumprod-scan", "--k", "2", "--q", "7", "--seed", "1", "--threshold", "inf"],
+])
+def test_non_finite_float_options_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid finite_float value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("exponent-lp", "kappa", "inf"), ("exponent-lp", "slack", "nan"),
+    ("sumprod-scan", "threshold", "nan"), ("sumprod-scan", "threshold", "-inf")])
+def test_non_finite_float_config_keys_exit_1(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = {"exponent-lp": ["exponent-lp", "--delta", "0.03"],
+            "sumprod-scan": ["sumprod-scan", "--k", "2", "--q", "7", "--seed", "1"]}[section]
+    out = tmp_path / "artifact"
+    assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config key {key!r}") and "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eta", "-0.5"], "error: eta = -0.5 is the pole"),
+    (["--search", "--slack", "-2"], "error: empty band at slack = -2.0"),
+])
+def test_exponent_lp_refusals_are_typed(tmp_path, capsys, argv, message):
+    out = tmp_path / "artifact"
+    assert main(["exponent-lp", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()

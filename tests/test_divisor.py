@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -522,3 +523,139 @@ def test_grid_option_is_gone(tmp_path, capsys):
     cfg.write_text("[exponent-lp]\ngrid = 1e-3\n")
     assert main(["--config", str(cfg), "exponent-lp", "--delta", "0.03"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ----------------------------------------------- integer route vs Fraction route
+#
+# A test-local copy of the case analysis on Fractions: every break line, band
+# edge and crossing is a Fraction, and the bound at a vertex is
+# min(bound_exponents(mu', nu')).  It shares only BOUND_PIECES and
+# bound_exponents with klab.divisor, whose route runs in integers.
+
+_REF_PIECES = [p for pieces in dv.BOUND_PIECES for p in pieces]
+_REF_BREAKS = [(1, -2, 0)] + [(a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2, c2)
+                              in itertools.combinations(_REF_PIECES, 2) if (a1, b1) != (a2, b2)]
+
+
+def _ref_vertices(slack, top=None, lines=()):
+    if slack > Fraction(2, 3):
+        raise OutOfRange(f"slack = {float(slack)} above 2/3")
+    band = [(1, 0, 0), (0, 1, 0), (0, -1, 1 + slack), (1, 1, -1)]
+    band += [] if top is None else [(-1, -1, top)]
+    out = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(band + _REF_BREAKS + list(lines), 2):
+        d = Fraction(a1 * b2 - a2 * b1)
+        if d:
+            mu, nu = (b1 * c2 - b2 * c1) / d, (a2 * c1 - a1 * c2) / d
+            if all(a * mu + b * nu + c >= 0 for a, b, c in band):
+                out.add((mu, nu))
+    return out
+
+
+def _ref_case_analysis(config):
+    delta, slack = config.resolved_delta(), Fraction(config.slack)
+    ranked = sorted(((min(bound_exponents(*p)), p)
+                     for p in _ref_vertices(slack, 1 + delta + slack)), reverse=True)
+    if not ranked:
+        raise OutOfRange(f"empty band at delta = {float(delta)}, slack = {float(slack)}")
+    worst, worst_at = ranked[0]
+    level = 1 - Fraction(config.kappa)
+    witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
+                      for g, (mu, nu) in ranked[:8] if g > level)
+    return dv.ExponentVerdict(passed=worst <= level, delta=delta, kappa=config.kappa,
+                              slack=config.slack, worst=worst, worst_at=worst_at,
+                              witnesses=witnesses)
+
+
+def _ref_search(kappa, slack):
+    level = 1 - Fraction(kappa)
+    levels = [(1 + a, 1 + b, c - level) for a, b, c in _REF_PIECES]
+    ds = min(mu + nu for mu, nu in _ref_vertices(Fraction(slack), lines=levels)
+             if min(bound_exponents(mu, nu)) >= level) - 1 - Fraction(slack)
+    es = delta_to_eta(ds)
+    return {"delta_star": float(ds), "eta_star": float(es),
+            "delta_star_exact": str(ds), "eta_star_exact": str(es),
+            "kappa": kappa, "slack": slack}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OutOfRange as e:
+        return ("OutOfRange", str(e))
+
+
+def _assert_routes_agree(delta, slack, kappa):
+    cfg = ExponentConfig(delta=delta, slack=slack, kappa=kappa)
+    got = _outcome(exponent_case_analysis, cfg)
+    assert got == _outcome(_ref_case_analysis, cfg)
+    if isinstance(got, dv.ExponentVerdict):
+        assert type(got.worst) is Fraction and all(type(v) is Fraction for v in got.worst_at)
+    assert _outcome(delta_star_search, kappa, slack) == _outcome(_ref_search, kappa, slack)
+
+
+@pytest.mark.parametrize("delta, slack, kappa", [
+    (0.03, 0.0, 1e-3), (0.05, 0.0, 1e-3), (0.04, 0.02, 0.002), (0.05, 0.01, 0.001),
+    (Fraction(1, 26), 0, 0), (Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000)),
+    (0.2, 0.5, 0.0), (-0.01, 0.01, 1e-3), (-0.5, 0.0, 1e-3), (0.03, 1.0, 1e-3)])
+def test_integer_route_matches_fraction_route_at_fixed_points(delta, slack, kappa):
+    _assert_routes_agree(delta, slack, kappa)
+
+
+def _exact_or_float(lo, hi):
+    return st.one_of(st.fractions(lo, hi, max_denominator=1000),
+                     st.floats(float(lo), float(hi)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_exact_or_float(Fraction(-1, 20), Fraction(3, 10)),
+       _exact_or_float(Fraction(-1, 5), Fraction(7, 10)),
+       _exact_or_float(Fraction(-1, 20), Fraction(1, 5)))
+def test_integer_route_matches_fraction_route(delta, slack, kappa):
+    _assert_routes_agree(delta, slack, kappa)
+
+
+# On the band the special bound is never the least one where it switches on
+# (mu' = 0 or mu' = 2 nu'), so its switch-on test shows only off the band:
+# at (0, 10) and (4, 2) it is the least of the five.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(1, 12),
+       st.sampled_from(["anywhere", "mu' = 0", "mu' = 2 nu'"]))
+def test_scaled_bound_is_the_least_fraction_bound(x, y, d, where):
+    x = {"anywhere": x, "mu' = 0": 0, "mu' = 2 nu'": 2 * y}[where]
+    want = min(bound_exponents(Fraction(x, d), Fraction(y, d)))
+    assert Fraction(dv._scaled_bound(x, y, d), dv._D * d) == want
+
+
+@pytest.mark.parametrize("x, y, d", [(0, 10, 1), (4, 2, 1), (0, 5, 1), (6, 3, 1)])
+def test_special_bound_counts_on_its_switch_on_lines(x, y, d):
+    vals = bound_exponents(Fraction(x, d), Fraction(y, d))
+    assert vals[4] < min(vals[:4])
+    assert Fraction(dv._scaled_bound(x, y, d), dv._D * d) == vals[4]
+
+
+@pytest.mark.parametrize("kwargs", [dict(eta=-0.5), dict(eta=Fraction(-1, 2)),
+                                    dict(delta=0.1, eta=-0.5)])
+def test_eta_at_the_pole_is_out_of_range(kwargs):
+    with pytest.raises(OutOfRange, match="pole"):
+        ExponentConfig(**kwargs).resolved_delta()
+
+
+@pytest.mark.parametrize("name", ["delta", "eta", "kappa", "slack"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponent_config_is_out_of_range(name, value):
+    with pytest.raises(OutOfRange, match="not finite"):
+        ExponentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["kappa", "slack"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_search_is_out_of_range(name, value):
+    with pytest.raises(OutOfRange, match="not finite"):
+        delta_star_search(**{name: value})
+
+
+@pytest.mark.parametrize("slack", [-2, -1.5, Fraction(-11, 10)])
+def test_search_refuses_an_empty_band(slack):
+    with pytest.raises(OutOfRange, match="empty band"):
+        delta_star_search(slack=slack)

@@ -2,12 +2,13 @@ from collections import Counter
 
 import pytest
 
-from klab.errors import CharDividesK, NoKthRoots
+from klab.errors import CharDividesK, NoKthRoots, OutOfRange
 from klab.fields import make_prime_field, roots_of_unity
 from klab.root_sums import (compute_sk, expected_stabilizer,
                             find_embedding_degree, host_field,
                             multiplicity_one_element, sk_to_dict,
-                            smallest_conforming_q, stabilizer_group)
+                            smallest_conforming_q, smallest_conforming_qs,
+                            stabilizer_group)
 
 
 def test_embedding_degree_examples():
@@ -133,6 +134,19 @@ def test_smallest_conforming_q_small_k():
     assert smallest_conforming_q(2, q_limit=20) == 5
     q3 = smallest_conforming_q(3, q_limit=50)
     assert q3 is not None and q3 <= 50
+
+
+@pytest.mark.parametrize("q_limit", [2, 0, -5])
+def test_q_limit_below_3_is_out_of_range(q_limit):
+    # no q < 3 is an odd prime: a search would try none and report nothing found
+    with pytest.raises(OutOfRange, match="below 3"):
+        smallest_conforming_qs(3, q_limit)
+    with pytest.raises(OutOfRange, match="below 3"):
+        smallest_conforming_q(2, q_limit)
+
+
+def test_q_limit_3_searches_q_3():
+    assert smallest_conforming_qs(3, 3) == {2: None, 3: None}
 
 
 def test_sk_to_dict_roundtrip():
