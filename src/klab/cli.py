@@ -25,7 +25,7 @@ from . import divisor as dv
 from . import root_sums as rs
 from .errors import (ConstraintViolated, HypothesisViolated, IoError, KlabError,
                      UsageError)
-from .fields import build_extension, make_prime_field
+from .fields import finite_field
 from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
                           kloosterman_table, load_table, save_table)
@@ -40,11 +40,6 @@ EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
 
 
-def _field(q: int, d: int):
-    base = make_prime_field(q)
-    return base if d == 1 else build_extension(base, d)
-
-
 def _cache_file(cache_dir: str, k: int, f, convention: str) -> str:
     """The table's path in ``cache_dir``, which is created when missing."""
     try:
@@ -55,7 +50,7 @@ def _cache_file(cache_dir: str, k: int, f, convention: str) -> str:
 
 
 def _context(k: int, q: int, d: int, c: int):
-    f = _field(q, d)
+    f = finite_field(q, d)
     cache_dir = os.environ.get("KLAB_CACHE_DIR")
     table = None
     if cache_dir:
@@ -123,7 +118,7 @@ def _config_echo(args) -> dict:
 # ----------------------------------------------------------------- commands
 
 def cmd_kl_table(args):
-    f = _field(args.q, args.d)
+    f = finite_field(args.q, args.d)
     t = kloosterman_table(args.k, f, args.convention)
     cache_dir = args.cache or os.environ.get("KLAB_CACHE_DIR")
     if cache_dir:
@@ -140,7 +135,7 @@ def cmd_kl_table(args):
 
 
 def cmd_kl_check(args):
-    f = _field(args.q, args.d)
+    f = finite_field(args.q, args.d)
     t = kloosterman_table(args.k, f)
     payload = {
         "cross_check_max": cross_check(t),
@@ -333,7 +328,7 @@ def cmd_exponent_lp(args):
 def cmd_report(args):
     """Small default battery across the modules, one combined JSON."""
     q, k = args.q, args.k
-    f = make_prime_field(q)
+    f = finite_field(q, 1)
     t = kloosterman_table(k, f)
     ctx = SumProductContext(t, c=1)
     rng = np.random.default_rng(args.seed)
@@ -452,8 +447,9 @@ def _complete(args) -> None:
         dest = key.replace("-", "_")
         if dest not in options:
             raise UsageError(f"unknown config key {key!r} for {args.command}")
+        value = _coerce(key, val, options[dest][0])  # checked even when a flag wins
         if dest not in args.given:
-            setattr(args, dest, _coerce(key, val, options[dest][0]))
+            setattr(args, dest, value)
             args.given.add(dest)
     for dest, (_kind, default) in options.items():
         if dest not in args.given:

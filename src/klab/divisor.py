@@ -335,7 +335,7 @@ def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
     "special_failed" (with the bracket set to nan), or raised when ``strict``.
     """
     if M <= 0 or N <= 0:
-        raise ValueError("ranges must be positive")
+        raise OutOfRange("ranges must be positive")
     out = {
         "pv": M * N * (1 / q + math.sqrt(q) / N),
         "linear": M * (q ** -0.125 + q ** 0.375 / math.sqrt(M)),
@@ -419,7 +419,7 @@ class ExponentConfig:
         if self.delta is not None and self.eta is not None:
             implied = 4 * self.eta / (1 + 2 * self.eta)
             if abs(self.delta - implied) > 1e-9:
-                raise ValueError(f"delta = {self.delta} inconsistent with "
+                raise OutOfRange(f"delta = {self.delta} inconsistent with "
                                  f"eta = {self.eta} (implied {implied})")
 
     def resolved_delta(self) -> Fraction:
@@ -427,7 +427,7 @@ class ExponentConfig:
             return Fraction(self.delta)
         if self.eta is not None:
             return 4 * Fraction(self.eta) / (1 + 2 * Fraction(self.eta))
-        raise ValueError("need delta or eta")
+        raise OutOfRange("need delta or eta")
 
 
 def delta_to_eta(delta):

@@ -8,11 +8,14 @@ modulus is chosen deterministically as the irreducible monic polynomial of
 degree d whose non-leading coefficient encoding is smallest, so tables are
 reproducible across runs.
 
-F_q is F_{q^d} with d = 1 and modulus x, so both classes share one table
-builder (``_Field``): the trace from the traces of the basis powers, the
-generator as the least encoding of full order, and the exp table by
-doubling, each step one d x d digit matrix product over F_q.  The classes
-themselves hold only their scalar and vector arithmetic.
+F_q is F_{q^d} with d = 1 and modulus x, so both classes share one base,
+``_Field``: the digit encoding with one digit-wise ``add``/``sub``/``neg`` for
+ints and numpy arrays (``PrimeField`` keeps mod-q ones as the d = 1 fast
+path), ``inv``, equality, and the table builder: the trace from the traces of
+the basis powers, the generator as the least encoding of full order, and the
+exp table by doubling, each step one d x d digit matrix product over F_q.
+The classes supply ``mul``, ``pow`` and the vector arithmetic, and
+``finite_field(q, d)`` is the one constructor the package calls.
 
 Fields are immutable after construction; every operation is a pure function
 of its inputs.
@@ -168,6 +171,38 @@ class _Field:
         q = self.q
         return sum((int(c) % q) * q**i for i, c in enumerate(coeffs))
 
+    def _digitwise(self, a, b, sign):
+        """a + sign * b on encodings, digit i as (a // q^i + sign * (b // q^i))
+        mod q, for ints and numpy arrays alike; the inputs are never written."""
+        q, out = self.q, 0
+        for i in range(self.degree):
+            p = q**i
+            out += (a // p + sign * (b // p)) % q * p
+        return out
+
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
+
+    def sub(self, a, b):
+        return self._digitwise(a, b, -1)
+
+    def neg(self, a):
+        return self._digitwise(0, a, -1)
+
+    def inv(self, a):
+        if a % self.size == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.size - 2)
+
+    def _key(self):
+        return type(self).__name__, self.q, self.degree, self.modulus
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def _build_tables(self):
         Q, q, d = self.size, self.q, self.degree
         if Q > DLOG_TABLE_CAP:  # pragma: no cover - beyond desk scale
@@ -253,80 +288,33 @@ class PrimeField(_Field):
     def mul(self, a, b):
         return a * b % self.q
 
-    def inv(self, a):
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.q - 2, self.q)
-
     def pow(self, a, e):
         if e < 0:
             return pow(self.inv(a), -e, self.q)
         return pow(a, e, self.q)
 
-    def add_vec(self, a, b):
-        return (a + b) % self.q
-
-    def mul_vec(self, a, b):
-        return a * b % self.q
+    add_vec, mul_vec = add, mul
 
     def __repr__(self):
         return f"PrimeField(q={self.q})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q and other.degree == 1
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
 
 
 class ExtField(_Field):
     """F_{q^d} as polynomials modulo a fixed monic irreducible of degree d."""
 
-    def __init__(self, base: PrimeField, d: int, modulus=None):
+    def __init__(self, base: PrimeField, d: int):
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.q = base.q
         self.degree = d
         self.size = base.q**d
-        if modulus is None:
-            modulus = _smallest_irreducible(base.q, d)
-        else:
-            modulus = tuple(int(c) % base.q for c in modulus)
-            if len(modulus) != d + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree d")
-            if not _is_irreducible(list(modulus), base.q, d):
-                raise ValueError("modulus is not irreducible")
-        self.modulus = tuple(modulus)
+        self.modulus = _smallest_irreducible(base.q, d)
         self._add_table = None
         self._mul_table = None
         self._build_tables()
 
     # scalar arithmetic on encodings -------------------------------------
-    def add(self, a, b):
-        q = self.q
-        out = 0
-        p = 1
-        for _ in range(self.degree):
-            out += ((a + b) % q) * p
-            a //= q
-            b //= q
-            p *= q
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        q = self.q
-        out = 0
-        p = 1
-        for _ in range(self.degree):
-            out += ((-a) % q) * p
-            a //= q
-            p *= q
-        return out
-
     def mul(self, a, b):
         pa = list(self.decode(a))
         pb = list(self.decode(b))
@@ -341,23 +329,14 @@ class ExtField(_Field):
         _poly_trim(pa)
         return self.encode(_poly_powmod(pa, e, list(self.modulus), self.q) + [0] * self.degree)
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.size - 2)
-
     def add_table(self):
         """Dense Q x Q addition table (encodings); built lazily."""
         if self._add_table is None:
-            Q, q, d = self.size, self.q, self.degree
+            Q = self.size
             if Q > PAIR_TABLE_CAP:
                 raise ResourceLimit(f"add table needs Q <= {PAIR_TABLE_CAP}, got {Q}")
             ids = np.arange(Q, dtype=np.int64)
-            tab = np.zeros((Q, Q), dtype=np.int64)
-            for i in range(d):
-                da = ids // q**i % q
-                tab += ((da[:, None] + da[None, :]) % q) * q**i
-            self._add_table = tab
+            self._add_table = self.add(ids[:, None], ids[None, :])
         return self._add_table
 
     def mul_table(self):
@@ -382,13 +361,6 @@ class ExtField(_Field):
     def __repr__(self):
         return f"ExtField(q={self.q}, d={self.degree}, modulus={self.modulus})"
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.q == self.q
-                and other.degree == self.degree and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("ExtField", self.q, self.degree, self.modulus))
-
 
 @lru_cache(maxsize=None)
 def _smallest_irreducible(q: int, d: int):
@@ -400,6 +372,12 @@ def _smallest_irreducible(q: int, d: int):
         if _is_irreducible(coeffs, q, d):
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+
+
+def finite_field(q: int, d: int):
+    """F_q for d = 1, else F_{q^d} over it, modulo ``_smallest_irreducible``."""
+    base = PrimeField(q)
+    return base if d == 1 else ExtField(base, d)
 
 
 def make_prime_field(q: int) -> PrimeField:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoError, KlabError, OutOfRange, ResourceLimit
+from .fields import finite_field
 
 DEFAULT_NAIVE_CAP = 1 << 25
 # cells of the psi(a / p) block that naive_table gathers at a time
@@ -76,16 +77,6 @@ class KloostermanTable:
         unnormalized complete sum collapses to (-1)^k."""
         sign = sign_factor(self.k, self.convention) * (-1) ** self.k
         return float(abs(self.values.sum() - sign / self.size ** ((self.k - 1) / 2)))
-
-
-def _neg_perm(field) -> np.ndarray:
-    """Permutation a -> -a on encodings."""
-    q, Q = field.q, field.size
-    ids = np.arange(Q, dtype=np.int64)
-    out = np.zeros(Q, dtype=np.int64)
-    for i in range(field.degree):
-        out += ((q - ids // q**i % q) % q) * q**i
-    return out
 
 
 def _mul_perm(field, c: int) -> np.ndarray:
@@ -186,7 +177,7 @@ def conjugation_symmetry_check(table: KloostermanTable) -> float:
     if table.k % 2 == 0:
         target = table.values
     else:
-        target = table.values[_neg_perm(table.field)]
+        target = table.values[table.field.neg(np.arange(table.size, dtype=np.int64))]
     return float(np.abs(np.conj(table.values) - target).max())
 
 
@@ -250,10 +241,9 @@ def save_table(table: KloostermanTable, path: str) -> None:
 def load_table(path: str, field=None, k: int | None = None,
                convention: str | None = None) -> KloostermanTable:
     """Read a cache written by ``save_table``; with ``field``, ``k`` or
-    ``convention`` given, the cached header must match them.  Every
+    ``convention`` given, the cached header must match them; without
+    ``field``, its modulus must be the one ``finite_field`` picks.  Every
     malformed or mismatched file raises IoError."""
-    from .fields import ExtField, PrimeField
-
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -291,10 +281,12 @@ def load_table(path: str, field=None, k: int | None = None,
         raise IoError(f"{path}: payload checksum mismatch")
     if field is None:
         try:
-            base = PrimeField(q)
-            field = base if d == 1 else ExtField(base, d, modulus=coeffs)
+            field = finite_field(q, d)
         except (KlabError, ValueError) as e:
             raise IoError(f"{path}: bad cached field: {e}") from e
+        if field.modulus != coeffs:
+            raise IoError(f"{path}: cached modulus {list(coeffs)} is not klab's "
+                          f"{list(field.modulus)} for q^d = {q}^{d}")
     inter = np.frombuffer(raw, dtype="<f8", offset=offset)
     vals = inter[0::2] + 1j * inter[1::2]
     vals.setflags(write=False)

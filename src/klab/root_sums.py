@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharDividesK, NoKthRoots, OutOfRange
-from .fields import build_extension, make_prime_field, roots_of_unity
+from .fields import finite_field, roots_of_unity
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,19 @@ def host_field(k: int, q: int, d: int | None = None):
         d = dmin
     elif d % dmin != 0:
         raise NoKthRoots(f"k = {k} does not divide q^{d} - 1")
-    base = make_prime_field(q)
-    return base if d == 1 else build_extension(base, d)
-
-
-def _digit_add(host, a, b, sign=1):
-    """a + sign * b on encodings, digit by digit in base q (no dense table)."""
-    q = host.q
-    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    for i in range(host.degree):
-        p = q**i
-        out += (a // p % q + sign * (b // p % q)) % q * p
-    return out
+    return finite_field(q, d)
 
 
 def compute_sk(k: int, host) -> SkMultiset:
     """Enumerate all k^3 triples over the order-k subgroup at once: the
-    sums by digit addition, the k-th powers through the exp/log tables."""
+    sums 1 + z2 - z3 - z4 by the host's ``add``/``sub`` on arrays (digit by
+    digit over an extension), the k-th powers through the exp/log tables."""
     if (host.size - 1) % k != 0:
         raise NoKthRoots(f"k = {k} does not divide {host.size} - 1")
     zs = np.array(roots_of_unity(host, k), dtype=np.int64)
     assert len(zs) == k
     z2, z3, z4 = (z.ravel() for z in np.meshgrid(zs, zs, zs, indexing="ij"))
-    w = _digit_add(host, _digit_add(host, 1, z2), _digit_add(host, z3, z4), sign=-1)
+    w = host.sub(host.add(1, z2), host.add(z3, z4))
     w = w[w != 0]
     powers = host.exp_table[k * host.log_table[w] % (host.size - 1)]
     # entries in order of first appearance, as the triple loop meets them

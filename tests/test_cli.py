@@ -319,6 +319,23 @@ def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
     assert "usage error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, argv", [
+    ("[sk]\nk = two\n", "k", ["sk", "--k", "2", "--q", "7"]),
+    ("[bilinear-sweep]\nM = 40 forty\n", "M",
+     ["bilinear-sweep", "--k", "2", "--q", "101", "--M", "40", "--N", "45", "--seed", "1"]),
+])
+def test_config_value_checked_when_a_flag_wins(tmp_path, capsys, section, key, argv):
+    # --k and --M are required, so only the flag can set them; the key is
+    # still a bad value of its option
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text(section)
+    out = tmp_path / "artifact"
+    assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config key {key!r}: bad value")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--delta", "--eta", "--kappa"])
 def test_exponent_lp_search_rejects_ignored_flag(capsys, flag):
     assert main(["exponent-lp", "--search", flag, "0.03"]) == 1

@@ -435,8 +435,18 @@ def test_delta_eta_conversion():
     assert abs(delta_to_eta(1 / 26) - 1 / 102) < 1e-15
     cfg = ExponentConfig(eta=1 / 102)
     assert abs(cfg.resolved_delta() - 1 / 26) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         ExponentConfig(delta=0.05, eta=0.001)
+
+
+def test_exponent_refusals_are_out_of_range():
+    with pytest.raises(OutOfRange, match="inconsistent with eta"):
+        ExponentConfig(delta=0.05, eta=0.001)
+    with pytest.raises(OutOfRange, match="need delta or eta"):
+        ExponentConfig().resolved_delta()
+    for M, N in [(0.0, 5.0), (5.0, -1.0)]:
+        with pytest.raises(OutOfRange, match="ranges must be positive"):
+            combined_bounds(M, N, 11)
 
 
 def test_delta_star_search():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab.errors import CompositeModulus, TooSmall
-from klab.fields import (build_extension, is_prime, make_prime_field,
-                         roots_of_unity)
+from klab.fields import (PAIR_TABLE_CAP, build_extension, finite_field, is_prime,
+                         make_prime_field, roots_of_unity)
 
 
 def test_make_prime_field_accepts_prime():
@@ -231,3 +232,82 @@ def test_prime_field_inv_table():
     f = make_prime_field(11)
     for a in range(1, 11):
         assert f.inv_table[a] * a % 11 == 1
+
+
+# ---------------------------------------------------------------- digit route
+
+# F_{q^d} with q in {3, 5, 7, 11, 13} and q^d <= 3000, and F_q as an
+# extension of degree one, which takes the digit route instead of mod q
+DIGIT_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in range(1, 8) if q**d <= 3000]
+DIGIT_FIELDS += [(q, "ext1") for q in (3, 5, 7, 11, 13)]
+
+
+@functools.cache
+def _digit_field(q, d):
+    return build_extension(make_prime_field(q), 1) if d == "ext1" else finite_field(q, d)
+
+
+def _digit_oracle(f, a, b, sign):
+    """a + sign * b through the coefficient tuples of ``decode``."""
+    return f.encode([x + sign * y for x, y in zip(f.decode(a), f.decode(b))])
+
+
+@st.composite
+def _field_and_arrays(draw, fields=DIGIT_FIELDS):
+    f = _digit_field(*draw(st.sampled_from(fields)))
+    elem = st.integers(0, f.size - 1)
+    pairs = draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=16))
+    a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    return f, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_arrays())
+def test_array_digit_ops_match_scalars_and_leave_inputs(fab):
+    f, a, b = fab
+    a0, b0 = a.copy(), b.copy()
+    sums, diffs, negs = f.add(a, b), f.sub(a, b), f.neg(a)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    for x, y, s, t, n in zip(a.tolist(), b.tolist(), sums, diffs, negs):
+        assert type(f.add(x, y)) is int
+        assert s == f.add(x, y) == _digit_oracle(f, x, y, 1)
+        assert t == f.sub(x, y) == _digit_oracle(f, x, y, -1)
+        assert n == f.neg(x) == _digit_oracle(f, 0, x, -1)
+    if f.degree == 1:  # the digit route of degree one is the mod-q route
+        fq = make_prime_field(f.q)
+        assert np.array_equal(sums, fq.add(a, b))
+        assert np.array_equal(diffs, fq.sub(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_arrays())
+def test_array_digit_ops_invert_each_other(fab):
+    f, a, b = fab
+    assert np.array_equal(f.sub(f.add(a, b), b), a)
+    assert not f.add(a, f.neg(a)).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_and_arrays([(q, d) for q, d in DIGIT_FIELDS
+                          if d == "ext1" or 1 < d and q**d <= PAIR_TABLE_CAP]))
+def test_array_add_matches_add_table(fab):
+    f, a, b = fab
+    assert np.array_equal(f.add(a, b), f.add_table()[a, b])
+
+
+@pytest.mark.parametrize("q,d", DIGIT_FIELDS)
+def test_negation_is_an_involutive_permutation(q, d):
+    f = _digit_field(q, d)
+    ids = np.arange(f.size)
+    perm = f.neg(ids)
+    assert np.array_equal(np.sort(perm), ids)
+    assert np.array_equal(perm[perm], ids)
+    assert perm[0] == 0 and np.count_nonzero(perm == ids) == 1  # q is odd
+
+
+def test_finite_field_picks_the_class_and_modulus():
+    assert finite_field(7, 1) == make_prime_field(7)
+    assert finite_field(7, 2) == build_extension(make_prime_field(7), 2)
+    assert finite_field(7, 2).modulus == (1, 0, 1)
+    assert finite_field(7, 2) != finite_field(7, 1)
+    assert len({finite_field(5, 2), build_extension(make_prime_field(5), 2)}) == 1

@@ -75,3 +75,35 @@ def test_no_unread_parameters(path):
 def test_no_argparse_internals(path):
     source = path.read_text()
     assert "argparse._" not in source and "._actions" not in source
+
+
+FIELD_CLASSES = {"PrimeField", "ExtField", "make_prime_field", "build_extension"}
+
+
+def field_class_names(source: str) -> list:
+    """The names of ``FIELD_CLASSES`` that ``source`` imports, reads or looks up
+    as an attribute; every module but ``fields`` builds its fields through
+    ``finite_field``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & FIELD_CLASSES)
+
+
+def test_guard_sees_a_field_class():
+    src = ("from .fields import PrimeField as P\n"
+           "import klab.fields as fl\n"
+           "f = fl.build_extension(P(5), 2)\n"
+           "# ExtField in a comment is no use\n")
+    assert field_class_names(src) == ["PrimeField", "build_extension"]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "fields.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_fields_names_the_field_classes(path):
+    assert field_class_names(path.read_text()) == []

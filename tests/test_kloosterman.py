@@ -271,6 +271,23 @@ def test_binary_cache_rejects_old_format(tmp_path, f7):
         load_table(str(p), field=f7, k=2, convention=INTRO)
 
 
+def test_binary_cache_refuses_a_foreign_modulus(tmp_path):
+    # x^2 + 2 is irreducible over F_7, but klab's modulus for F_{7^2} is x^2 + 1
+    f = build_extension(make_prime_field(7), 2)
+    assert f.modulus == (1, 0, 1)
+    p = str(tmp_path / "t.kltb")
+    save_table(kloosterman_table(2, f), p)
+    with open(p, "r+b") as fh:
+        fh.seek(25)  # the modulus coefficients follow magic, k, q, d, convention, count
+        assert fh.read(8) == (1).to_bytes(8, "little")
+        fh.seek(25)
+        fh.write((2).to_bytes(8, "little"))
+    with pytest.raises(IoError, match=r"modulus \[2, 0, 1\]"):
+        load_table(p)
+    with pytest.raises(IoError):
+        load_table(p, field=f)
+
+
 def test_naive_table_matches_pointwise_naive(f5):
     nt = naive_table(3, f5)
     for a in range(5):
