@@ -330,13 +330,18 @@ class ExtField(_Field):
         return self.encode(_poly_powmod(pa, e, list(self.modulus), self.q) + [0] * self.degree)
 
     def add_table(self):
-        """Dense Q x Q addition table (encodings); built lazily."""
+        """Dense Q x Q addition table (encodings); built lazily as a Kronecker
+        sum over the digits, with no division per cell."""
         if self._add_table is None:
-            Q = self.size
+            Q, q = self.size, self.q
             if Q > PAIR_TABLE_CAP:
                 raise ResourceLimit(f"add table needs Q <= {PAIR_TABLE_CAP}, got {Q}")
-            ids = np.arange(Q, dtype=np.int64)
-            self._add_table = self.add(ids[:, None], ids[None, :])
+            ids = np.arange(q, dtype=np.int64)
+            digit, tab = (ids[:, None] + ids) % q, np.zeros((1, 1), dtype=np.int64)
+            for i in range(self.degree):  # digit i on top of the digits below it
+                n = len(tab)
+                tab = (digit[:, None, :, None] * q**i + tab[None, :, None]).reshape(q * n, q * n)
+            self._add_table = tab
         return self._add_table
 
     def mul_table(self):
@@ -345,10 +350,10 @@ class ExtField(_Field):
             Q = self.size
             if Q > PAIR_TABLE_CAP:
                 raise ResourceLimit(f"mul table needs Q <= {PAIR_TABLE_CAP}, got {Q}")
-            L = Q - 1
+            exp2 = np.concatenate([self.exp_table, self.exp_table])
             tab = np.zeros((Q, Q), dtype=np.int64)
             logs = self.log_table[1:]
-            tab[1:, 1:] = self.exp_table[(logs[:, None] + logs[None, :]) % L]
+            tab[1:, 1:] = exp2[logs[:, None] + logs[None, :]]
             self._mul_table = tab
         return self._mul_table
 

@@ -4,9 +4,10 @@ Two independent evaluation routes are provided and cross-checked:
 
 * ``kloosterman_naive`` -- direct summation over (k-1)-tuples with the last
   coordinate solved from the product constraint; cost O(q^{d(k-1)}) per value.
-  ``naive_table`` bins the same tuples by their product p, h(p) = sum of
-  psi(x_1 + ... + x_{k-1}), and takes Kl(a) = sum_p h(p) psi(a / p) as one
-  (Q-1) x (Q-1) gather and matvec: O(Q^{k-1} + Q^2) for all a, Q = q^d.
+  ``naive_table`` recurs on k instead: Kl_1 = psi on the units and
+  Kl_j(a) = sum_p Kl_{j-1}(p) psi(a / p), k - 1 matvecs of one (Q-1) x (Q-1)
+  gather, O(k Q^2) for all a, Q = q^d.  The two group the sum differently; the
+  scalar route keeps the mesh, as one value by recursion costs a whole table.
   Both take 1/p = p^{Q-2} by square-and-multiply through ``field.mul_vec``,
   so over F_q they touch no discrete-log table and no FFT.
 * ``kloosterman_table`` -- one Gauss-sum power.  In discrete logs Kl_k is
@@ -38,6 +39,7 @@ import numpy as np
 from .errors import IoError, KlabError, OutOfRange, ResourceLimit
 from .fields import finite_field
 
+# most (k-1)-tuples of a naive route; naive_table itself takes (k-1) (Q-1)^2 cells
 DEFAULT_NAIVE_CAP = 1 << 25
 # cells of the psi(a / p) block that naive_table gathers at a time
 NAIVE_GATHER_CELLS = 1 << 20
@@ -86,6 +88,11 @@ def _mul_perm(field, c: int) -> np.ndarray:
     return out
 
 
+def _require_k(k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+
 def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
     """Kl_k(g^m) = sign * sqrt(Q) * ifft(u^k)[m], u = fft(psi(g^j)) / sqrt(Q);
     |u| = 1 off the trivial character, where u = -1/sqrt(Q).
@@ -94,8 +101,7 @@ def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTabl
     trivial character's u^k = (-1/sqrt(Q))^k does not underflow, and no
     unnormalized sum, at most k * Q^((k-1)/2) in modulus (Deligne), overflows.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _require_k(k)
     Q = field.size
     if math.log(k) + (k + 1) / 2 * math.log(Q) >= math.log(np.finfo(float).max):
         raise OutOfRange(f"k = {k} too large for q^d = {Q}: "
@@ -110,13 +116,18 @@ def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTabl
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)
 
 
+def _require_naive(field, k: int, cap: int) -> None:
+    """The refusals of both naive routes: k < 2 and more than ``cap`` tuples."""
+    _require_k(k)
+    tuples = (field.size - 1) ** (k - 1)
+    if tuples > cap:
+        raise ResourceLimit(f"naive evaluation needs (q^d - 1)^(k-1) = {tuples} <= {cap}")
+
+
 def _tuple_mesh(field, k: int, cap: int):
     """Flattened partial sums and products over (F^x)^{k-1}."""
-    Q = field.size
-    if (Q - 1) ** (k - 1) > cap:
-        raise ResourceLimit(
-            f"naive evaluation needs (q^d - 1)^(k-1) = {(Q - 1) ** (k - 1)} <= {cap}")
-    units = np.arange(1, Q, dtype=np.int64)
+    _require_naive(field, k, cap)
+    units = np.arange(1, field.size, dtype=np.int64)
     sums = units.copy()
     prods = units.copy()
     for _ in range(k - 2):
@@ -142,31 +153,30 @@ def _unit_inverses(field) -> np.ndarray:
 
 def kloosterman_naive(k: int, a: int, field) -> complex:
     """Direct brute-force sum over x_1 ... x_{k-1}, x_k = a / prod (``intro``)."""
+    sums, prods = _tuple_mesh(field, k, DEFAULT_NAIVE_CAP)
     if a % field.size == 0:
         return 0.0 + 0.0j
-    sums, prods = _tuple_mesh(field, k, DEFAULT_NAIVE_CAP)
     last = field.mul_vec(a, _unit_inverses(field)[prods])
     total = field.psi_vec[field.add_vec(sums, last)].sum()
     return complex(total / field.size ** ((k - 1) / 2))
 
 
 def naive_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
-    """Brute-force table: the tuple mesh binned by product (tests/oracles).
-
-    h(p) sums psi(x_1 + ... + x_{k-1}) over the tuples with product p, and
-    Kl(a) = sum_p h(p) psi(a / p) is one gather of psi_vec and one matvec.
-    """
-    sums, prods = _tuple_mesh(field, k, DEFAULT_NAIVE_CAP)
+    """Brute-force table by recursion on k (tests/oracles): from Kl_1 = psi
+    on the units, each of k - 1 passes takes Kl_j(a) = sum_p Kl_{j-1}(p)
+    psi(a / p), the block psi(a / p) gathered NAIVE_GATHER_CELLS at a time
+    times the last pass's values.  O(k Q^2) against Q^{k-1} for the mesh."""
+    _require_naive(field, k, DEFAULT_NAIVE_CAP)
     Q = field.size
-    h = (np.bincount(prods, weights=field.psi_vec.real[sums], minlength=Q)
-         + 1j * np.bincount(prods, weights=field.psi_vec.imag[sums], minlength=Q))
-    del sums, prods
     inv = _unit_inverses(field)[None, 1:]
     vals = np.zeros(Q, dtype=np.complex128)
+    vals[1:] = field.psi_vec[1:]
     step = max(1, NAIVE_GATHER_CELLS // (Q - 1))
-    for lo in range(1, Q, step):
-        a = np.arange(lo, min(lo + step, Q), dtype=np.int64)[:, None]
-        vals[lo:lo + step] = field.psi_vec[field.mul_vec(a, inv)] @ h[1:]
+    for _ in range(k - 1):
+        h = vals[1:].copy()
+        for lo in range(1, Q, step):
+            a = np.arange(lo, min(lo + step, Q), dtype=np.int64)[:, None]
+            vals[lo:lo + step] = field.psi_vec[field.mul_vec(a, inv)] @ h
     vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)

@@ -311,3 +311,29 @@ def test_finite_field_picks_the_class_and_modulus():
     assert finite_field(7, 2).modulus == (1, 0, 1)
     assert finite_field(7, 2) != finite_field(7, 1)
     assert len({finite_field(5, 2), build_extension(make_prime_field(5), 2)}) == 1
+
+
+# dense tables: every field with the Q x Q tables, F_q as degree one included
+DENSE_FIELDS = [(q, d) for q, d in DIGIT_FIELDS
+                if d == "ext1" or 1 < d and q**d <= PAIR_TABLE_CAP]
+
+
+@pytest.mark.parametrize("q,d", DENSE_FIELDS)
+def test_add_table_is_the_array_add(q, d):
+    f = _digit_field(q, d)
+    ids = np.arange(f.size, dtype=np.int64)
+    assert np.array_equal(f.add_table(), f.add(ids[:, None], ids[None, :]))
+
+
+@pytest.mark.parametrize("q,d", DENSE_FIELDS)
+def test_mul_table_is_the_log_sum(q, d):
+    f = _digit_field(q, d)
+    L = f.size - 1
+    logs = f.log_table[1:]
+    want = np.zeros((f.size, f.size), dtype=np.int64)
+    want[1:, 1:] = f.exp_table[(logs[:, None] + logs[None, :]) % L]
+    tab = f.mul_table()
+    assert np.array_equal(tab, want)
+    rng = np.random.default_rng(q * 100 + f.degree)
+    for a, b in rng.integers(0, f.size, size=(64, 2)).tolist():
+        assert tab[a, b] == f.mul(a, b)

@@ -343,3 +343,43 @@ def test_tuple_mesh_is_the_scalar_enumeration(qd):
     want = [(f.add(f.add(a, b), c), f.mul(f.mul(a, b), c))
             for a, b, c in itertools.product(range(1, f.size), repeat=3)]
     assert list(zip(sums.tolist(), prods.tolist())) == want
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_every_route_refuses_k_below_two(f7, k):
+    # one check for all three routes, with kloosterman_table's message
+    for route in (lambda: kloosterman_table(k, f7), lambda: naive_table(k, f7),
+                  lambda: kloosterman_naive(k, 1, f7), lambda: kloosterman_naive(k, 0, f7)):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            route()
+
+
+@pytest.mark.parametrize("qd", [(13, 1), (3, 3), (5, 2)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_naive_table_recursion_builds_no_tuple_mesh(monkeypatch, qd, k):
+    def no_mesh(*_args):
+        raise AssertionError("naive_table built the tuple mesh")
+
+    f = _small_field(*qd)
+    monkeypatch.setattr(kl, "_tuple_mesh", no_mesh)
+    dev = np.abs(naive_table(k, f).values - kloosterman_table(k, f).values).max()
+    assert dev < 1e-12
+
+
+@pytest.mark.parametrize("qd", [(7, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_naive_table_recursion_matches_tuple_sum(qd, k):
+    # the recursion and the scalar tuple sum group the terms differently
+    f = _small_field(*qd)
+    nt = naive_table(k, f)
+    for a in range(f.size):
+        assert abs(nt.values[a] - kloosterman_naive(k, a, f)) < 1e-12
+
+
+@pytest.mark.parametrize("qd", [(31, 1), (3, 2)])
+def test_naive_table_blocked_gather_over_passes(monkeypatch, qd):
+    # every pass of the recursion streams the block in the same small chunks
+    f = _small_field(*qd)
+    monkeypatch.setattr(kl, "NAIVE_GATHER_CELLS", 7)
+    dev = np.abs(naive_table(4, f).values - kloosterman_table(4, f).values).max()
+    assert dev < 1e-12
