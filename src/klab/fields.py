@@ -17,6 +17,11 @@ exp table by doubling, each step one d x d digit matrix product over F_q.
 The classes supply ``mul``, ``pow`` and the vector arithmetic, and
 ``finite_field(q, d)`` is the one constructor the package calls.
 
+``ExtField``'s vector arithmetic gathers from dense Q x Q ``add_table`` and
+``mul_table`` (Q <= ``PAIR_TABLE_CAP``).  They are int16, 4 Q^2 bytes for the
+pair, and each is built with no Q x Q temporary, so ``add_vec``/``mul_vec``
+return int16 encodings; every caller uses them only as indices.
+
 Fields are immutable after construction; every operation is a pure function
 of its inputs.
 """
@@ -27,10 +32,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompositeModulus, ResourceLimit, TooSmall
 
-# Largest field for which the dense Q x Q add/mul tables may be built.
+# Largest field for which the dense Q x Q add/mul tables may be built; every
+# encoding is below it, so int16 holds them and the pair takes 4 Q^2 bytes.
 PAIR_TABLE_CAP = 2048
 # Largest field for which generator power / discrete log tables are built.
 DLOG_TABLE_CAP = 10**7
@@ -330,14 +337,14 @@ class ExtField(_Field):
         return self.encode(_poly_powmod(pa, e, list(self.modulus), self.q) + [0] * self.degree)
 
     def add_table(self):
-        """Dense Q x Q addition table (encodings); built lazily as a Kronecker
-        sum over the digits, with no division per cell."""
+        """Dense Q x Q int16 addition table (encodings); built lazily as a
+        Kronecker sum over the digits, with no division per cell."""
         if self._add_table is None:
             Q, q = self.size, self.q
             if Q > PAIR_TABLE_CAP:
                 raise ResourceLimit(f"add table needs Q <= {PAIR_TABLE_CAP}, got {Q}")
-            ids = np.arange(q, dtype=np.int64)
-            digit, tab = (ids[:, None] + ids) % q, np.zeros((1, 1), dtype=np.int64)
+            ids = np.arange(q, dtype=np.int16)
+            digit, tab = (ids[:, None] + ids) % q, np.zeros((1, 1), dtype=np.int16)
             for i in range(self.degree):  # digit i on top of the digits below it
                 n = len(tab)
                 tab = (digit[:, None, :, None] * q**i + tab[None, :, None]).reshape(q * n, q * n)
@@ -345,15 +352,17 @@ class ExtField(_Field):
         return self._add_table
 
     def mul_table(self):
-        """Dense Q x Q multiplication table via discrete logs; built lazily."""
+        """Dense Q x Q int16 multiplication table; built lazily by scattering
+        g^i g^j = g^(i+j), the Hankel view of the doubled exp table, to the
+        cells (g^i, g^j), with no Q x Q index array or gathered copy."""
         if self._mul_table is None:
             Q = self.size
             if Q > PAIR_TABLE_CAP:
                 raise ResourceLimit(f"mul table needs Q <= {PAIR_TABLE_CAP}, got {Q}")
-            exp2 = np.concatenate([self.exp_table, self.exp_table])
-            tab = np.zeros((Q, Q), dtype=np.int64)
-            logs = self.log_table[1:]
-            tab[1:, 1:] = exp2[logs[:, None] + logs[None, :]]
+            exp = self.exp_table
+            exp2 = np.concatenate([exp, exp], dtype=np.int16)
+            tab = np.zeros((Q, Q), dtype=np.int16)
+            tab[np.ix_(exp, exp)] = sliding_window_view(exp2, Q - 1)[:Q - 1]
             self._mul_table = tab
         return self._mul_table
 

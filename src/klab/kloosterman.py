@@ -39,10 +39,13 @@ import numpy as np
 from .errors import IoError, KlabError, OutOfRange, ResourceLimit
 from .fields import finite_field
 
-# most (k-1)-tuples of a naive route; naive_table itself takes (k-1) (Q-1)^2 cells
+# most cells of a naive route: (k-1) (Q-1)^2 for naive_table, (Q-1)^(k-1)
+# tuples for the scalar mesh
 DEFAULT_NAIVE_CAP = 1 << 25
-# cells of the psi(a / p) block that naive_table gathers at a time
-NAIVE_GATHER_CELLS = 1 << 20
+# cells of the psi(a / p) block that naive_table gathers at a time (two rows
+# at least): 2^16 keeps the block, 16 bytes a cell complex and 2 its int16
+# index, near 1 MiB, while a pass over F_{3^6} still takes only nine blocks
+NAIVE_GATHER_CELLS = 1 << 16
 
 INTRO = "intro"
 SHEAF = "sheaf"
@@ -116,17 +119,17 @@ def kloosterman_table(k: int, field, convention: str = INTRO) -> KloostermanTabl
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)
 
 
-def _require_naive(field, k: int, cap: int) -> None:
-    """The refusals of both naive routes: k < 2 and more than ``cap`` tuples."""
+def _require_naive(k: int, cells: int, cap: int) -> None:
+    """The refusals of the naive routes: k < 2, and more than ``cap`` of the
+    ``cells`` that the route computes."""
     _require_k(k)
-    tuples = (field.size - 1) ** (k - 1)
-    if tuples > cap:
-        raise ResourceLimit(f"naive evaluation needs (q^d - 1)^(k-1) = {tuples} <= {cap}")
+    if cells > cap:
+        raise ResourceLimit(f"naive evaluation needs {cells} cells, more than {cap}")
 
 
 def _tuple_mesh(field, k: int, cap: int):
     """Flattened partial sums and products over (F^x)^{k-1}."""
-    _require_naive(field, k, cap)
+    _require_naive(k, (field.size - 1) ** (k - 1), cap)
     units = np.arange(1, field.size, dtype=np.int64)
     sums = units.copy()
     prods = units.copy()
@@ -166,17 +169,20 @@ def naive_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
     on the units, each of k - 1 passes takes Kl_j(a) = sum_p Kl_{j-1}(p)
     psi(a / p), the block psi(a / p) gathered NAIVE_GATHER_CELLS at a time
     times the last pass's values.  O(k Q^2) against Q^{k-1} for the mesh."""
-    _require_naive(field, k, DEFAULT_NAIVE_CAP)
     Q = field.size
+    _require_naive(k, (k - 1) * (Q - 1) ** 2, DEFAULT_NAIVE_CAP)
     inv = _unit_inverses(field)[None, 1:]
     vals = np.zeros(Q, dtype=np.complex128)
     vals[1:] = field.psi_vec[1:]
-    step = max(1, NAIVE_GATHER_CELLS // (Q - 1))
+    # blocks of at least two rows: numpy takes a one-row product as a dot
+    # product, which rounds unlike the matvec, so a last row joins the block
+    # before it and the values do not depend on the block size
+    starts = range(1, Q - 1, max(2, NAIVE_GATHER_CELLS // (Q - 1)))
     for _ in range(k - 1):
         h = vals[1:].copy()
-        for lo in range(1, Q, step):
-            a = np.arange(lo, min(lo + step, Q), dtype=np.int64)[:, None]
-            vals[lo:lo + step] = field.psi_vec[field.mul_vec(a, inv)] @ h
+        for lo, hi in zip(starts, [*starts[1:], Q]):
+            a = np.arange(lo, hi, dtype=np.int64)[:, None]
+            vals[lo:hi] = field.psi_vec[field.mul_vec(a, inv)] @ h
     vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)

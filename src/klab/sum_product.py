@@ -182,10 +182,11 @@ def diagonal_mask(tuples, k: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def zero_sum_patterns(field, k: int):
-    """(z2, z3, z4) in mu_k(F_{q^d})^3 with 1 + z2 - z3 - z4 = 0."""
-    zs = roots_of_unity(field, k)
-    return [(z2, z3, z4) for z2 in zs for z3 in zs for z4 in zs
-            if field.add(1, z2) == field.add(z3, z4)]
+    """(z2, z3, z4) in mu_k(F_{q^d})^3 with 1 + z2 - z3 - z4 = 0, in
+    lexicographic order of the roots' indices, from one broadcast."""
+    zs = np.array(roots_of_unity(field, k), dtype=np.int64)
+    hit = field.add(1, zs)[:, None, None] == field.add(zs[:, None], zs[None, :])[None]
+    return list(zip(*(zs[i].tolist() for i in np.nonzero(hit))))
 
 
 def _generic_tuple_exists(field, pats: np.ndarray) -> bool:

@@ -118,6 +118,26 @@ def test_kl_check_budget_holds_for_genuine_tables(capsys, k):
     assert data["tolerance_budget"] == k * 3 * 1e-15
 
 
+def test_kl_check_runs_a_cheap_recursion_beyond_the_old_tuple_cap(capsys):
+    # (q - 1)^(k-1) = 10^8 tuples, but the recursion takes 4 * 10^4 cells
+    code, out = run(capsys, "kl-check", "--k", "5", "--q", "101")
+    assert code == 0
+    assert json.loads(out)["cross_check_max"] < 1e-10
+
+
+def test_kl_check_refuses_a_costly_recursion_before_it(capsys, monkeypatch):
+    # q - 1 tuples pass the cap, but the recursion would take 10^10 cells
+    import klab.kloosterman as kl
+
+    def no_naive_work(*_args):
+        raise AssertionError("the naive route started before its refusal")
+
+    monkeypatch.setattr(kl, "_unit_inverses", no_naive_work)
+    assert main(["kl-check", "--k", "2", "--q", "100003"]) == 1
+    err = capsys.readouterr().err
+    assert "naive evaluation needs" in err and "Traceback" not in err
+
+
 def test_kl_check_builds_its_table_once(capsys, monkeypatch):
     import klab.cli
     import klab.kloosterman as kl

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,7 +323,9 @@ DENSE_FIELDS = [(q, d) for q, d in DIGIT_FIELDS
 def test_add_table_is_the_array_add(q, d):
     f = _digit_field(q, d)
     ids = np.arange(f.size, dtype=np.int64)
-    assert np.array_equal(f.add_table(), f.add(ids[:, None], ids[None, :]))
+    tab = f.add_table()
+    assert tab.dtype == np.int16 and tab.nbytes == 2 * f.size**2
+    assert np.array_equal(tab, f.add(ids[:, None], ids[None, :]))
 
 
 @pytest.mark.parametrize("q,d", DENSE_FIELDS)
@@ -333,7 +336,38 @@ def test_mul_table_is_the_log_sum(q, d):
     want = np.zeros((f.size, f.size), dtype=np.int64)
     want[1:, 1:] = f.exp_table[(logs[:, None] + logs[None, :]) % L]
     tab = f.mul_table()
+    assert tab.dtype == np.int16 and tab.nbytes == 2 * f.size**2
     assert np.array_equal(tab, want)
     rng = np.random.default_rng(q * 100 + f.degree)
     for a, b in rng.integers(0, f.size, size=(64, 2)).tolist():
         assert tab[a, b] == f.mul(a, b)
+
+
+def test_int16_holds_every_dense_table_encoding():
+    # raising PAIR_TABLE_CAP past int16 must widen the dense tables first
+    assert np.iinfo(np.int16).max >= PAIR_TABLE_CAP - 1
+
+
+def test_dense_tables_match_scalar_ops_near_the_cap():
+    # Q = 1849 puts encodings near 2^11, the top of the int16 tables' range
+    f = finite_field(43, 2)
+    add_t, mul_t = f.add_table(), f.mul_table()
+    rng = np.random.default_rng(43)
+    for a, b in rng.integers(0, f.size, size=(256, 2)).tolist():
+        assert add_t[a, b] == f.add(a, b)
+        assert mul_t[a, b] == f.mul(a, b)
+    a, b = rng.integers(0, f.size, size=(2, 256))
+    assert f.add_vec(a, b).dtype == f.mul_vec(a, b).dtype == np.int16
+
+
+def test_mul_table_builds_no_square_temporary():
+    # the Q x Q index array and gathered copy of a gather route would peak
+    # at several times the int16 table's own bytes
+    f = finite_field(3, 6)
+    tracemalloc.start()
+    try:
+        tab = f.mul_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tab.nbytes

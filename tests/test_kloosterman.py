@@ -383,3 +383,25 @@ def test_naive_table_blocked_gather_over_passes(monkeypatch, qd):
     monkeypatch.setattr(kl, "NAIVE_GATHER_CELLS", 7)
     dev = np.abs(naive_table(4, f).values - kloosterman_table(4, f).values).max()
     assert dev < 1e-12
+
+
+@pytest.mark.parametrize("k,q,d", [(4, 101, 1), (2, 1009, 1), (3, 23, 2), (2, 3, 6)])
+def test_naive_table_bytes_do_not_depend_on_the_block(monkeypatch, k, q, d):
+    f = _small_field(q, d)
+    got = set()
+    for cells in (1 << 10, 1 << 16, 1 << 20):
+        monkeypatch.setattr(kl, "NAIVE_GATHER_CELLS", cells)
+        got.add(naive_table(k, f).values.tobytes())
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize("k,qd", [(2, (31, 1)), (3, (7, 1)), (5, (3, 2))])
+def test_naive_table_cap_counts_the_recursion_cells(monkeypatch, k, qd):
+    # naive_table computes (k-1) (Q-1)^2 cells, whatever (Q-1)^(k-1) is
+    f = _small_field(*qd)
+    cells = (k - 1) * (f.size - 1) ** 2
+    monkeypatch.setattr(kl, "DEFAULT_NAIVE_CAP", cells)
+    naive_table(k, f)
+    monkeypatch.setattr(kl, "DEFAULT_NAIVE_CAP", cells - 1)
+    with pytest.raises(ResourceLimit, match=f"{cells} cells"):
+        naive_table(k, f)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from klab.errors import (NoGenericTuple, NotDistinct, OutOfRange, RangeTooLarge,
                          WrongParity)
-from klab.fields import build_extension, make_prime_field
+from klab.fields import build_extension, make_prime_field, roots_of_unity
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
                               diagonal_mask, full_average_moment,
@@ -205,6 +205,16 @@ def test_zero_sum_patterns_k2():
     f = make_prime_field(11)
     pats = set(zero_sum_patterns(f, 2))
     assert pats == {(1, 1, 1), (10, 1, 10), (10, 10, 1)}
+
+
+@pytest.mark.parametrize("k,q,d", [(12, 5, 2), (8, 7, 2), (2, 3, 3), (3, 13, 1)])
+def test_zero_sum_patterns_match_the_scalar_triple_loop(k, q, d):
+    f = make_prime_field(q) if d == 1 else build_extension(make_prime_field(q), d)
+    zs = roots_of_unity(f, k)
+    want = [(z2, z3, z4) for z2 in zs for z3 in zs for z4 in zs
+            if f.add(1, z2) == f.add(z3, z4)]
+    got = zero_sum_patterns(f, k)
+    assert got == want and all(type(z) is int for t in got for z in t)
 
 
 def test_is_generic_excludes_pairing_hyperplanes():
