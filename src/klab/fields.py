@@ -12,15 +12,17 @@ F_q is F_{q^d} with d = 1 and modulus x, so both classes share one base,
 ``_Field``: the digit encoding with one digit-wise ``add``/``sub``/``neg`` for
 ints and numpy arrays (``PrimeField`` keeps mod-q ones as the d = 1 fast
 path), ``inv``, equality, and the table builder: the trace from the traces of
-the basis powers, the generator as the least encoding of full order, and the
-exp table by doubling, each step one d x d digit matrix product over F_q.
+the powers of the modulus' companion matrix, the generator as the least
+encoding of full order, and the exp table by doubling, each step one d x d
+digit matrix product over F_q and one squaring of that matrix.
 The classes supply ``mul``, ``pow`` and the vector arithmetic, and
 ``finite_field(q, d)`` is the one constructor the package calls.
 
 ``ExtField``'s vector arithmetic gathers from dense Q x Q ``add_table`` and
-``mul_table`` (Q <= ``PAIR_TABLE_CAP``).  They are int16, 4 Q^2 bytes for the
-pair, and each is built with no Q x Q temporary, so ``add_vec``/``mul_vec``
-return int16 encodings; every caller uses them only as indices.
+``mul_table`` (Q <= ``PAIR_TABLE_CAP``), one flat gather at a Q + b.  They
+are int16, 4 Q^2 bytes for the pair, and each is built with no Q x Q
+temporary, so ``add_vec``/``mul_vec`` return int16 encodings; every caller
+uses them only as indices.
 
 Fields are immutable after construction; every operation is a pure function
 of its inputs.
@@ -165,9 +167,11 @@ class _Field:
 
     A subclass sets q, degree, size and modulus and supplies ``mul`` and
     ``pow``; ``_build_tables`` then fills the trace, exp, log, inv and psi
-    tables.  The exp table is filled by doubling: multiplication by g^n is
-    the d x d matrix over F_q whose row i holds the digits of x^i g^n, so
-    exp[n:2n] is exp[:n] in digits times that matrix, reduced mod q.
+    tables.  Multiplication by y is the d x d matrix M_y over F_q whose row
+    i holds the digits of x^i y: M_x is the companion matrix of the modulus,
+    M_{x^i} = M_x^i, and Tr(x^i) = trace(M_x^i) mod q.  The exp table is
+    filled by doubling: exp[n:2n] is exp[:n] in digits times M_{g^n},
+    reduced mod q, and M_{g^2n} = M_{g^n}^2.
     """
 
     def decode(self, e):
@@ -214,39 +218,30 @@ class _Field:
         Q, q, d = self.size, self.q, self.degree
         if Q > DLOG_TABLE_CAP:  # pragma: no cover - beyond desk scale
             raise ResourceLimit(f"field size {Q} exceeds dlog table cap")
-        # traces of the basis powers x^i: sum_j (x^{q^j})^i, a constant poly
-        mod = list(self.modulus)
-        frob = [[0, 1]]
-        for _ in range(1, d):
-            frob.append(_poly_powmod(frob[-1], q, mod, q))
-        basis_tr = []
-        for i in range(d):
-            acc = [0]
-            for fj in frob:
-                term = _poly_powmod(fj, i, mod, q)
-                acc = [(x + y) % q for x, y in
-                       zip(acc + [0] * len(term), term + [0] * len(acc))]
-            _poly_trim(acc)
-            assert len(acc) <= 1, "trace of a basis power must be constant"
-            basis_tr.append(acc[0] if acc else 0)
+        # X[i] = M_x^i, whose trace mod q is Tr(x^i)
+        X = np.empty((d, d, d), dtype=np.int64)
+        X[0] = np.eye(d, dtype=np.int64)
+        Mx = np.eye(d, k=1, dtype=np.int64)
+        Mx[-1] = np.negative(self.modulus[:d]) % q
+        for i in range(1, d):
+            X[i] = X[i - 1] @ Mx % q
         digits = np.arange(Q, dtype=np.int64)
         tr = np.zeros(Q, dtype=np.int64)
         for i in range(d):
-            tr += (digits // q**i % q) * basis_tr[i]
+            tr += (digits // q**i % q) * int(np.trace(X[i]) % q)
         self.trace_vec = tr % q
 
         self.generator = self._find_generator()
         powers = q ** np.arange(d, dtype=np.int64)
         exp = np.empty(Q - 1, dtype=np.int64)
         exp[0] = 1
-        n, h = 1, self.generator
+        n = 1
+        M = np.tensordot(self.decode(self.generator), X, 1) % q  # M_g
         while n < Q - 1:
             m = min(n, Q - 1 - n)
-            M = np.array([self.decode(self.mul(int(p), h)) for p in powers],
-                         dtype=np.int64)
             exp[n:n + m] = (exp[:m, None] // powers % q) @ M % q @ powers
             n += m
-            h = self.mul(h, h)
+            M = M @ M % q
         self.exp_table = exp
         log = np.full(Q, -1, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
@@ -367,10 +362,15 @@ class ExtField(_Field):
         return self._mul_table
 
     def add_vec(self, a, b):
-        return self.add_table()[a, b]
+        return self._gather(self.add_table(), a, b)
 
     def mul_vec(self, a, b):
-        return self.mul_table()[a, b]
+        return self._gather(self.mul_table(), a, b)
+
+    def _gather(self, tab, a, b):
+        # one flat gather at a Q + b in intp: two-index gathers, and int16
+        # indices, take numpy's slower paths
+        return tab.ravel()[np.multiply(a, self.size, dtype=np.intp) + b]
 
     def __repr__(self):
         return f"ExtField(q={self.q}, d={self.degree}, modulus={self.modulus})"

@@ -182,7 +182,7 @@ def naive_table(k: int, field, convention: str = INTRO) -> KloostermanTable:
         h = vals[1:].copy()
         for lo, hi in zip(starts, [*starts[1:], Q]):
             a = np.arange(lo, hi, dtype=np.int64)[:, None]
-            vals[lo:hi] = field.psi_vec[field.mul_vec(a, inv)] @ h
+            vals[lo:hi] = field.psi_vec.take(field.mul_vec(a, inv)) @ h
     vals *= sign_factor(k, convention) / Q ** ((k - 1) / 2)
     vals.setflags(write=False)
     return KloostermanTable(k=k, field=field, convention=convention, values=vals)

@@ -42,12 +42,19 @@ of a pair table,
     K_c(s u1) K_c(s u2) = kappa[l1 + j] kappa[l2 + j] = PT[l2 - l1, l1 + j],
     PT[d, i] = kappa[i] kappa[i + d],
 
-which depends only on the offset d and the start l1 + j; a zero last row of
-PT serves every pair with a factor at u = 0.  The index pass gives each
-pair its window's start in the flattened PT, so a grid row over the s in
-log order is one gather and one multiply, with no field arithmetic per
-cell, and one column (the K column of ``ratio_scan``) two reads of PT per
-row.  The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) =
+which depends only on the offset d and the start l1 + j.  The offset L - d,
+L = Q - 1, holds the products of the offset d with the two factors
+swapped, so PT keeps only the rows d <= L/2, and a zero last row serves
+every pair with a factor at u = 0: L/2 + 2 rows.  Each unordered pair has
+one canonical window, in the row min(d, L - d): from l1 when d < L/2,
+from l2 when d > L/2, and from the smaller log at d = L/2.  So swapping
+b1 and b2, or b3 and b4, reads the same windows, and every grid is
+invariant under those swaps bit for bit, for odd k too, where numpy's
+complex multiply does not commute in the last bits.  The index pass gives
+each pair its window's start in the flattened PT, so a grid row over the
+s in log order is one gather and one multiply, with no field arithmetic
+per cell, and one column (the K column of ``ratio_scan``) two reads of PT
+per row.  The dual of Kl_k is [-1]*Kl_k, so conj K_c(a) =
 K_c((-1)^k a), which is what makes the window short and the conjugation
 free:
 
@@ -94,7 +101,11 @@ DEFAULT_SAMPLES = 2000
 GRID_CAP = 1 << 24
 # The kernel streams its grids a few tuples at a time, so that each step's
 # scratch buffers (512 KiB of complex128 each) stay in a core's L2 cache;
-# whole 64-tuple batches at q = 199 ran about 2x slower.
+# whole 64-tuple batches at q = 199 ran about 2x slower.  The step's shape
+# is the row count of the lam-transform's matmul, and BLAS sums products of
+# another shape in another order, so the scans' last bits depend on this
+# value (k = 3 at q = 199: 2^12 .. 2^14 against 2^15 .. 2^18; k = 2 and 3
+# at F_{23^2}): changing it is a change of spec.
 KERNEL_STEP_CELLS = 1 << 15
 # tuples per kernel call in the scans
 SCAN_BATCH = 64
@@ -124,12 +135,14 @@ class SumProductContext:
 
     @cached_property
     def pair_table(self) -> np.ndarray:
-        """PT[d, i] = kappa[i] kappa[i + d] for d < Q - 1, kappa[i] =
-        K_c(g^i) with indices mod Q - 1, and a zero last row; float64 from
-        Re kappa for even k, complex for odd k, with Q - 1 + ``pair_window``
-        columns so that every window of that width is contiguous.
-        NotSelfDual unless the table is conjugation symmetric within
-        ``conjugation_budget``.
+        """PT[d, i] = kappa[i] kappa[i + d] for d <= L/2, L = Q - 1, kappa[i]
+        = K_c(g^i) with indices mod L, and a zero last row, L/2 + 2 rows in
+        all: the offset L - d is the offset d with the factors swapped, so
+        ``_pair_index`` reads every pair from the row min(d, L - d).
+        float64 from Re kappa for even k, complex for odd k, with L +
+        ``pair_window`` columns so that every window of that width is
+        contiguous.  NotSelfDual unless the table is conjugation symmetric
+        within ``conjugation_budget``.
         """
         budget = conjugation_budget(self.table)
         dev = conjugation_symmetry_check(self.table)
@@ -140,10 +153,10 @@ class SumProductContext:
         kappa = self.twisted[self.field.exp_table]
         if self.k % 2 == 0:
             kappa = kappa.real
-        n = L + self.pair_window
+        n, h = L + self.pair_window, L // 2 + 1
         ext = np.tile(kappa, 3)
-        PT = np.zeros((L + 1, n), dtype=kappa.dtype)
-        np.multiply(ext[:n], sliding_window_view(ext, n)[:L], out=PT[:L])
+        PT = np.zeros((h + 1, n), dtype=kappa.dtype)
+        np.multiply(ext[:n], sliding_window_view(ext, n)[:h], out=PT[:h])
         PT.setflags(write=False)
         return PT
 
@@ -260,27 +273,34 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
 def _pair_index(ctx, tuples):
     """The index pass: P[m, p, r], the start in the flattened pair table of
     the window (width ``ctx.pair_window``) of the pair p = (u1, u2) or
-    (u3, u4), u = r + b, in row r of the grid of tuples[m].  With u1 = g^l1
-    and u2 = g^l2 it is PT[l2 - l1, l1:], the row (l2 - l1) mod L, L = Q - 1,
-    read off a table of length 2L + 1, and one mask sends each pair with
-    u1 or u2 = 0 to the zero row.  For odd k conj K_c(g^i) = K_c(g^(i + L/2)),
-    so the conjugated pair starts L/2 further on, mod L.  Over F_q the logs
-    are read at r + b from the log table doubled, with no reduction mod q.
+    (u3, u4), u = r + b, in row r of the grid of tuples[m].  With u1 = g^l1,
+    u2 = g^l2 and d = (l2 - l1) mod L, L = Q - 1, the window is PT[d, l1:]
+    for d < L/2 and PT[L - d, l2:] for d > L/2, and at d = L/2 it starts at
+    the smaller log: one canonical window per unordered pair, so swapping
+    u1 and u2 leaves every grid bit for bit the same.  Row and start come
+    from one table over l2 - l1, and one mask sends each pair with u1 or
+    u2 = 0 to the zero row.  For odd k conj K_c(g^i) = K_c(g^(i + L/2)), so
+    the conjugated pair starts L/2 further on, mod L.  Over F_q the logs are
+    read at r + b from the log table doubled, with no reduction mod q.
     """
     f = ctx.field
-    L, n = f.size - 1, ctx.pair_table.shape[1]
+    (rows, n), L = ctx.pair_table.shape, f.size - 1
     t = np.asarray(tuples, dtype=np.int64)[:, :, None]
     r = np.arange(f.size, dtype=np.int64)
     if f.degree == 1:
-        logs = np.concatenate([f.log_table, f.log_table])[r + t % f.size]
+        logs = np.concatenate([f.log_table, f.log_table]).take(r + t % f.size)
     else:
-        logs = f.log_table[f.add_vec(r, t)]
+        logs = f.log_table.take(f.add_vec(r, t))
     a, b = logs[:, 0::2], logs[:, 1::2]
-    P = (np.arange(-L, L + 1) % L * n)[b - a + L] + a
+    # over e = l2 - l1: the row min(d, L - d) and, when the window starts
+    # at l2, the jump e from l1
+    e = np.arange(-L, L + 1)
+    jump = np.minimum(abs(e), L - abs(e)) * n + np.where((e % L > L // 2) | (e == -L // 2), e, 0)
+    P = jump.take(b - a + L) + a
     shift = L - ctx.pair_window
-    if shift:  # odd k
-        P[:, 1] += np.where(a[:, 1] < L - shift, shift, shift - L)
-    P[(a | b) < 0] = L * n
+    if shift:  # odd k; a window's start is P mod n
+        P[:, 1] += np.where(P[:, 1] % n < L - shift, shift, shift - L)
+    P[(a | b) < 0] = (rows - 1) * n
     return P
 
 

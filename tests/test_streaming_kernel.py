@@ -45,7 +45,12 @@ def _batch_grids(ctx, tuples):
         ids[None, None, :], np.asarray(tuples, dtype=np.int64)[:, :, None])].transpose(1, 0, 2)
 
     def pair(la, lb, shift):
-        return V[np.where((la < 0) | (lb < 0), L, (lb - la) % L), (la + shift) % L]
+        # the offset d or L - d, whichever is at most L/2, from the log it
+        # starts at (the smaller one at d = L/2); the zero row last
+        d = (lb - la) % L
+        start = np.where((2 * d > L) | ((2 * d == L) & (lb < la)), lb, la)
+        row = np.where((la < 0) | (lb < 0), L // 2 + 1, np.minimum(d, L - d))
+        return V[row, (start + shift) % L]
 
     G = pair(l1, l2, 0)
     G *= pair(l3, l4, L - W)

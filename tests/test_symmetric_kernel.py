@@ -132,20 +132,59 @@ def test_symmetric_table_shapes_and_laziness():
         ctx = SumProductContext(_table(53, 1, k), c=3)
         assert "pair_table" not in vars(ctx)
         PT = ctx.pair_table
-        assert PT.shape == (53, width) and PT.dtype == dtype
-        # PT[d, i] = K_c(g^i) K_c(g^(i+d)), read off the literal mul table
+        assert PT.shape == (28, width) and PT.dtype == dtype
+        # PT[d, i] = K_c(g^i) K_c(g^(i+d)) for d <= 26, read off the literal
+        # mul table
         f = ctx.field
         T = ctx.twisted[literal_tables(f)[1]]
         T = T.real if k == 2 else T
         s = f.exp_table[np.arange(width) % 52]
-        assert np.array_equal(PT[:52], T[1, s][None, :] * T[f.exp_table[:, None], s])
-        assert not PT[52].any()
+        assert np.array_equal(PT[:27], T[1, s][None, :] * T[f.exp_table[:27, None], s])
+        assert not PT[27].any()
     # odd k over F_{5^2}: one representative of each pair {s, -s} of units
     ctx = SumProductContext(_table(5, 2, 3))
     f = ctx.field
     units = set(f.exp_table[:ctx.pair_window].tolist())
     assert len(units) == 12 and 0 not in units
     assert units.isdisjoint(f.neg(s) for s in units)
+
+
+@pytest.mark.parametrize("qd", [(23, 2), (199, 1)])
+def test_half_pair_table_matches_literal_grid(qd):
+    # one row per offset d <= L/2 and the zero row: L // 2 + 2 rows, and
+    # every grid still the literal one
+    f = _field(*qd)
+    L = f.size - 1
+    rng = np.random.default_rng(11)
+    tuples = [(1, 2, 3, 4), (0, 5, 0, 5), tuple(rng.integers(0, f.size, size=4).tolist())]
+    for k in range(2, 6):
+        ctx = SumProductContext(_table(*qd, k), c=3)
+        assert ctx.pair_table.shape[0] == L // 2 + 2
+        assert not ctx.pair_table[-1].any()
+        for b in tuples:
+            assert _close(np.abs(product_grid(ctx, b) - literal_grid(ctx, b)), 0), (k, b)
+
+
+@pytest.mark.parametrize("qd", [(13, 1), (53, 1), (11, 2), (3, 3), (3, 5)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_grids_are_bit_identical_under_in_pair_swaps(qd, k):
+    # swapping b1 and b2, or b3 and b4, names the same unordered pairs, so
+    # the kernel reads the same windows; in odd k the complex products
+    # would differ in their last bits if it read the mirrored ones
+    f = _field(*qd)
+    L = f.size - 1
+    ctx = SumProductContext(_table(*qd, k), c=2)
+    rng = np.random.default_rng(k)
+    tuples = [(1, 2, 3, 4), (0, 5, 5, 0), *rng.integers(0, f.size, size=(6, 4)).tolist()]
+    for b1, b2, b3, b4 in tuples:
+        if b1 != b2:
+            # the row r = -(b1 + b2)/2 has u1 = -u2: the pair's offset is L/2
+            r = f.mul(f.neg(f.add(b1, b2)), f.inv(2))
+            u1, u2 = f.add(r, b1), f.add(r, b2)
+            assert (f.log_table[u1] - f.log_table[u2]) % L == L // 2
+        G = product_grid(ctx, (b1, b2, b3, b4)).tobytes()
+        assert product_grid(ctx, (b2, b1, b3, b4)).tobytes() == G, (b1, b2, b3, b4)
+        assert product_grid(ctx, (b1, b2, b4, b3)).tobytes() == G, (b1, b2, b3, b4)
 
 
 def _not_self_dual(table):
@@ -170,13 +209,14 @@ def test_licence_refuses_a_table_that_is_not_self_dual(k):
 def test_licence_passes_genuine_tables(q):
     for k in range(2, 7):
         ctx = SumProductContext(kloosterman_table(k, make_prime_field(q)))
-        assert ctx.pair_table.shape[0] == q
+        assert ctx.pair_table.shape[0] == (q - 1) // 2 + 2
 
 
 @pytest.mark.parametrize("qd", [(3, 2), (5, 2), (3, 3)])
 def test_licence_passes_genuine_extension_tables(qd):
+    L = qd[0] ** qd[1] - 1
     for k in range(2, 6):
-        assert SumProductContext(_table(*qd, k)).pair_table.shape[0] == qd[0] ** qd[1]
+        assert SumProductContext(_table(*qd, k)).pair_table.shape[0] == L // 2 + 2
 
 
 @pytest.mark.parametrize("qd", [(53, 1), (5, 2), (3, 3)])
