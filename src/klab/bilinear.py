@@ -21,11 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (ConstraintViolated, HypothesisViolated, NoConvergence,
-                     RangeTooLarge)
+from .errors import ConstraintViolated, HypothesisViolated, RangeTooLarge
 
 MATRIX_CAP = 1 << 23
-OPNORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -244,27 +242,12 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
 # ----------------------------------------------------------------------
 
 def operator_norm(ctx, M: int, N: int, offset: int = 1) -> float:
-    """Largest singular value of [Kl_k(c m n)] by power iteration on the Gram
-    matrix, deterministic all-ones start, until sigma moves by less than
-    ``OPNORM_TOL`` relative to max(1, sigma); NoConvergence after 10^4 steps."""
+    """Largest singular value of [Kl_k(c m n)]: the square root of the top
+    eigenvalue of the smaller Gram matrix, A A^H or A^H A, from one
+    Hermitian eigenvalue problem."""
     A = kloosterman_matrix(ctx, M, N, offset)
-    v = np.ones(N, dtype=np.complex128)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(10**4):
-        w = A @ v
-        u = A.conj().T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        new_sigma = float(np.linalg.norm(w))  # ||Av|| with ||v|| = 1
-        v = u / nu
-        gap = abs(new_sigma - sigma)
-        sigma = new_sigma
-        if gap < OPNORM_TOL * max(1.0, sigma):
-            return sigma
-    raise NoConvergence(f"power iteration stalled at sigma = {sigma} (gap {gap})",
-                        last_value=sigma, gap=gap)
+    G = A @ A.conj().T if M <= N else A.conj().T @ A
+    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 def operator_norm_dense(ctx, M: int, N: int, offset: int = 1) -> float:

@@ -24,7 +24,10 @@ divisor function d_2(n).
 Progression discrepancies E(x; q, a) compare the class sum of the divisor
 convolution (lambda * 1)(n) with the average over invertible classes; the
 hyperbola count sum_d lambda(d) #{m <= x/d : d m = a mod q}, in closed form
-per d, checks every class sum against a stated float budget.
+per d, checks every class sum against a stated float budget.  Both routes
+run in O(x) memory at every q: (lambda * 1)(n) by strided adds into its one
+output array, and the hyperbola count's cells in fixed-size runs, so a
+progression's peak is that of the tau table.
 
 The bound calculators implement the completion/bilinear estimates; an exact
 analysis over the vertices of their (mu', nu') line arrangement finds the
@@ -51,6 +54,8 @@ from .errors import (CompositeModulus, HypothesisViolated, OutOfRange,
 from .fields import is_prime
 
 TAU_N_MAX = 10**6
+# cells per run of the hyperbola count's class sums
+_HYPERBOLA_RUN = 1 << 14
 INF = math.inf
 
 
@@ -91,10 +96,13 @@ def _fft_len(m: int) -> int:
 def _rint_exact(x: np.ndarray) -> np.ndarray:
     """x rounded to int64, or ResourceLimit when the rounding is in doubt:
     an entry 0.25 or more from its integer, or one beyond 2^50, where the
-    float spacing no longer shows a deviation of 0.25."""
+    float spacing no longer shows a deviation of 0.25.  The check runs in
+    place: x is overwritten with its distances to the integers."""
     r = np.rint(x)
-    err = float(np.abs(x - r).max(initial=0.0))
-    top = float(np.abs(r).max(initial=0.0))
+    x -= r
+    np.abs(x, out=x)
+    err = float(x.max(initial=0.0))
+    top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
     if not (err < 0.25 and top < 2.0**50):
         raise ResourceLimit(f"FFT rounding in doubt: deviation {err:.3g} from an "
                             f"integer, magnitude 2^{math.log2(max(top, 1.0)):.1f}")
@@ -211,28 +219,26 @@ def hecke_violations(coeffs: CuspFormCoeffs) -> int:
 # ----------------------------------------------------------------------
 
 def lambda_star_one_table(coeffs: CuspFormCoeffs, x: int) -> np.ndarray:
-    """(lambda * 1)(n) = sum_{d | n} lambda(d), for n = 1..x.
+    """(lambda * 1)(n) = sum_{d | n} lambda(d), for n = 1..x, by strided adds
+    into the one output array.
 
-    ``np.bincount`` over the pairs (d, m) with dm <= x, ordered by d, adds
-    each n's lambda(d) in increasing d, the order of the sieve
-    ``out[d::d] += lambda(d)``, so the two agree bit for bit.  The x log x
-    pairs go in runs of d of about x pairs each, so the memory stays O(x);
-    each run's bincount takes the totals so far as the first term of every
-    bin, which keeps the order.
+    With D = isqrt(x), each d <= D adds lambda(d) to its multiples,
+    ``out[d::d] += lambda(d)``, in increasing d.  Every d > D then has its
+    cofactor m = n / d below x / (D + 1), and one add per m, taken in
+    decreasing m, gives every n = m d its lambda(d) for D < d <= x / m.  For
+    a fixed n, decreasing m is increasing d, so each n receives its divisors'
+    lambda(d) in increasing d from 0.0: the order of the plain sieve over
+    d = 1..x, which the table matches bit for bit.
     """
     if x > coeffs.n_max:
         raise OutOfRange(f"x = {x} beyond table range {coeffs.n_max}")
-    ds = np.arange(1, x + 1, dtype=np.int64)
-    counts = x // ds
-    first = np.concatenate([[0], np.cumsum(counts)])  # pair index of (d, 1)
-    cuts = np.unique(np.searchsorted(first, np.arange(0, first[-1], max(x, 1)),
-                                     side="right") - 1)
+    lam = coeffs.lam
+    D = math.isqrt(x)
     out = np.zeros(x + 1)
-    for lo, hi in zip(cuts, [*cuts[1:], x]):
-        d = np.repeat(ds[lo:hi], counts[lo:hi])
-        m = np.arange(1, len(d) + 1) - np.repeat(first[lo:hi] - first[lo], counts[lo:hi])
-        out = np.bincount(np.concatenate([np.arange(x + 1), d * m]),
-                          weights=np.concatenate([out, coeffs.lam[d]]), minlength=x + 1)
+    for d in range(1, D + 1):
+        out[d::d] += lam[d]
+    for m in range(x // (D + 1), 0, -1):
+        out[m * (D + 1):m * (x // m) + 1:m] += lam[D + 1:x // m + 1]
     return out
 
 
@@ -276,9 +282,11 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
 
     a second route that never forms (lambda * 1)(n).  With x // d = B q + r,
     each of the B full periods of m meets every class once and the r left
-    over meet the classes d, 2d, ..., rd, so #{...} = B + [a in d * {1..r}].  Each
-    route adds about x log x terms of size at most |lambda(d)|, so the
-    budget is 1e-13 * sum_d |lambda(d)| (x/d + 1).
+    over meet the classes d, 2d, ..., rd, so #{...} = B + [a in d * {1..r}].
+    The cells (d, m <= r), about x log q of them, are added into the q class
+    totals in runs of ``_HYPERBOLA_RUN`` cells, in index order (d, then m), so
+    the memory stays O(x) at every q.  Each route adds about x log x terms of
+    size at most |lambda(d)|, so the budget is 1e-13 * sum_d |lambda(d)| (x/d + 1).
     """
     if reports is None:
         reports = discrepancy_all(coeffs, x, q)
@@ -289,9 +297,17 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
     unit = d % q != 0
     d, lam = d[unit], lam[unit]
     B, r = np.divmod(top[unit], q)
-    m = np.arange(1, r.sum() + 1) - np.repeat(np.cumsum(r) - r, r)
-    H = float(lam @ B) + np.bincount(np.repeat(d, r) * m % q,
-                                     weights=np.repeat(lam, r), minlength=q)
+    del top, unit
+    ends = np.cumsum(r)  # one past the last cell of each d
+    total = int(ends[-1])  # d = 1 is a unit, so ends is not empty
+    H = np.zeros(q)
+    for lo in range(0, total, _HYPERBOLA_RUN):
+        hi = min(lo + _HYPERBOLA_RUN, total)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        skip = lo - int(ends[first] - r[first])  # cells of d[first] in earlier runs
+        i = np.repeat(np.arange(first, last + 1), r[first:last + 1])[skip:skip + hi - lo]
+        np.add.at(H, d[i] * (np.arange(lo, hi) - ends[i] + r[i] + 1) % q, lam[i])
+    H += float(lam @ B)
     return max((abs(rep.raw - H[rep.a]) for rep in reports), default=0.0), budget
 
 

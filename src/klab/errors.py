@@ -66,15 +66,6 @@ class ConstraintViolated(KlabError):
         self.failed = tuple(failed)
 
 
-class NoConvergence(KlabError):
-    """Power iteration failed to converge; carries the last iterate and gap."""
-
-    def __init__(self, message, last_value=None, gap=None):
-        super().__init__(message)
-        self.last_value = last_value
-        self.gap = gap
-
-
 class OutOfRange(KlabError):
     """A parameter lies outside the range that a table or computation supports."""
 

@@ -158,6 +158,15 @@ def test_operator_norm_matches_dense(ctx101):
     assert abs(sig - dense) / dense < 1e-8
 
 
+@pytest.mark.parametrize("q, M, N", [(1009, 500, 700), (10007, 300, 300)])
+def test_operator_norm_matches_svd_to_rounding(q, M, N):
+    # 1009, 500 x 700 has a small top gap: power iteration stalled there
+    ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
+    sig = operator_norm(ctx, M, N)
+    dense = operator_norm_dense(ctx, M, N)
+    assert abs(sig - dense) <= 1e-12 * dense
+
+
 def test_operator_norm_dominates_samples(ctx101):
     sig = operator_norm(ctx101, 6, 6, offset=2)
     rng = np.random.default_rng(7)

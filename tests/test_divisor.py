@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,40 @@ def test_lambda_star_one_table_equals_sieve(coeffs_5e4, x):
                           _sieve_oracle(coeffs_5e4, x))
 
 
+@pytest.mark.parametrize("x", [3, 4, 8, 9, 10, 99, 100, 101, 9999, 10000, 10001])
+def test_lambda_star_one_table_is_the_sieve_at_the_loop_split(coeffs_5e4, x):
+    # x = D^2 - 1, D^2, D^2 + 1 around each square: the split at D = isqrt(x)
+    assert (lambda_star_one_table(coeffs_5e4, x).tobytes()
+            == _sieve_oracle(coeffs_5e4, x).tobytes())
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lambda_star_one_table_holds_one_array(coeffs_5e4):
+    x = 50000
+    assert _traced_peak(lambda: lambda_star_one_table(coeffs_5e4, x)) <= 1.5 * 8 * x
+
+
+def test_discrepancy_all_holds_four_arrays(coeffs_5e4):
+    x = 50000
+    assert _traced_peak(lambda: discrepancy_all(coeffs_5e4, x, 53)) <= 4 * 8 * x
+
+
+@pytest.mark.parametrize("q", [53, 199, 1009])
+def test_hyperbola_residual_memory_does_not_grow_with_q(coeffs_5e4, q):
+    x = 50000
+    reports = discrepancy_all(coeffs_5e4, x, q)
+    peak = _traced_peak(lambda: hyperbola_residual(coeffs_5e4, x, q, reports))
+    assert peak <= 10 * 8 * x
+
+
 def test_tau_star_one_exact(coeffs):
     assert _tau_star_one(coeffs, 6) == 1 - 24 + 252 - 6048
     with pytest.raises(OutOfRange):
@@ -290,6 +325,46 @@ def test_discrepancy_centering_exact(coeffs):
         assert math.isclose(budget, 1e-13 * sum(abs(coeffs.lam[d]) * (x // d + 1)
                                                 for d in range(1, x + 1)),
                             rel_tol=1e-9)
+
+
+def _hyperbola_one_bincount(coeffs, x, q):
+    """The class totals H_a and the budget with every (d, m) cell in one
+    ``np.bincount``, all x log q cells held at once."""
+    d = np.arange(1, x + 1, dtype=np.int64)
+    top, lam = x // d, coeffs.lam[1:x + 1]
+    budget = 1e-13 * float(np.abs(lam) @ (top + 1))
+    unit = d % q != 0
+    d, lam = d[unit], lam[unit]
+    B, r = np.divmod(top[unit], q)
+    m = np.arange(1, r.sum() + 1) - np.repeat(np.cumsum(r) - r, r)
+    H = float(lam @ B) + np.bincount(np.repeat(d, r) * m % q,
+                                     weights=np.repeat(lam, r), minlength=q)
+    return H, budget
+
+
+def _reports_of(H, x, q):
+    return [dv.ProgressionReport(x=x, q=q, a=a, raw=float(H[a]), main=0.0, E=0.0,
+                                 normalized=0.0) for a in range(1, q)]
+
+
+@pytest.mark.parametrize("q", [3, 11, 53, 199, 1009])
+@pytest.mark.parametrize("x", [1, 20, 500, 3000, 50000])
+def test_hyperbola_runs_equal_one_bincount(coeffs_5e4, x, q):
+    # residual 0.0 against reports whose raw is the one-bincount H_a: every
+    # class total is the same float; q > x and runs ending inside one d included
+    H, budget = _hyperbola_one_bincount(coeffs_5e4, x, q)
+    assert hyperbola_residual(coeffs_5e4, x, q, _reports_of(H, x, q)) == (0.0, budget)
+    reports = discrepancy_all(coeffs_5e4, x, q)
+    assert hyperbola_residual(coeffs_5e4, x, q, reports) == (
+        max(abs(r.raw - H[r.a]) for r in reports), budget)
+
+
+@pytest.mark.parametrize("run", [1, 5, 64])
+def test_hyperbola_short_runs_equal_one_bincount(coeffs, monkeypatch, run):
+    monkeypatch.setattr(dv, "_HYPERBOLA_RUN", run)
+    for x, q in ((20, 3), (500, 11), (3000, 53)):
+        H, budget = _hyperbola_one_bincount(coeffs, x, q)
+        assert hyperbola_residual(coeffs, x, q, _reports_of(H, x, q)) == (0.0, budget)
 
 
 def test_hyperbola_residual_flags_one_corrupted_class(coeffs):
