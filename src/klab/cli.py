@@ -2,6 +2,7 @@
 
 One subcommand per verifier/calculator; all sampled runs take an explicit
 seed and re-running with the same config produces byte-identical output.
+Every JSON artifact embeds the package version and an echo of the config.
 Exit codes: 0 success, 2 when a range/constraint hypothesis was violated
 (reported, not crashed), 1 on errors or bad usage.
 
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import bilinear as bl
 from . import divisor as dv
 from . import root_sums as rs
@@ -29,7 +31,7 @@ from .fields import finite_field
 from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
                           kloosterman_table, load_table, save_table)
-from .reporting import csv_text, envelope, json_text, write_csv, write_json
+from .reporting import write_csv, write_json
 from .sum_product import (FULL_SCAN_MAX_Q, ScanSpec, SumProductContext,
                           full_average_moment, noncorrelation_moment, ratio_scan,
                           sample_generic_tuples, scan_bad_tuples,
@@ -87,18 +89,14 @@ def parse_config(path: str) -> dict:
     return sections
 
 
-def _emit(args, payload: dict, csv_part=None) -> None:
-    """The CSV part under --format csv (refused without one), else JSON."""
-    if args.format == "csv" and csv_part is None:
+def _emit(args, payload: dict, csv_columns=None) -> None:
+    """The CSV of ``csv_columns()`` under --format csv (refused without it), else JSON."""
+    if args.format == "json":
+        write_json(args.out, {"version": __version__, "config": _config_echo(args), **payload})
+    elif csv_columns is None:
         raise UsageError(f"{args.command} has no CSV form here; drop --format csv")
-    data = envelope(_config_echo(args), payload)
-    if args.out:
-        if args.format == "csv":
-            write_csv(args.out, *csv_part)
-        else:
-            write_json(args.out, data)
     else:
-        sys.stdout.write(csv_text(*csv_part) if args.format == "csv" else json_text(data))
+        write_csv(args.out, csv_columns())
 
 
 def _refuse(args, reason: str, *dests) -> None:
@@ -170,27 +168,29 @@ def cmd_sumprod_scan(args):
         thresholds = {"r_linear": args.threshold, "corr": args.threshold}
     res = scan_bad_tuples(ctx, thresholds=thresholds,
                           spec=ScanSpec(n_samples=args.samples, seed=args.seed))
-    header = ["q", "k", "c", "b1", "b2", "b3", "b4", "lambda_set",
-              "statistic", "value", "normalized_ratio"]
-    lin, corr = res.ratio_r_linear, res.ratio_corr
-    ratio = np.column_stack([lin, corr]).ravel()  # per tuple: r_linear, then corr
-    value = ratio * np.tile([args.q, args.q**1.5], len(lin))
-    n = len(ratio)
-    lam = "|".join(str(x) for x in res.spec.lambdas)
-    rows = zip([args.q] * n, [args.k] * n, [args.c] * n,
-               *np.repeat(res.tuples, 2, axis=0).T.tolist(), [lam] * n,
-               ["r_linear", "corr"] * len(lin), value.tolist(), ratio.tolist())
     payload = {
         "seed": args.seed, "samples": len(res.tuples),
         "exhaustive": res.exhaustive,
         "thresholds": res.thresholds,
         "flagged_fraction": res.flagged_fraction,
         "expected_fraction": res.expected_fraction,
-        "max_r_linear": float(lin.max()),
-        "max_corr": float(corr.max()),
+        "max_r_linear": float(res.ratio_r_linear.max()),
+        "max_corr": float(res.ratio_corr.max()),
     }
-    _emit(args, payload, csv_part=(header, rows))
+    _emit(args, payload, lambda: _scan_columns(args, res))
     return EXIT_OK
+
+
+def _scan_columns(args, res) -> dict:
+    """The scan's CSV columns: per tuple a row for r_linear, then one for corr."""
+    ratio = np.column_stack([res.ratio_r_linear, res.ratio_corr]).ravel()
+    b = np.repeat(res.tuples, 2, axis=0)
+    return {"q": args.q, "k": args.k, "c": args.c,
+            **{f"b{i + 1}": b[:, i] for i in range(4)},
+            "lambda_set": "|".join(str(x) for x in res.spec.lambdas),
+            "statistic": ["r_linear", "corr"] * len(res.tuples),
+            "value": ratio * np.tile([args.q, args.q**1.5], len(res.tuples)),
+            "normalized_ratio": ratio}
 
 
 def cmd_moments(args):
@@ -222,21 +222,16 @@ def cmd_bilinear_sweep(args):
     sizes = tuple((m, n) for m in args.M for n in args.N)
     rows = bl.saving_sweep(ctx, bl.SweepSpec(sizes=sizes, seed=args.seed,
                                              offset=args.offset))
-    header = ["q", "k", "c", "M", "N", "offset", "ensemble", "seed",
-              "measured", "trivial", "pv", "thm11", "thm12", "gamma"]
-    csv_rows = [(r.q, r.k, r.c, r.M, r.N, r.offset, r.ensemble, r.seed,
-                 r.measured, r.trivial, r.pv, r.thm11, r.thm12, r.gamma)
-                for r in rows]
-    per_ens: dict = {}
-    for r in rows:
-        cur = per_ens.setdefault(r.ensemble, {"max_gamma": -math.inf,
-                                              "max_measured": 0.0})
-        cur["max_gamma"] = max(cur["max_gamma"], r.gamma)
-        cur["max_measured"] = max(cur["max_measured"], r.measured)
+    per_ens = {e: {"max_gamma": max(r.gamma for r in rows if r.ensemble == e),
+                   "max_measured": max(r.measured for r in rows if r.ensemble == e)}
+               for e in bl.ENSEMBLES}
     flagged = sorted({f for r in rows for f in r.flags})
     payload = {"seed": args.seed, "sizes": [list(s) for s in sizes],
                "per_ensemble": per_ens, "hypothesis_flags": flagged}
-    _emit(args, payload, csv_part=(header, csv_rows))
+    _emit(args, payload, lambda: {
+        name: [getattr(r, name) for r in rows]
+        for name in ("q", "k", "c", "M", "N", "offset", "ensemble", "seed",
+                     "measured", "trivial", "pv", "thm11", "thm12", "gamma")})
     return EXIT_HYPOTHESIS if flagged else EXIT_OK
 
 
@@ -291,20 +286,16 @@ def cmd_progression(args):
     if args.a is not None and not 1 <= args.a < args.q:
         raise UsageError(f"--a {args.a} is outside the classes 1 <= a < q = {args.q}")
     coeffs = dv.tau_table(args.x)
-    reports = dv.discrepancy_all(coeffs, args.x, args.q)
-    residual, budget = dv.hyperbola_residual(coeffs, args.x, args.q, reports)
-    if args.a is not None:
-        reports = [r for r in reports if r.a == args.a]
-    header = ["x", "q", "a", "raw", "main", "E", "normalized"]
-    rows = [(r.x, r.q, r.a, r.raw, r.main, r.E, r.normalized) for r in reports]
-    payload = {
-        "x": args.x, "q": args.q,
-        "max_abs_E": max(abs(r.E) for r in reports),
-        "max_normalized": max(abs(r.normalized) for r in reports),
-        "hyperbola_residual": residual,
-        "hyperbola_budget": budget,
-    }
-    _emit(args, payload, csv_part=(header, rows))
+    sums = dv.discrepancy_all(coeffs, args.x, args.q)
+    residual, budget = dv.hyperbola_residual(coeffs, args.x, args.q, sums["raw"])
+    sel = slice(None) if args.a is None else slice(args.a - 1, args.a)  # entry a - 1 is class a
+    cols = {"raw": sums["raw"][sel], "main": sums["main"], "E": sums["E"][sel],
+            "normalized": sums["normalized"][sel]}
+    payload = {"x": args.x, "q": args.q, "max_abs_E": float(np.abs(cols["E"]).max()),
+               "max_normalized": float(np.abs(cols["normalized"]).max()),
+               "hyperbola_residual": residual, "hyperbola_budget": budget}
+    _emit(args, payload, lambda: {"x": args.x, "q": args.q,
+                                  "a": np.arange(1, args.q)[sel], **cols})
     return EXIT_OK
 
 

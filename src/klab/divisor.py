@@ -242,17 +242,6 @@ def lambda_star_one_table(coeffs: CuspFormCoeffs, x: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ProgressionReport:
-    x: int
-    q: int
-    a: int
-    raw: float           # sum over n <= x, n = a mod q
-    main: float          # phi(q)-average over invertible classes
-    E: float
-    normalized: float    # E * q / x
-
-
 def _require_progression(x: int, q: int) -> None:
     # the class sums below take every a = 1..q-1 as invertible and phi = q - 1
     if not is_prime(q):
@@ -261,22 +250,25 @@ def _require_progression(x: int, q: int) -> None:
         raise OutOfRange(f"x = {x} is below 1")
 
 
-def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> list:
-    """ProgressionReports for every invertible class a mod a prime q."""
+def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> dict:
+    """The class sums over every invertible class a mod a prime q, as float64
+    arrays whose entry a - 1 is class a = 1..q-1: ``raw`` (the sum of
+    (lambda * 1)(n) over n <= x, n = a mod q), ``E`` = raw - main and
+    ``normalized`` = E q / x; ``main`` is the one float average of raw."""
     _require_progression(x, q)
     vals = lambda_star_one_table(coeffs, x)[1:]
     res = np.arange(1, x + 1) % q
-    raw = np.bincount(res, weights=vals, minlength=q)
-    main = raw[1:].sum() / (q - 1)
-    return [ProgressionReport(x=x, q=q, a=a, raw=float(raw[a]), main=float(main),
-                              E=float(raw[a] - main), normalized=float((raw[a] - main) * q / x))
-            for a in range(1, q)]
+    raw = np.bincount(res, weights=vals, minlength=q)[1:]
+    main = float(raw.sum() / (q - 1))
+    E = raw - main
+    return {"raw": raw, "main": main, "E": E, "normalized": E * q / x}
 
 
 def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
-                       reports: list | None = None) -> tuple:
-    """(max_a |raw_a - H_a|, float budget) for the class sums of
-    ``discrepancy_all`` (or the given ``reports``) against the hyperbola count
+                       raw: np.ndarray | None = None) -> tuple:
+    """(max_a |raw_a - H_a|, float budget) for the class sums ``raw`` of
+    ``discrepancy_all`` (computed when not given; entry a - 1 is class a)
+    against the hyperbola count
 
         H_a = sum_{d <= x, q does not divide d} lambda(d) #{m <= x/d : d m = a mod q},
 
@@ -288,8 +280,8 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
     the memory stays O(x) at every q.  Each route adds about x log x terms of
     size at most |lambda(d)|, so the budget is 1e-13 * sum_d |lambda(d)| (x/d + 1).
     """
-    if reports is None:
-        reports = discrepancy_all(coeffs, x, q)
+    if raw is None:
+        raw = discrepancy_all(coeffs, x, q)["raw"]
     _require_progression(x, q)
     d = np.arange(1, x + 1, dtype=np.int64)
     top, lam = x // d, coeffs.lam[1:x + 1]
@@ -308,7 +300,7 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
         i = np.repeat(np.arange(first, last + 1), r[first:last + 1])[skip:skip + hi - lo]
         np.add.at(H, d[i] * (np.arange(lo, hi) - ends[i] + r[i] + 1) % q, lam[i])
     H += float(lam @ B)
-    return max((abs(rep.raw - H[rep.a]) for rep in reports), default=0.0), budget
+    return float(np.abs(raw - H[1:]).max()), budget
 
 
 # the former name of this check, which benchmark/spans.py still traces

@@ -275,11 +275,11 @@ def test_criterion_9_divisor_application(coeffs_1e5):
     max_abs_e = []
     worst_share = 0.0
     for q in qs:
-        reports = discrepancy_all(coeffs, x, q)
-        residual, budget = hyperbola_residual(coeffs, x, q, reports)
+        sums = discrepancy_all(coeffs, x, q)
+        residual, budget = hyperbola_residual(coeffs, x, q, sums["raw"])
         worst_share = max(worst_share, residual / budget)
-        max_norm.append(max(abs(r.normalized) for r in reports))
-        max_abs_e.append(max(abs(r.E) for r in reports))
+        max_norm.append(max(abs(v) for v in sums["normalized"]))
+        max_abs_e.append(max(abs(v) for v in sums["E"]))
     ok &= worst_share <= 1
     semilog_slope = float(np.polyfit(np.log(qs), max_norm, 1)[0])
     loglog_e_slope = float(np.polyfit(np.log(qs), np.log(max_abs_e), 1)[0])

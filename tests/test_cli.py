@@ -282,6 +282,21 @@ def test_sumprod_scan_flag_route(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 19**4  # exhaustive below the full-scan cap
 
 
+def test_sumprod_scan_json_builds_no_csv(tmp_path, monkeypatch):
+    import klab.cli as cli
+    import klab.reporting as rp
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("CSV work in JSON mode")
+    for module, name in ((cli, "_scan_columns"), (cli, "write_csv"), (rp, "csv_lines")):
+        monkeypatch.setattr(module, name, refuse)
+    argv = ["sumprod-scan", "--k", "2", "--q", "11", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path / "scan.json")]) == 0
+    assert json.loads((tmp_path / "scan.json").read_text())["exhaustive"] is True
+    with pytest.raises(AssertionError, match="CSV work"):  # the patched names are the route
+        main([*argv, "--format", "csv"])
+
+
 def test_sk_scan_smallest(capsys):
     code, out = run(capsys, "sk", "--k", "3", "--scan-smallest", "--q-limit", "40")
     assert code == 0
@@ -444,9 +459,9 @@ def test_ignored_options_exit_1(tmp_path, capsys, config, argv, option):
 
 
 def test_csv_text_writes_floats_as_repr():
-    from klab.reporting import csv_text
+    from klab.reporting import csv_lines
     vals = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3]
-    assert csv_text(["v"], [[v] for v in vals]).splitlines()[1:] == [repr(v) for v in vals]
+    assert "".join(csv_lines({"v": vals})).splitlines()[1:] == [repr(v) for v in vals]
 
 
 def test_sumprod_scan_csv_matches_rows(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -299,9 +298,16 @@ def test_discrepancy_all_holds_four_arrays(coeffs_5e4):
 @pytest.mark.parametrize("q", [53, 199, 1009])
 def test_hyperbola_residual_memory_does_not_grow_with_q(coeffs_5e4, q):
     x = 50000
-    reports = discrepancy_all(coeffs_5e4, x, q)
-    peak = _traced_peak(lambda: hyperbola_residual(coeffs_5e4, x, q, reports))
+    raw = discrepancy_all(coeffs_5e4, x, q)["raw"]
+    peak = _traced_peak(lambda: hyperbola_residual(coeffs_5e4, x, q, raw))
     assert peak <= 10 * 8 * x
+
+
+def test_class_sums_hold_no_object_per_class(coeffs_5e4):
+    # hyperbola_residual runs discrepancy_all when given no class sums; those
+    # are arrays, a few of length q, and no Python object per class
+    x, q = 20000, 999983
+    assert _traced_peak(lambda: hyperbola_residual(coeffs_5e4, x, q)) <= 6 * 8 * (x + q)
 
 
 def test_tau_star_one_exact(coeffs):
@@ -312,9 +318,9 @@ def test_tau_star_one_exact(coeffs):
 
 def test_discrepancy_centering_float(coeffs):
     x, q = 2000, 53
-    reports = discrepancy_all(coeffs, x, q)
-    assert len(reports) == q - 1
-    assert abs(sum(r.E for r in reports)) < 1e-7
+    E = discrepancy_all(coeffs, x, q)["E"]
+    assert len(E) == q - 1
+    assert abs(sum(E)) < 1e-7
 
 
 def test_discrepancy_centering_exact(coeffs):
@@ -342,21 +348,16 @@ def _hyperbola_one_bincount(coeffs, x, q):
     return H, budget
 
 
-def _reports_of(H, x, q):
-    return [dv.ProgressionReport(x=x, q=q, a=a, raw=float(H[a]), main=0.0, E=0.0,
-                                 normalized=0.0) for a in range(1, q)]
-
-
 @pytest.mark.parametrize("q", [3, 11, 53, 199, 1009])
 @pytest.mark.parametrize("x", [1, 20, 500, 3000, 50000])
 def test_hyperbola_runs_equal_one_bincount(coeffs_5e4, x, q):
-    # residual 0.0 against reports whose raw is the one-bincount H_a: every
+    # residual 0.0 against the one-bincount H_a as the class sums: every
     # class total is the same float; q > x and runs ending inside one d included
     H, budget = _hyperbola_one_bincount(coeffs_5e4, x, q)
-    assert hyperbola_residual(coeffs_5e4, x, q, _reports_of(H, x, q)) == (0.0, budget)
-    reports = discrepancy_all(coeffs_5e4, x, q)
-    assert hyperbola_residual(coeffs_5e4, x, q, reports) == (
-        max(abs(r.raw - H[r.a]) for r in reports), budget)
+    assert hyperbola_residual(coeffs_5e4, x, q, H[1:]) == (0.0, budget)
+    raw = discrepancy_all(coeffs_5e4, x, q)["raw"]
+    assert hyperbola_residual(coeffs_5e4, x, q, raw) == (
+        max(abs(raw[a - 1] - H[a]) for a in range(1, q)), budget)
 
 
 @pytest.mark.parametrize("run", [1, 5, 64])
@@ -364,15 +365,15 @@ def test_hyperbola_short_runs_equal_one_bincount(coeffs, monkeypatch, run):
     monkeypatch.setattr(dv, "_HYPERBOLA_RUN", run)
     for x, q in ((20, 3), (500, 11), (3000, 53)):
         H, budget = _hyperbola_one_bincount(coeffs, x, q)
-        assert hyperbola_residual(coeffs, x, q, _reports_of(H, x, q)) == (0.0, budget)
+        assert hyperbola_residual(coeffs, x, q, H[1:]) == (0.0, budget)
 
 
 def test_hyperbola_residual_flags_one_corrupted_class(coeffs):
     x, q = 3000, 53
-    reports = discrepancy_all(coeffs, x, q)
-    _, budget = hyperbola_residual(coeffs, x, q, reports)
-    bad = list(reports)
-    bad[17] = dataclasses.replace(bad[17], raw=bad[17].raw + 2 * budget)
+    raw = discrepancy_all(coeffs, x, q)["raw"]
+    _, budget = hyperbola_residual(coeffs, x, q, raw)
+    bad = raw.copy()
+    bad[17] = bad[17] + 2 * budget
     residual, _ = hyperbola_residual(coeffs, x, q, bad)
     assert budget < residual < 3 * budget
 
@@ -380,10 +381,9 @@ def test_hyperbola_residual_flags_one_corrupted_class(coeffs):
 def test_discrepancy_empty_progression(coeffs):
     # x < q and a > x: the raw count is 0 and E = -average
     x, q = 20, 53
-    rep = discrepancy_all(coeffs, x, q)[37 - 1]
-    assert rep.a == 37
-    assert rep.raw == 0
-    assert abs(rep.E + rep.main) < 1e-12
+    sums = discrepancy_all(coeffs, x, q)
+    assert sums["raw"][37 - 1] == 0
+    assert abs(sums["E"][37 - 1] + sums["main"]) < 1e-12
 
 
 def test_discrepancy_rejects_composite_modulus(coeffs):

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every parameter of a
 function in ``src/klab`` is read by its body, and ``src/klab`` reaches into
-no argparse internals."""
+no argparse internals, imports no ``csv`` and builds no per-class report."""
 
 import ast
 import pathlib
@@ -107,3 +107,27 @@ def test_guard_sees_a_field_class():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_fields_names_the_field_classes(path):
     assert field_class_names(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules that ``source`` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_guard_sees_an_imported_module():
+    src = "import csv as c\nfrom io import StringIO\nfrom .errors import IoError\n"
+    assert imported_modules(src) == {"csv", "io"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_csv_module_and_no_progression_reports(path):
+    # CSV lines come from reporting's streaming emitter, class sums are arrays
+    source = path.read_text()
+    assert "csv" not in imported_modules(source)
+    assert "ProgressionReport" not in source
