@@ -16,7 +16,6 @@ into reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,71 +25,13 @@ from .errors import ConstraintViolated, HypothesisViolated, RangeTooLarge
 MATRIX_CAP = 1 << 23
 
 
-@dataclass(frozen=True)
-class BilinearInstance:
-    """Coefficients for one measured bilinear form."""
-
-    M: int
-    N: int
-    offset: int  # the n-interval is {offset, ..., offset + N - 1} in [1, q-1]
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if len(self.alpha) != self.M or len(self.beta) != self.N:
-            raise ValueError("coefficient lengths must match M and N")
-
-    @property
-    def l1_alpha(self):
-        return float(np.abs(self.alpha).sum())
-
-    @property
-    def l2_alpha(self):
-        return float(np.sqrt((np.abs(self.alpha) ** 2).sum()))
-
-    @property
-    def l2_beta(self):
-        return float(np.sqrt((np.abs(self.beta) ** 2).sum()))
-
-    def check_interval(self, q: int):
-        if not (1 <= self.offset and self.offset + self.N - 1 <= q - 1):
-            raise ValueError(f"interval [{self.offset}, {self.offset + self.N - 1}] "
-                             f"does not fit in [1, {q - 1}]")
-
-
-@dataclass(frozen=True)
-class ParameterPlan:
-    """Auxiliary (A, B) averaging lengths with their side-condition flags."""
-
-    A: int
-    B: int
-    constraints: dict  # {"2B<q": bool, "AB<=N": bool, "AM<q": bool}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured |B| against the bound brackets, with the saving exponent."""
-
-    q: int
-    k: int
-    c: int
-    M: int
-    N: int
-    offset: int
-    ensemble: str
-    seed: int
-    measured: float
-    trivial: float
-    pv: float
-    thm11: float  # nan when hypotheses fail
-    thm12: float  # nan when hypotheses fail
-    gamma: float  # log_q(trivial / measured)
-    flags: tuple = ()
-
-
 def kloosterman_matrix(ctx, M: int, N: int, offset: int = 1) -> np.ndarray:
-    """The M x N matrix [Kl_k(c m n)] with m in [1, M], n in the interval."""
+    """The M x N matrix [Kl_k(c m n)] with m in [1, M] and n in the interval
+    [offset, offset + N - 1], which must lie in [1, q - 1]."""
     q = ctx.field.q
+    if not (1 <= offset and offset + N - 1 <= q - 1):
+        raise ValueError(f"interval [{offset}, {offset + N - 1}] "
+                         f"does not fit in [1, {q - 1}]")
     if ctx.field.degree != 1:
         raise ValueError("bilinear forms are over the prime field")
     if M * N > MATRIX_CAP:
@@ -100,26 +41,30 @@ def kloosterman_matrix(ctx, M: int, N: int, offset: int = 1) -> np.ndarray:
     return ctx.twisted[m * n % q]
 
 
-def bilinear_form(ctx, inst: BilinearInstance) -> complex:
-    inst.check_interval(ctx.field.q)
-    A = kloosterman_matrix(ctx, inst.M, inst.N, inst.offset)
-    return complex(inst.alpha @ A @ inst.beta)
+def bilinear_form(ctx, alpha: np.ndarray, beta: np.ndarray, offset: int = 1) -> complex:
+    """sum_{m, n} alpha_m beta_n Kl_k(c m n) over m in [1, len(alpha)] and n in
+    [offset, offset + len(beta) - 1]."""
+    return complex(alpha @ kloosterman_matrix(ctx, len(alpha), len(beta), offset) @ beta)
 
 
 # ----------------------------------------------------------------------
 # bound brackets (constants 1, q^eps dropped)
 # ----------------------------------------------------------------------
 
-def trivial_bound(inst: BilinearInstance) -> float:
-    return inst.l2_alpha * inst.l2_beta * math.sqrt(inst.M * inst.N)
+def _l2(v: np.ndarray) -> float:
+    return float(np.sqrt((np.abs(v) ** 2).sum()))
 
 
-def pv_bound(inst: BilinearInstance, q: int) -> float:
+def trivial_bound(alpha: np.ndarray, beta: np.ndarray) -> float:
+    return _l2(alpha) * _l2(beta) * math.sqrt(len(alpha) * len(beta))
+
+
+def pv_bound(alpha: np.ndarray, beta: np.ndarray, q: int) -> float:
     """Completion-method bracket: l2 norms times
     (q^{-1/4} + M^{-1/2} + N^{-1/2} q^{1/4} log q)."""
-    M, N = inst.M, inst.N
+    M, N = len(alpha), len(beta)
     bracket = q ** -0.25 + M ** -0.5 + N ** -0.5 * q ** 0.25 * math.log(q)
-    return inst.l2_alpha * inst.l2_beta * math.sqrt(M * N) * bracket
+    return _l2(alpha) * _l2(beta) * math.sqrt(M * N) * bracket
 
 
 def typeII_hypotheses(M: float, N: float, q: int) -> list:
@@ -197,11 +142,12 @@ def _plan_flags(A: int, B: int, M: int, N: int, q: int) -> dict:
     return {"2B<q": 2 * B < q, "AB<=N": A * B <= N, "AM<q": A * M < q}
 
 
-def plan_parameters_typeII(M: int, N: int, q: int) -> ParameterPlan:
-    """A = q^{1/8} (N/M)^{1/2}, B = q^{-1/8} (MN)^{1/2}; AB = N up to rounding."""
+def plan_parameters_typeII(M: int, N: int, q: int) -> tuple:
+    """(A, B, flags): A = q^{1/8} (N/M)^{1/2}, B = q^{-1/8} (MN)^{1/2}, so AB
+    = N up to rounding; flags maps "2B<q", "AB<=N" and "AM<q" to whether each holds."""
     A = max(1, round(q ** 0.125 * math.sqrt(N / M)))
     B = max(1, round(q ** -0.125 * math.sqrt(M * N)))
-    return ParameterPlan(A=A, B=B, constraints=_plan_flags(A, B, M, N, q))
+    return A, B, _plan_flags(A, B, M, N, q)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +159,7 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
     """|direct - averaged re-indexed| / (|direct| + 1) for beta = 1 on the
     interval; the identity is an exact re-indexing, so this is float noise."""
     q = ctx.field.q
+    alpha = np.asarray(alpha)
     M = len(alpha)
     failed = [name for name, ok in _plan_flags(A, B, M, N, q).items() if not ok]
     if any(a % q == 0 for a in range(A + 1, 2 * A + 1)):
@@ -220,9 +167,7 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
     if failed:
         raise ConstraintViolated("averaging parameters out of range: "
                                  + "; ".join(failed), failed)
-    inst = BilinearInstance(M=M, N=N, offset=offset, alpha=np.asarray(alpha),
-                            beta=np.ones(N, dtype=np.complex128))
-    direct = bilinear_form(ctx, inst)
+    direct = bilinear_form(ctx, alpha, np.ones(N, dtype=np.complex128), offset)
     tv = ctx.twisted
     acc = 0j
     m = np.arange(1, M + 1, dtype=np.int64)
@@ -232,7 +177,7 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
             # n + ab in the interval  <=>  n in [offset - ab, offset + N - 1 - ab]
             n = np.arange(offset - a * b, offset + N - a * b, dtype=np.int64)
             idx = (a * m[:, None] % q) * ((abar * n[None, :] + b) % q) % q
-            acc += (np.asarray(alpha) @ tv[idx]).sum()
+            acc += (alpha @ tv[idx]).sum()
     averaged = acc / (A * B)
     return float(abs(direct - averaged) / (abs(direct) + 1))
 
@@ -260,13 +205,6 @@ def operator_norm_dense(ctx, M: int, N: int, offset: int = 1) -> float:
 # ensemble sweeps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    sizes: tuple  # iterable of (M, N)
-    seed: int = 1
-    offset: int = 1
-
-
 # saving_sweep draws alpha, then beta, from each ensemble in this order
 ENSEMBLES = {
     "steinhaus": lambda n, rng: np.exp(2j * math.pi * rng.random(n)),
@@ -275,36 +213,34 @@ ENSEMBLES = {
 }
 
 
-def saving_sweep(ctx, spec: SweepSpec) -> list:
-    """BoundReport rows over the ``ENSEMBLES``."""
+def saving_sweep(ctx, sizes, seed: int = 1, offset: int = 1) -> tuple:
+    """(columns, failed): for each (M, N) of ``sizes`` and each of the
+    ``ENSEMBLES`` in turn, one entry of each column, a list per name; thm11
+    and thm12 are nan where their hypotheses fail, and ``failed`` is the
+    sorted union of those failures.  gamma = log_q(trivial / measured)."""
     q = ctx.field.q
-    out = []
-    rng = np.random.default_rng(spec.seed)
-    for M, N in spec.sizes:
+    cols = {name: [] for name in ("M", "N", "ensemble", "measured", "trivial", "pv",
+                                  "thm11", "thm12", "gamma")}
+    failed = set()
+    rng = np.random.default_rng(seed)
+    for M, N in sizes:
         for ens, draw in ENSEMBLES.items():
             alpha = draw(M, rng)
             beta = draw(N, rng)
-            inst = BilinearInstance(M=M, N=N, offset=spec.offset,
-                                    alpha=alpha, beta=beta)
-            measured = abs(bilinear_form(ctx, inst))
-            triv = trivial_bound(inst)
-            flags = []
-            if np.abs(alpha).max() > 1 + 1e-12:
-                flags.append("alpha exceeds 1")
+            measured = abs(bilinear_form(ctx, alpha, beta, offset))
+            triv = trivial_bound(alpha, beta)
             try:
-                t11 = thm_typeII_bound(M, N, q, inst.l2_alpha, inst.l2_beta)
+                t11 = thm_typeII_bound(M, N, q, _l2(alpha), _l2(beta))
             except HypothesisViolated as e:
                 t11 = math.nan
-                flags.extend(f"thm11: {c}" for c in e.failed)
+                failed.update(f"thm11: {c}" for c in e.failed)
             try:
-                t12 = thm_typeI_bound(M, N, q, inst.l1_alpha, inst.l2_alpha)
+                t12 = thm_typeI_bound(M, N, q, float(np.abs(alpha).sum()), _l2(alpha))
             except HypothesisViolated as e:
                 t12 = math.nan
-                flags.extend(f"thm12: {c}" for c in e.failed)
+                failed.update(f"thm12: {c}" for c in e.failed)
             gamma = math.log(triv / measured, q) if measured > 0 else math.inf
-            out.append(BoundReport(
-                q=q, k=ctx.k, c=ctx.c, M=M, N=N, offset=spec.offset,
-                ensemble=ens, seed=spec.seed, measured=measured, trivial=triv,
-                pv=pv_bound(inst, q), thm11=t11, thm12=t12, gamma=gamma,
-                flags=tuple(flags)))
-    return out
+            for name, value in zip(cols, (M, N, ens, measured, triv, pv_bound(alpha, beta, q),
+                                          t11, t12, gamma)):
+                cols[name].append(value)
+    return cols, sorted(failed)

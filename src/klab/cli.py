@@ -193,14 +193,20 @@ def _scan_columns(args, res) -> dict:
             "normalized_ratio": ratio}
 
 
+def _moment_devs(ctx, tuples) -> list:
+    """|second moment - Q| / sqrt(Q) at each sampled tuple, Q = q^d."""
+    Q = ctx.field.size
+    return [abs(second_moment_r_lambda(ctx, tuple(int(x) for x in b)) - Q) / math.sqrt(Q)
+            for b in tuples]
+
+
 def cmd_moments(args):
     ctx = _context(args.k, args.q, args.d, args.c)
     f = ctx.field
     rng = np.random.default_rng(args.seed)
     tuples = sample_generic_tuples(f, args.k, args.samples, rng)
     Q = f.size
-    devs = [abs(second_moment_r_lambda(ctx, tuple(int(x) for x in b)) - Q) / math.sqrt(Q)
-            for b in tuples]
+    devs = _moment_devs(ctx, tuples)
     fam = full_average_moment(ctx)
     payload = {
         "q": args.q, "d": args.d, "k": args.k, "seed": args.seed,
@@ -220,18 +226,17 @@ def cmd_moments(args):
 def cmd_bilinear_sweep(args):
     ctx = _context(args.k, args.q, 1, args.c)
     sizes = tuple((m, n) for m in args.M for n in args.N)
-    rows = bl.saving_sweep(ctx, bl.SweepSpec(sizes=sizes, seed=args.seed,
-                                             offset=args.offset))
-    per_ens = {e: {"max_gamma": max(r.gamma for r in rows if r.ensemble == e),
-                   "max_measured": max(r.measured for r in rows if r.ensemble == e)}
-               for e in bl.ENSEMBLES}
-    flagged = sorted({f for r in rows for f in r.flags})
+    cols, flagged = bl.saving_sweep(ctx, sizes, seed=args.seed, offset=args.offset)
+    ens = cols["ensemble"]
+    per_ens = {e: {f"max_{name}": max(v for n, v in zip(ens, cols[name]) if n == e)
+                   for name in ("gamma", "measured")} for e in bl.ENSEMBLES}
     payload = {"seed": args.seed, "sizes": [list(s) for s in sizes],
                "per_ensemble": per_ens, "hypothesis_flags": flagged}
     _emit(args, payload, lambda: {
-        name: [getattr(r, name) for r in rows]
-        for name in ("q", "k", "c", "M", "N", "offset", "ensemble", "seed",
-                     "measured", "trivial", "pv", "thm11", "thm12", "gamma")})
+        "q": args.q, "k": args.k, "c": args.c, "M": cols["M"], "N": cols["N"],
+        "offset": args.offset, "ensemble": cols["ensemble"], "seed": args.seed,
+        **{name: cols[name] for name in ("measured", "trivial", "pv", "thm11", "thm12",
+                                         "gamma")}})
     return EXIT_HYPOTHESIS if flagged else EXIT_OK
 
 
@@ -309,8 +314,8 @@ def cmd_exponent_lp(args):
     cfg = dv.ExponentConfig(delta=args.delta, eta=args.eta, kappa=args.kappa,
                             slack=args.slack)
     v = dv.exponent_case_analysis(cfg)
-    payload = {"passed": v.passed, "delta": float(v.delta), "kappa": v.kappa,
-               "slack": v.slack, "worst_exponent": float(v.worst),
+    payload = {"passed": v.passed, "delta": float(v.delta), "kappa": args.kappa,
+               "slack": args.slack, "worst_exponent": float(v.worst),
                "witnesses": [list(w) for w in v.witnesses]}
     _emit(args, payload)
     return EXIT_OK
@@ -324,14 +329,12 @@ def cmd_report(args):
     ctx = SumProductContext(t, c=1)
     rng = np.random.default_rng(args.seed)
     tuples = sample_generic_tuples(f, k, 16, rng)
-    sm = [abs(second_moment_r_lambda(ctx, tuple(int(x) for x in b)) - q) / math.sqrt(q)
-          for b in tuples]
-    sweep = bl.saving_sweep(ctx, bl.SweepSpec(sizes=((8, 8),), seed=args.seed))
+    sweep, _ = bl.saving_sweep(ctx, ((8, 8),), seed=args.seed)
     payload = {
         "kloosterman": {"deligne_margin": t.deligne_margin(),
                         "complete_sum_residual": t.complete_sum_residual()},
-        "second_moment_dev_max": max(sm),
-        "bilinear_gamma_max": max(r.gamma for r in sweep),
+        "second_moment_dev_max": max(_moment_devs(ctx, tuples)),
+        "bilinear_gamma_max": max(sweep["gamma"]),
         "sk": rs.sk_to_dict(rs.compute_sk(2, f)),
         "exponent_lp": dv.delta_star_search(),
     }

@@ -468,8 +468,6 @@ def _scaled_bound(x: int, y: int, d: int) -> int:
 class ExponentVerdict:
     passed: bool
     delta: Fraction
-    kappa: float
-    slack: float
     worst: Fraction  # max over the band of the best available exponent
     worst_at: tuple  # an exact (mu', nu') attaining it
     witnesses: tuple  # band vertices where every bound exceeds 1 - kappa
@@ -492,9 +490,8 @@ def exponent_case_analysis(config: ExponentConfig) -> ExponentVerdict:
     level = 1 - Fraction(config.kappa)
     witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
                       for g, (mu, nu) in ranked[:8] if g > level)
-    return ExponentVerdict(passed=worst <= level, delta=delta, kappa=config.kappa,
-                           slack=config.slack, worst=worst, worst_at=worst_at,
-                           witnesses=witnesses)
+    return ExponentVerdict(passed=worst <= level, delta=delta, worst=worst,
+                           worst_at=worst_at, witnesses=witnesses)
 
 
 def delta_star_search(kappa: float = 0.0, slack: float = 0.0) -> dict:

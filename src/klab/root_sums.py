@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CharDividesK, NoKthRoots, OutOfRange
 from .fields import finite_field, roots_of_unity
+from .kloosterman import _require_k
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,6 @@ class SkMultiset:
     @property
     def total_multiplicity(self):
         return sum(self.entries.values())
-
-
-def _require_k(k: int) -> None:
-    if k < 2:
-        raise ValueError("k must be >= 2")
 
 
 def find_embedding_degree(k: int, q: int) -> int:

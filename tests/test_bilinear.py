@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab.bilinear import (BilinearInstance, SweepSpec, bilinear_form,
-                           kloosterman_matrix, nontrivial_threshold,
+from klab.bilinear import (bilinear_form, kloosterman_matrix, nontrivial_threshold,
                            operator_norm, operator_norm_dense, pv_bound,
                            plan_parameters_typeII, saving_exponent,
                            saving_sweep, shift_identity_check,
@@ -28,16 +27,13 @@ def test_bilinear_single_term(ctx101):
     beta = np.zeros(N, dtype=np.complex128)
     alpha[2] = 1.0  # m0 = 3
     beta[1] = 1.0   # n0 = offset + 1 = 11
-    inst = BilinearInstance(M=M, N=N, offset=offset, alpha=alpha, beta=beta)
-    got = bilinear_form(ctx101, inst)
+    got = bilinear_form(ctx101, alpha, beta, offset)
     assert abs(got - complex(ctx101.twisted[3 * 11 % 101])) < 1e-14
 
 
 def test_bilinear_zero_coefficients(ctx101):
-    inst = BilinearInstance(M=3, N=3, offset=1,
-                            alpha=np.zeros(3, dtype=complex),
-                            beta=np.zeros(3, dtype=complex))
-    assert bilinear_form(ctx101, inst) == 0
+    assert bilinear_form(ctx101, np.zeros(3, dtype=complex), np.zeros(3, dtype=complex),
+                         offset=1) == 0
 
 
 def test_bilinear_transposed_loop_oracle(ctx101):
@@ -45,8 +41,7 @@ def test_bilinear_transposed_loop_oracle(ctx101):
     M = N = 10
     alpha = np.exp(2j * math.pi * rng.random(M))
     beta = np.exp(2j * math.pi * rng.random(N))
-    inst = BilinearInstance(M=M, N=N, offset=5, alpha=alpha, beta=beta)
-    got = bilinear_form(ctx101, inst)
+    got = bilinear_form(ctx101, alpha, beta, offset=5)
     acc = 0j
     for j, n in enumerate(range(5, 5 + N)):  # n-major order
         for i, m in enumerate(range(1, M + 1)):
@@ -55,14 +50,9 @@ def test_bilinear_transposed_loop_oracle(ctx101):
 
 
 def test_trivial_bound_unit_modulus():
-    inst = BilinearInstance(M=10, N=10, offset=1,
-                            alpha=np.ones(10, dtype=complex),
-                            beta=np.ones(10, dtype=complex))
-    assert abs(trivial_bound(inst) - 100.0) < 1e-12
-    zero = BilinearInstance(M=4, N=4, offset=1,
-                            alpha=np.ones(4, dtype=complex),
-                            beta=np.zeros(4, dtype=complex))
-    assert trivial_bound(zero) == 0
+    assert abs(trivial_bound(np.ones(10, dtype=complex), np.ones(10, dtype=complex))
+               - 100.0) < 1e-12
+    assert trivial_bound(np.ones(4, dtype=complex), np.zeros(4, dtype=complex)) == 0
 
 
 def test_measured_below_trivial_times_k(ctx101):
@@ -71,15 +61,12 @@ def test_measured_below_trivial_times_k(ctx101):
         M, N = int(rng.integers(2, 12)), int(rng.integers(2, 12))
         alpha = np.exp(2j * math.pi * rng.random(M))
         beta = np.exp(2j * math.pi * rng.random(N))
-        inst = BilinearInstance(M=M, N=N, offset=1, alpha=alpha, beta=beta)
-        assert abs(bilinear_form(ctx101, inst)) <= trivial_bound(inst) * ctx101.k + 1e-9
+        assert (abs(bilinear_form(ctx101, alpha, beta, offset=1))
+                <= trivial_bound(alpha, beta) * ctx101.k + 1e-9)
 
 
 def test_pv_bound_arithmetic():
-    inst = BilinearInstance(M=100, N=100, offset=1,
-                            alpha=np.ones(100, dtype=complex),
-                            beta=np.ones(100, dtype=complex))
-    got = pv_bound(inst, 10**4)
+    got = pv_bound(np.ones(100, dtype=complex), np.ones(100, dtype=complex), 10**4)
     bracket = 0.1 + 0.1 + 0.1 * 10 * math.log(10**4)
     assert abs(got - 10 * 10 * 100 * bracket) < 1e-9
 
@@ -121,10 +108,10 @@ def test_typeII_bracket_monotone_in_N(eM, eN, step):
 
 
 def test_plan_typeII_rounding():
-    plan = plan_parameters_typeII(100, 100, 10**4)
-    assert (plan.A, plan.B) == (3, 32)
-    assert abs(plan.A * plan.B - 100) <= 8  # AB = N up to rounding
-    assert set(plan.constraints) == {"2B<q", "AB<=N", "AM<q"}
+    A, B, flags = plan_parameters_typeII(100, 100, 10**4)
+    assert (A, B) == (3, 32)
+    assert abs(A * B - 100) <= 8  # AB = N up to rounding
+    assert set(flags) == {"2B<q", "AB<=N", "AM<q"}
 
 
 def test_shift_identity_degenerate(ctx101):
@@ -158,6 +145,13 @@ def test_operator_norm_matches_dense(ctx101):
     assert abs(sig - dense) / dense < 1e-8
 
 
+@pytest.mark.parametrize("norm", [operator_norm, operator_norm_dense])
+@pytest.mark.parametrize("M, N, offset", [(5, 150, 1), (5, 5, 0), (5, 5, -3)])
+def test_operator_norms_refuse_an_interval_outside_the_units(ctx101, norm, M, N, offset):
+    with pytest.raises(ValueError, match=r"does not fit in \[1, 100\]"):
+        norm(ctx101, M, N, offset)
+
+
 @pytest.mark.parametrize("q, M, N", [(1009, 500, 700), (10007, 300, 300)])
 def test_operator_norm_matches_svd_to_rounding(q, M, N):
     # 1009, 500 x 700 has a small top gap: power iteration stalled there
@@ -173,22 +167,22 @@ def test_operator_norm_dominates_samples(ctx101):
     for _ in range(20):
         alpha = rng.normal(size=6) + 1j * rng.normal(size=6)
         beta = rng.normal(size=6) + 1j * rng.normal(size=6)
-        inst = BilinearInstance(M=6, N=6, offset=2, alpha=alpha, beta=beta)
-        ratio = abs(bilinear_form(ctx101, inst)) / (inst.l2_alpha * inst.l2_beta)
+        l2 = [float(np.sqrt((np.abs(v) ** 2).sum())) for v in (alpha, beta)]
+        ratio = abs(bilinear_form(ctx101, alpha, beta, offset=2)) / (l2[0] * l2[1])
         assert ratio <= sig + 1e-9
 
 
 def test_saving_sweep_rows(ctx101):
-    spec = SweepSpec(sizes=((8, 10), (10, 10)), seed=2)
-    rows = saving_sweep(ctx101, spec)
-    assert len(rows) == 6
-    ones = [r for r in rows if r.ensemble == "ones"]
+    cols, _ = saving_sweep(ctx101, ((8, 10), (10, 10)), seed=2)
+    assert {len(v) for v in cols.values()} == {6}
+    rows = [dict(zip(cols, r)) for r in zip(*cols.values())]
+    ones = [r for r in rows if r["ensemble"] == "ones"]
     for r in ones:
-        A = kloosterman_matrix(ctx101, r.M, r.N, r.offset)
-        assert abs(r.measured - abs(A.sum())) < 1e-9
+        A = kloosterman_matrix(ctx101, r["M"], r["N"], 1)
+        assert abs(r["measured"] - abs(A.sum())) < 1e-9
     for r in rows:
-        assert r.measured <= r.trivial * ctx101.k + 1e-9
-        if r.measured > 0:
-            assert abs(r.gamma - math.log(r.trivial / r.measured, 101)) < 1e-12
-    again = saving_sweep(ctx101, spec)
-    assert [r.measured for r in again] == [r.measured for r in rows]
+        assert r["measured"] <= r["trivial"] * ctx101.k + 1e-9
+        if r["measured"] > 0:
+            assert abs(r["gamma"] - math.log(r["trivial"] / r["measured"], 101)) < 1e-12
+    again, _ = saving_sweep(ctx101, ((8, 10), (10, 10)), seed=2)
+    assert again["measured"] == cols["measured"]

@@ -81,6 +81,20 @@ def test_size_flags_below_one_exit_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["opnorm", "--k", "2", "--q", "101", "--M", "5", "--N", "150"],
+    ["opnorm", "--k", "2", "--q", "101", "--M", "5", "--N", "5", "--offset", "0"],
+    ["opnorm", "--k", "2", "--q", "101", "--M", "5", "--N", "5", "--offset", "-3"],
+    ["bilinear-sweep", "--k", "2", "--q", "101", "--M", "5", "--N", "150", "--seed", "1"],
+])
+def test_n_interval_outside_the_units_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "does not fit in [1, 100]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["kl-table", "--k", "400", "--q", "53"],
     ["kl-table", "--k", "358", "--q", "53"],
     ["kl-check", "--k", "400", "--q", "53"],

@@ -647,9 +647,8 @@ def _ref_case_analysis(config):
     level = 1 - Fraction(config.kappa)
     witnesses = tuple((round(float(mu), 6), round(float(nu), 6), round(float(g), 6))
                       for g, (mu, nu) in ranked[:8] if g > level)
-    return dv.ExponentVerdict(passed=worst <= level, delta=delta, kappa=config.kappa,
-                              slack=config.slack, worst=worst, worst_at=worst_at,
-                              witnesses=witnesses)
+    return dv.ExponentVerdict(passed=worst <= level, delta=delta, worst=worst,
+                              worst_at=worst_at, witnesses=witnesses)
 
 
 def _ref_search(kappa, slack):

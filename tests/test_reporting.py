@@ -105,10 +105,12 @@ def test_sumprod_scan_bytes_match_csv_writer(tmp_path, k, q, samples):
 
 def test_bilinear_sweep_bytes_match_csv_writer(tmp_path):
     sizes = ((40, 45), (45, 45))
-    reports = bl.saving_sweep(_context(2, 2003), bl.SweepSpec(sizes=sizes, seed=1))
+    cols, _ = bl.saving_sweep(_context(2, 2003), sizes, seed=1)
     header = ["q", "k", "c", "M", "N", "offset", "ensemble", "seed", "measured",
               "trivial", "pv", "thm11", "thm12", "gamma"]
-    rows = [[getattr(r, name) for name in header] for r in reports]
+    consts = {"q": 2003, "k": 2, "c": 1, "offset": 1, "seed": 1}
+    rows = [[consts[name] if name in consts else cols[name][i] for name in header]
+            for i in range(len(cols["M"]))]
     argv = ["bilinear-sweep", "--k", "2", "--q", "2003", "--M", "40", "45", "--N", "45",
             "--seed", "1"]
     assert _cli_text(tmp_path, argv) == _writer_text(header, rows)
