@@ -3,23 +3,22 @@ exponent-of-distribution case analysis.
 
 The coefficient table tau(1..n_max) is exact: the generating series is the
 8th power of F = sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, shifted by one.  F
-has about sqrt(2 n_max) terms, so F^2 (which is eta^6, with coefficients
-below 2^26 up to ``TAU_N_MAX``) is one ``np.bincount`` over the pairs of
-terms.  F^4 and F^8 are two squarings by float FFT on balanced 11-bit limbs.
-A limb is at most 2^10 in size and F^4 has at most 6 limbs up to
-``TAU_N_MAX`` (Deligne's bound for eta(2z)^12 in S_6(Gamma_0(4))), so each
-limb-degree part sum_{i+j=d} A_i A_j is a sum of at most 6 products of n
-terms, below 6 n 2^20 < 2^43, which leaves 2^10 of the 2^53 float mantissa
-for the FFT's rounding error.  Every inverse FFT is checked, not trusted: an
-entry 0.25 or more from its nearest integer, or beyond 2^50, raises
-``ResourceLimit``.  The exact parts of (F^2)^2 are carried in int64 into
-balanced 11-bit digits, which are the limbs of F^4 itself; the carry is
-drained until it is zero, so nothing relies on the count of 6.  The parts
-of F^8 are carried the same way, packed into int64 words as they arrive and
-joined as Python ints.  Nothing is reduced modulo a prime: tau(n) is exact,
-and Hecke relations and the mod-691 congruence can be asserted exactly.  The
-normalized eigenvalues are lambda(n) = tau(n) / n^{11/2}, bounded by the
-divisor function d_2(n).
+has about sqrt(2 n_max) terms, and F^2 = eta^6 adds their pairwise products
+in int64.  F^4 and F^8 are two squarings by float FFT, each on the fewest m
+balanced w-bit limbs A_i of its int64 input, |A_i| <= 2^(w-1), with
+m n 2^(2(w-1)) <= 2^46: each part sum_{i+j=d} A_i A_j stays below 2^46 and
+leaves 2^7 of the 2^53 float mantissa to the FFT's rounding error (at n =
+5*10^4, 2 then 3 limbs, 8 inverse FFTs and deviations up to 7.6e-5; at 10^6,
+3 then 5 limbs, 14 and 9.5e-6).  Every inverse FFT is checked, not trusted:
+an entry 0.25 or more from its nearest integer, or beyond 2^50, raises
+``ResourceLimit``.  The parts are carried exactly in int64: those of F^4 =
+eta(2z)^12 into one array, which Deligne's bound for that weight-6 form keeps
+below 2^61 up to ``TAU_N_MAX`` (2^55 at 10^6), and those of F^8 into three
+55-bit words.  No prime is involved, so Hecke relations and the mod-691
+congruence hold exactly; ``CuspFormCoeffs.tau`` joins the words into Python
+ints on first read.  lambda(n) = tau(n) / n^{11/2}, bounded by d_2(n), divides
+float(tau(n)) rounded as Python rounds an int: the top 61 to 63 bits of
+|tau(n)| and a sticky bit for those below, converted once and scaled by ldexp.
 
 Progression discrepancies E(x; q, a) compare the class sum of the divisor
 convolution (lambda * 1)(n) with the average over invertible classes; the
@@ -65,17 +64,22 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class CuspFormCoeffs:
-    """Exact tau(1..n_max) plus the normalized real eigenvalues."""
+    """Exact tau(1..n_max) as int64 words, plus the normalized real eigenvalues."""
 
     n_max: int
-    tau: list  # tau[n] at index n; index 0 unused
+    words: np.ndarray  # tau(n) = sum_j words[j, n - 1] 2^{55 j}
     lam: np.ndarray  # lam[n] = tau[n] / n^{11/2}
 
+    @property
+    def tau(self) -> list:
+        """tau[n] at index n (index 0 unused) as Python ints, joined on first read."""
+        if "_tau" not in self.__dict__:
+            object.__setattr__(self, "_tau", [0] + _join_words(self.words))
+        return self.__dict__["_tau"]
 
-# limb width of the FFT squarings; see the module docstring for its headroom
-_LIMB_BITS = 11
-# limbs per int64 word of tau: five balanced 11-bit limbs stay below 2^55
-_WORD_LIMBS = 5
+
+# the squarings' bound on their parts and the bits of a word of tau; see the module docstring
+_PART_BOUND, _WORD_BITS = 2**46, 55
 
 
 def _fft_len(m: int) -> int:
@@ -109,13 +113,10 @@ def _rint_exact(x: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _balanced_limbs(parts, n: int):
-    """Yield the balanced w-bit limbs D_j, -2^(w-1) <= D_j < 2^(w-1), of
-    sum_d P_d 2^{w d} for the int64 parts P_0, P_1, ... of length n, taken
-    in order and carried in int64 until the carry is zero."""
-    w = _LIMB_BITS
-    half = 1 << (w - 1)
-    carry = np.zeros(n, dtype=np.int64)
+def _balanced_limbs(parts, n: int, w: int):
+    """Yield the balanced w-bit limbs D_j, -2^(w-1) <= D_j < 2^(w-1), of sum_d P_d 2^{w d}
+    for the int64 parts P_d of length n, carried in int64 until the carry is zero."""
+    half, carry = 1 << (w - 1), np.zeros(n, dtype=np.int64)
     for part in itertools.chain(parts, itertools.repeat(None)):
         if part is None and not carry.any():
             return
@@ -127,39 +128,80 @@ def _balanced_limbs(parts, n: int):
         yield low
 
 
-def _limb_square_parts(limbs, n: int):
-    """Yield P_d = sum_{i+j=d} A_i A_j truncated to n, for d = 0, 1, ...,
-    as exact int64, for a = sum_i A_i 2^{w i} given by its balanced w-bit
-    limbs A_i (each one is dropped once transformed)."""
+def _limb_square_parts(offset: np.ndarray, w: int, m: int):
+    """Yield the exact P_d = sum_{i+j=d} A_i A_j, d < 2m - 1, truncated to n = len(offset),
+    for A_i + 2^(w-1) the w-bit digits of offset, each transformed when first needed."""
+    n, half, spectra = len(offset), 1 << (w - 1), []
     size = _fft_len(2 * n - 1)
-    spectra = [np.fft.rfft(limb, size) for limb in limbs]
-    m = len(spectra)
     for d in range(2 * m - 1):
+        if d < m:
+            spectra.append(np.fft.rfft(((offset >> (w * d)) & ((1 << w) - 1)) - half, size))
         lo = max(0, d - m + 1)
         acc = spectra[lo] * spectra[d - lo]
-        for i in range(lo + 1, min(d, m - 1) + 1):
-            acc += spectra[i] * spectra[d - i]
         if lo + m - 1 == d:
             spectra[lo] = None  # no later part uses it
-        acc = np.fft.irfft(acc, size)  # the spectrum goes before the rounding check
-        yield _rint_exact(acc[:n])
+        if 2 * lo < d:  # twice the pairs i < d - i, then the square i = d / 2
+            for i in range(lo + 1, (d + 1) // 2):
+                acc += spectra[i] * spectra[d - i]
+            acc *= 2
+            if d % 2 == 0:
+                acc += spectra[d // 2] ** 2
+        acc = np.fft.irfft(acc, size)  # the spectrum goes before the rounding check,
+        acc = _rint_exact(acc[:n])  # and the float array before the yield
+        yield acc
 
 
-def _carry_join(parts, n: int) -> list:
-    """The exact ints sum_d P_d[i] 2^{w d}, i < n, for the int64 parts P_d
-    taken in order: their balanced limbs are packed, as they arrive, into
-    int64 words of ``_WORD_LIMBS`` limbs, and the words joined as ints."""
-    w = _LIMB_BITS
-    words = []
-    for j, limb in enumerate(_balanced_limbs(parts, n)):
-        if j % _WORD_LIMBS == 0:
-            words.append(np.zeros(n, dtype=np.int64))
-        words[-1] += limb << (w * (j % _WORD_LIMBS))
-    out = words.pop().astype(object) if words else np.zeros(n, dtype=object)
-    for word in reversed(words):
-        out <<= w * _WORD_LIMBS
-        out += word
-    return out.tolist()
+def _square_parts(a: np.ndarray) -> tuple:
+    """(w, the parts of a^2 truncated to len(a)) over the fewest m balanced w-bit limbs
+    that hold max |a| with m n 2^(2(w-1)) <= _PART_BOUND, w the least width for m."""
+    n, top = len(a), int(np.abs(a).max(initial=0))
+    for m in itertools.count(1):
+        w = next(w for w in itertools.count(2) if ((1 << (w - 1)) - 1) << (w * (m - 1)) >= top)
+        if m * n << 2 * (w - 1) <= _PART_BOUND:
+            # a + sum_{i<m} 2^(w-1) 2^(w i) is in [0, 2^(w m)), its digits are A_i + 2^(w-1)
+            offset = a + (((1 << (w * m)) - 1) // ((1 << w) - 1) << (w - 1))
+            return w, _limb_square_parts(offset, w, m)
+
+
+def _carry_words(parts, w: int, n: int, count: int) -> np.ndarray:
+    """The `count` int64 words of weight 2^{55 j} of sum_d P_d 2^{w d}: each balanced
+    w-bit limb goes, as it arrives, into the word or two that hold its bits."""
+    B, last, out = _WORD_BITS, count - 1, np.zeros((count, n), dtype=np.int64)
+    for d, limb in enumerate(_balanced_limbs(parts, n, w)):
+        j, off = min(divmod(w * d, B), (last, w * d - B * last))  # the last takes all above
+        if j == last or off + w <= B:
+            out[j] += limb << off
+        else:  # the limb straddles words j and j + 1
+            out[j] += (limb & ((1 << (B - off)) - 1)) << off
+            out[j + 1] += limb >> (B - off)
+    return out
+
+
+def _join_words(words: np.ndarray) -> list:
+    """The exact ints sum_j words[j] 2^{55 j}, one per column."""
+    return sum(word.astype(object) << _WORD_BITS * j for j, word in enumerate(words)).tolist()
+
+
+def _words_float(words: np.ndarray) -> np.ndarray:
+    """float(V), rounded as Python's float(int) rounds, for each V = sum_j words[j] 2^{55 j}."""
+    B, out = _WORD_BITS, np.empty(words.shape[1])
+    for lo in range(0, len(out), 1 << 14):
+        D, sign = words[:, lo:lo + (1 << 14)].copy(), 1
+        for _ in range(2):  # digits in [0, 2^55) under a signed top: V's, then |V|'s
+            D *= sign
+            for j in range(len(D) - 1):
+                D[j + 1] += D[j] >> B
+                D[j] &= (1 << B) - 1
+            sign = sign * np.where(D[-1] < 0, -1, 1)
+        # an estimate within a factor 2 of |V| gives 2^(k+60) <= |V| < 2^(k+63), or k = 0
+        k = np.maximum(np.frexp(2.0 ** (B * np.arange(len(D))) @ D)[1] - 62, 0)
+        top, sticky = 0, False  # |V| >> k, and whether a bit of |V| below k is set
+        for j, digit in enumerate(D):
+            up, down = np.clip(B * j - k, 0, 63), np.clip(k - B * j, 0, 63)
+            top = top + ((digit << up) >> down)
+            sticky = sticky | ((digit >> down) << down != digit)
+        out[lo:lo + (1 << 14)] = sign * np.ldexp((top | sticky).astype(np.float64), k)
+    return out
 
 
 def tau_table(n_max: int) -> CuspFormCoeffs:
@@ -172,21 +214,19 @@ def tau_table(n_max: int) -> CuspFormCoeffs:
     e = t * (t + 1) // 2
     c = (2 * t + 1) * (1 - 2 * (t & 1))
     c, e = c[e < L], e[e < L]
-    # F^2 exactly: float sums of at most 1414 products below 2^24 are exact
-    s = np.add.outer(e, e)
-    keep = s < L
-    F2 = np.bincount(s[keep], weights=np.multiply.outer(c, c)[keep],
-                     minlength=L).astype(np.int64)
-    del s, keep
-    # the limbs of F^4 are the carried parts of (F^2)^2; F^8 is their square
-    F4 = _balanced_limbs(_limb_square_parts(_balanced_limbs([F2], L), L), L)
-    del F2
-    tau = [0] + _carry_join(_limb_square_parts(F4, L), L)
+    # F^2 in one int64 word: one add per term of F over the terms it pairs with below L
+    words = np.zeros((1, L), dtype=np.int64)
+    for ci, ei, j in zip(c, e, np.searchsorted(e, L - e)):
+        words[0, ei + e[:j]] += ci * c[:j]
+    for count in (1, 3):  # F^4 = (F^2)^2 in one word, F^8 = (F^4)^2 in three (< 2^118)
+        w, parts = _square_parts(words[0])
+        del words
+        words = _carry_words(parts, w, L, count)
+    words.setflags(write=False)
     lam = np.zeros(n_max + 1)
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    lam[1:] = np.array(tau[1:], dtype=np.float64) / ns ** 5.5
+    lam[1:] = _words_float(words) / np.arange(1, n_max + 1, dtype=np.float64) ** 5.5
     lam.setflags(write=False)
-    return CuspFormCoeffs(n_max=n_max, tau=tau, lam=lam)
+    return CuspFormCoeffs(n_max=n_max, words=words, lam=lam)
 
 
 def hecke_violations(coeffs: CuspFormCoeffs) -> int:

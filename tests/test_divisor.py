@@ -111,8 +111,9 @@ def test_tau_matches_sparse_oracle(coeffs, coeffs_5e4):
 
 
 def test_fft_rounding_guard_bites(monkeypatch):
-    # 26-bit limbs put the limb products far beyond float64's 53 bits
-    monkeypatch.setattr(dv, "_LIMB_BITS", 26)
+    # a part bound of 2^80 lets one limb carry all of F^4, so the parts of F^8
+    # (tau itself, up to 2^65 at 3000) go far beyond float64's 53 bits
+    monkeypatch.setattr(dv, "_PART_BOUND", 2**80)
     with pytest.raises(ResourceLimit, match="rounding"):
         tau_table(3000)
 
@@ -128,8 +129,10 @@ def test_rint_exact_rejects_each_doubt():
 def test_tau_table_reaches_its_cap():
     # the top of the range against the table's own small entries, through
     # Hecke's relations, a route independent of the FFT squarings
-    tau = tau_table(TAU_N_MAX).tau
+    coeffs = tau_table(TAU_N_MAX)
+    tau = coeffs.tau
     assert TAU_N_MAX == 10**6 and len(tau) == TAU_N_MAX + 1
+    _assert_lam_is_float_tau(coeffs)
 
     def prime_power(p, j):
         prev, cur = 1, tau[p]
@@ -178,7 +181,7 @@ def test_carry_join_at_word_edges():
     want = _python_sums(parts)
     edges = [2**55 - 1, -(2**55 - 1), 2**55, -2**55, 2**110, -2**110]
     assert set(edges) <= set(want)
-    got = dv._carry_join(parts, len(columns))
+    got = dv._join_words(dv._carry_words(parts, 11, len(columns), 3))
     assert got == want and all(type(x) is int for x in got)
 
 
@@ -190,10 +193,79 @@ def test_carry_join_equals_python_ints(data):
     rows = data.draw(st.lists(part, min_size=1, max_size=11))
     parts = [np.array(row, dtype=np.int64) for row in rows]
     want = _python_sums(parts)
-    limbs = list(dv._balanced_limbs(parts, n))
+    limbs = list(dv._balanced_limbs(parts, n, 11))
     assert all(((-1024 <= limb) & (limb < 1024)).all() for limb in limbs)
     assert (_python_sums(limbs) if limbs else [0] * n) == want
-    assert dv._carry_join(parts, n) == want
+    assert dv._join_words(dv._carry_words(parts, 11, n, 3)) == want
+
+
+def _as_words(v: int, shift: int) -> np.ndarray:
+    """v as a column of three int64 words of weight 2^{55 j}, with shift * 2^55
+    moved from the middle word into the low one, as a carry leaves words."""
+    low, mid = v & (2**55 - 1), (v >> 55) & (2**55 - 1)
+    return np.array([[low + (shift << 55)], [mid - shift], [v >> 110]], dtype=np.int64)
+
+
+# +-(2^55 - 1) 2^k, the edges of the words; (2^53 + 1) 2^s, halfway between
+# two floats; and the same with a tail only the sticky bit sees
+_FLOAT_EDGES = sorted({sign * v for sign in (1, -1) for v in itertools.chain(
+    [0, 1, 2**53 - 1, 2**53, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**120],
+    ((2**55 - 1) << k for k in range(66)),
+    ((2**53 + 1) << s for s in range(67)),
+    (((2**53 + 1) << s) + tail for s in range(11, 67) for tail in (1, -1, 1 << (s - 11))))})
+
+
+def test_words_float_at_rounding_edges():
+    words = np.hstack([_as_words(v, 0) for v in _FLOAT_EDGES])
+    want = np.array([float(v) for v in _FLOAT_EDGES])
+    assert dv._words_float(words).tobytes() == want.tobytes()
+    assert dv._join_words(words) == _FLOAT_EDGES
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2**120, 2**120), st.sampled_from(_FLOAT_EDGES)),
+                min_size=1, max_size=8),
+       st.integers(-2**7, 2**7))
+def test_words_float_equals_python_float(values, shift):
+    words = np.hstack([_as_words(v, shift) for v in values])
+    assert dv._join_words(words) == values
+    want = np.array([float(v) for v in values])
+    assert dv._words_float(words).tobytes() == want.tobytes()
+
+
+def _assert_lam_is_float_tau(coeffs):
+    ns = np.arange(1, coeffs.n_max + 1, dtype=np.float64)
+    want = np.array(coeffs.tau[1:], dtype=np.float64) / ns ** 5.5
+    assert coeffs.lam[0] == 0.0 and coeffs.lam[1:].tobytes() == want.tobytes()
+
+
+def test_lam_is_float_tau_bit_for_bit(coeffs_5e4):
+    _assert_lam_is_float_tau(coeffs_5e4)
+
+
+def test_tau_table_transform_floor(monkeypatch):
+    # 2 then 3 limbs at 5*10^4: 3 + 5 inverse transforms, each far inside the check
+    rint_exact, devs = dv._rint_exact, []
+
+    def rint(x):
+        devs.append(float(np.abs(x - np.rint(x)).max(initial=0.0)))
+        return rint_exact(x)
+
+    monkeypatch.setattr(dv, "_rint_exact", rint)
+    tau_table(50000)
+    assert len(devs) == 8 and max(devs) < 0.25 / 100
+
+
+def test_progression_builds_no_python_ints(monkeypatch, tmp_path):
+    argv = ["progression", "--x", "2000", "--q", "53", "--format", "csv", "--out"]
+    assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+
+    def refuse(words):
+        raise AssertionError("progression joined tau into Python ints")
+
+    monkeypatch.setattr(dv, "_join_words", refuse)
+    assert main(argv + [str(tmp_path / "patched.csv")]) == 0
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_inputs_below_one_are_out_of_range(coeffs):
