@@ -79,6 +79,16 @@ The pair table is only as good as that self-duality, so PT is built only
 after ``conjugation_symmetry_check`` on the table has come within
 k * q^d * 1e-15 (NotSelfDual otherwise); the licence covers the odd-k
 window shift as much as the even-k real table.
+
+What every call would otherwise rebuild is built once per context, on first
+use and only after that licence, as its ``kernel_plan`` (see ``KernelPlan``):
+the index pass's log tables and its jump table over l2 - l1 (the odd-k shift
+and the zero row folded in), the window view of the pair table, and the
+lambda-transform's runs of psi.  Each is read-only and O(Q), or a view of the
+pair table, so the pair table stays the only Q x Q table a context holds.
+The plan holds no step shape: KERNEL_STEP_CELLS is read on every call.  The
+zero-sum patterns, the genericity verdict and the forms the sampler tests
+are cached per (field, k).
 """
 
 from __future__ import annotations
@@ -160,6 +170,12 @@ class SumProductContext:
         PT.setflags(write=False)
         return PT
 
+    @cached_property
+    def kernel_plan(self) -> KernelPlan:
+        """The kernel's constants (see ``KernelPlan``), built on first use,
+        after the ``pair_table`` licence."""
+        return _build_plan(self)
+
     @property
     def field(self):
         return self.table.field
@@ -167,6 +183,78 @@ class SumProductContext:
     @property
     def k(self):
         return self.table.k
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """The constants of one context's four-fold kernel, each read-only and
+    O(Q), or a view of the pair table PT (L = Q - 1, W = ``pair_window``).
+
+    * ``logs``: at ``log_off[j]`` + u, the log of u as the factor j of a
+      tuple: + 3L for u2, + 8L for u4, L/2 further on for u3 and u4 when k
+      is odd, and u = 0 at -L as a first factor and -2L as a second.  Each
+      of the four tables is doubled, so over F_q the logs of r + b_j, r < q,
+      are the row ``log_rows[log_off[j] + b_j]``.
+    * ``jump``: over e = b - a, a and b the logs of a pair, its window's
+      start in PT.flat less a.  The offsets give the two pairs a block each,
+      and the zero logs the e that send a pair to the zero row.
+    * ``V``: V[i] is the window PT.flat[i:i + W].
+    * ``col``: log s mod W, the pair-window column of s or -s.
+    * ``start``, ``TV``, ``re_im``: psi(lam g^j), j < W, is the window
+      ``TV[start[lam]]`` of Re psi, and ``re_im[1]`` further on of Im psi
+      (odd k: -Im psi).
+    """
+
+    logs: np.ndarray
+    log_off: np.ndarray
+    log_rows: np.ndarray
+    jump: np.ndarray
+    V: np.ndarray
+    col: np.ndarray
+    start: np.ndarray
+    TV: np.ndarray
+    re_im: np.ndarray
+
+
+def _build_plan(ctx) -> KernelPlan:
+    PT = ctx.pair_table  # the licence, before anything else
+    f, W = ctx.field, ctx.pair_window
+    Q, L = f.size, f.size - 1
+    n, h, shift = PT.shape[1], L // 2, L - W
+    zero_row, log = (PT.shape[0] - 1) * n, f.log_table
+
+    def logs(by, at_zero, off):
+        t = (log + by) % L + off
+        t[log < 0] = at_zero + off
+        return np.tile(t, 2)
+
+    # the window starts at a when (b - a) mod L < L/2, at b when it is
+    # > L/2, and at L/2 at the smaller log (after the odd-k shift, which
+    # swaps the two logs' order, the larger); a zero factor sends the pair
+    # to the zero row: a = -L, or b = -2L with a = -2L - e (or -L)
+    e = np.arange(-3 * L, 2 * L)
+
+    def jumps(half):
+        j = np.minimum(abs(e), L - abs(e)) * n + np.where((e % L > h) | (e == half), e, 0)
+        return np.select([e >= L, e <= -L], [zero_row + L, zero_row + 2 * L + e], j)
+
+    log_at = np.concatenate([logs(0, -L, 0), logs(0, -2 * L, 3 * L),
+                             logs(shift, -L, 0), logs(shift, -2 * L, 8 * L)])
+    # psi(lam g^j) is at log lam + j of the runs of g^0 .. g^(L+W-2), and
+    # psi(0) at L + W - 1 + j
+    psi = f.psi_vec[np.concatenate([f.exp_table, f.exp_table[:W - 1],
+                                    np.zeros(W, dtype=np.int64)])]
+    T = np.concatenate([psi.real, psi.imag if ctx.k % 2 == 0 else -psi.imag])
+    plan = KernelPlan(
+        logs=log_at, log_off=np.arange(0, 8 * Q, 2 * Q),
+        log_rows=sliding_window_view(log_at, Q),
+        jump=np.concatenate([jumps(-h), jumps(h if shift else -h)]),
+        V=np.ndarray((PT.size - W + 1, W), PT.dtype, PT, 0, PT.strides[1:] * 2),
+        col=log % W, start=np.where(log < 0, L + W - 1, log),
+        TV=sliding_window_view(T, W), re_im=np.array([[0], [len(psi)]]))
+    for a in vars(plan).values():
+        a.setflags(write=False)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -196,10 +284,36 @@ def diagonal_mask(tuples, k: int) -> np.ndarray:
 
 def zero_sum_patterns(field, k: int):
     """(z2, z3, z4) in mu_k(F_{q^d})^3 with 1 + z2 - z3 - z4 = 0, in
-    lexicographic order of the roots' indices, from one broadcast."""
-    zs = np.array(roots_of_unity(field, k), dtype=np.int64)
-    hit = field.add(1, zs)[:, None, None] == field.add(zs[:, None], zs[None, :])[None]
-    return list(zip(*(zs[i].tolist() for i in np.nonzero(hit))))
+    lexicographic order of the roots' indices: a fresh list of the
+    patterns cached per (field, k)."""
+    return list(_genericity(field, k)[0])
+
+
+# (patterns, generic, forms) per field and k, keyed by the field's
+# parameters, so that no field and none of its dense tables is kept alive
+_GENERICITY = {}
+
+
+def _genericity(field, k: int):
+    """The zero-sum patterns of (field, k) as a tuple, whether the field has
+    a generic tuple for k, and the forms z . b, as the read-only columns of
+    an int array, that a generic b keeps nonzero: the six b_i - b_j and each
+    pattern's b1 + z2 b2 - z3 b3 - z4 b4.  Built once per (field, k), the
+    patterns from one broadcast."""
+    key = (type(field).__name__, field.q, field.degree, field.modulus, k)
+    got = _GENERICITY.get(key)
+    if got is None:
+        zs = np.array(roots_of_unity(field, k), dtype=np.int64)
+        hit = field.add(1, zs)[:, None, None] == field.add(zs[:, None], zs[None, :])[None]
+        pats = tuple(zip(*(zs[i].tolist() for i in np.nonzero(hit))))
+        m1 = field.neg(1)
+        forms = np.array([(1, m1, 0, 0), (1, 0, m1, 0), (1, 0, 0, m1), (0, 1, m1, 0),
+                          (0, 1, 0, m1), (0, 0, 1, m1),
+                          *((1, z2, field.neg(z3), field.neg(z4)) for z2, z3, z4 in pats)]).T
+        forms.setflags(write=False)
+        generic = _generic_tuple_exists(field, np.array(pats, dtype=np.int64).reshape(-1, 3))
+        got = _GENERICITY[key] = (pats, generic, forms)
+    return got
 
 
 def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
@@ -242,15 +356,10 @@ def sample_generic_tuples(field, k: int, n: int, rng) -> np.ndarray:
     before any draw."""
     _require_at_least(0, n=n)
     q = field.size
-    pats = np.array(zero_sum_patterns(field, k), dtype=np.int64).reshape(-1, 3)
-    if n > 0 and not _generic_tuple_exists(field, pats):
+    _, generic, forms = _genericity(field, k)
+    if n > 0 and not generic:
         raise NoGenericTuple(f"F_{q} has no generic shift tuple for k = {k}")
-    # generic: no form z . b is 0, for the six b_i - b_j and each pattern's
-    # b1 + z2 b2 - z3 b3 - z4 b4, all in one broadcast (over F_q a matmul)
-    m1 = field.neg(1)
-    forms = np.array([(1, m1, 0, 0), (1, 0, m1, 0), (1, 0, 0, m1), (0, 1, m1, 0), (0, 1, 0, m1),
-                      (0, 0, 1, m1), *((1, z2, field.neg(z3), field.neg(z4))
-                                       for z2, z3, z4 in pats)]).T
+    # generic: no form z . b is 0, all in one broadcast (over F_q a matmul)
     out = np.empty((n, 4), dtype=np.int64)
     got = 0
     while got < n:
@@ -277,31 +386,23 @@ def _pair_index(ctx, tuples):
     u2 = g^l2 and d = (l2 - l1) mod L, L = Q - 1, the window is PT[d, l1:]
     for d < L/2 and PT[L - d, l2:] for d > L/2, and at d = L/2 it starts at
     the smaller log: one canonical window per unordered pair, so swapping
-    u1 and u2 leaves every grid bit for bit the same.  Row and start come
-    from one table over l2 - l1, and one mask sends each pair with u1 or
-    u2 = 0 to the zero row.  For odd k conj K_c(g^i) = K_c(g^(i + L/2)), so
-    the conjugated pair starts L/2 further on, mod L.  Over F_q the logs are
-    read at r + b from the log table doubled, with no reduction mod q.
+    u1 and u2 leaves every grid bit for bit the same.  For odd k conj
+    K_c(g^i) = K_c(g^(i + L/2)), so the conjugated pair starts L/2 further
+    on, mod L.  One gather from the plan's log tables and one from its jump
+    table over l2 - l1 give row and start, the zero row for a pair with
+    u1 or u2 = 0 included (see ``KernelPlan``).  Over F_{q^d} the log
+    tables are read at ``add_vec``'s int16 encodings plus the tables'
+    offsets, as intp indices.
     """
-    f = ctx.field
-    (rows, n), L = ctx.pair_table.shape, f.size - 1
-    t = np.asarray(tuples, dtype=np.int64)[:, :, None]
-    r = np.arange(f.size, dtype=np.int64)
+    f, plan = ctx.field, ctx.kernel_plan
+    t = np.asarray(tuples, dtype=np.int64)
     if f.degree == 1:
-        logs = np.concatenate([f.log_table, f.log_table]).take(r + t % f.size)
+        logs = plan.log_rows[t % f.size + plan.log_off]
     else:
-        logs = f.log_table.take(f.add_vec(r, t))
+        r = np.arange(f.size, dtype=np.int64)
+        logs = plan.logs.take(f.add_vec(r, t[:, :, None]) + plan.log_off[:, None])
     a, b = logs[:, 0::2], logs[:, 1::2]
-    # over e = l2 - l1: the row min(d, L - d) and, when the window starts
-    # at l2, the jump e from l1
-    e = np.arange(-L, L + 1)
-    jump = np.minimum(abs(e), L - abs(e)) * n + np.where((e % L > L // 2) | (e == -L // 2), e, 0)
-    P = jump.take(b - a + L) + a
-    shift = L - ctx.pair_window
-    if shift:  # odd k; a window's start is P mod n
-        P[:, 1] += np.where(P[:, 1] % n < L - shift, shift, shift - L)
-    P[(a | b) < 0] = (rows - 1) * n
-    return P
+    return plan.jump.take(b - a) + a
 
 
 def _pair_steps(ctx, P):
@@ -321,10 +422,8 @@ def _pair_steps(ctx, P):
     """
     Q = ctx.field.size
     W = ctx.pair_window
-    # V[i] is the window PT.flat[i:i + W], a read-only view of the table;
     # advanced indexing, not np.take: take would first copy the whole view
-    PT = ctx.pair_table
-    V = np.ndarray((PT.size - W + 1, W), PT.dtype, PT, 0, PT.strides[1:] * 2)
+    V = ctx.kernel_plan.V
     rows = max(1, KERNEL_STEP_CELLS // W)
     m_step, r_step = max(1, rows // Q), min(rows, Q)
     g_buf = np.empty((min(m_step, len(P)), r_step, W), dtype=V.dtype)
@@ -353,34 +452,32 @@ def _lambda_transform(ctx, tuples, lam, cols=None):
     2 Re(G @ psi) over j < (Q-1)/2: one real matmul of G's interleaved
     (re, im) pairs against the rows (Re psi, -Im psi).
     """
-    f = ctx.field
-    L, W = f.size - 1, ctx.pair_window
+    plan, W = ctx.kernel_plan, ctx.pair_window
     lam = np.asarray(lam, dtype=np.int64)
-    n = lam.shape[-1]
+    lead, n = lam.shape[:-1], lam.shape[-1]
     even = ctx.k % 2 == 0
-    # runs of Re psi and Im psi (odd k: -Im psi) of g^0 .. g^(L+W-2), then
-    # W times of 0: psi(lam g^j) is at log lam + j, psi(0) at L + W - 1 + j
-    psi = f.psi_vec[np.concatenate([f.exp_table, f.exp_table[:W - 1],
-                                    np.zeros(W, dtype=np.int64)])]
-    N = len(psi)
-    T = np.concatenate([psi.real, psi.imag if even else -psi.imag])
-    start = f.log_table[lam]
-    start[start < 0] = L + W - 1
-    if even:  # [Re psi | Im psi], [..., W, 2n]
-        base, offs = np.concatenate([start, start + N], axis=-1), np.arange(W)
-    else:  # rows (Re psi, -Im psi) interleaved, [..., 2W, n]
-        base, offs = start, (np.arange(W)[:, None] + [0, N]).ravel()
-    Y = T[base[..., None, :] + offs[:, None]]  # C-contiguous: R's last bits depend on it
+    # Y[..., j, 0 | 1, i] = Re psi | Im psi (odd k: -Im psi) of lam_i g^j,
+    # read as [Re psi | Im psi], [..., W, 2n], for even k and as the rows
+    # (Re psi, -Im psi) interleaved, [..., 2W, n], for odd k; C-contiguous:
+    # R's last bits depend on it
+    Y = np.empty((*lead, W, 2, n))
+    Y.transpose(*range(len(lead)), -2, -1, -3)[...] = plan.TV[plan.start[lam][..., None, :]
+                                                              + plan.re_im]
+    Y = Y.reshape(*lead, W, 2 * n) if even else Y.reshape(*lead, 2 * W, n)
     P = _pair_index(ctx, tuples)
-    X = np.empty((len(tuples), f.size, Y.shape[-1]))
+    X = np.empty((len(tuples), ctx.field.size, Y.shape[-1]))
     for lo, r0, g in _pair_steps(ctx, P):
         hi, r1 = lo + len(g), r0 + g.shape[1]
         np.matmul(g if even else g.view(np.float64), Y if Y.ndim == 2 else Y[lo:hi],
                   out=X[lo:hi, r0:r1])
-    R = X[..., :n] + 1j * X[..., n:] if even else 2.0 * X
+    if even:
+        R = np.empty((*X.shape[:-1], n), dtype=np.complex128)
+        R.real, R.imag = X[..., :n], X[..., n:]
+    else:
+        R = np.multiply(X, 2.0, out=X)
     if cols is None:
         return R, None
-    k = ctx.pair_table.ravel()[P + np.asarray(cols)[:, None, None]]
+    k = ctx.pair_table.take(P + cols[:, None, None])
     return R, (k[:, 0] * k[:, 1]).sum(axis=1)
 
 
@@ -654,13 +751,14 @@ def _ratio_stats(ctx, tuples, svals, lam1, lam2):
     lambda1 and lambda2, from the pair-table grids.  K reads the column
     log s mod W, of s or -s: the two sums over r are conjugate."""
     Q = ctx.field.size
-    cols = ctx.field.log_table[np.asarray(svals, dtype=np.int64)] % ctx.pair_window
+    cols = ctx.kernel_plan.col.take(svals)
     R, col = _lambda_transform(ctx, tuples, np.stack([lam1, lam2], axis=-1), cols)
-    K = np.abs(col) / Q**0.5
     R1, R2 = R[..., 0], R[..., 1]
-    return (K, np.abs(R1.sum(axis=1)) / Q,
-            np.abs((R1 * np.conj(R2)).sum(axis=1)) / Q**1.5,
-            np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5)
+    A = np.abs(R1)
+    # odd k: R is real, and conj would only copy it
+    return (np.abs(col) / Q**0.5, np.abs(R1.sum(axis=1)) / Q,
+            np.abs((R1 * (R2 if ctx.k % 2 else np.conj(R2))).sum(axis=1)) / Q**1.5,
+            np.abs(np.square(A, out=A).sum(axis=1) - Q * Q) / Q**1.5)
 
 
 def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
@@ -684,7 +782,8 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     Q = f.size
     rng = np.random.default_rng(seed)
     # the max and the mean of each statistic (rows K, R, C, D) per replicate;
-    # each row is contiguous, so its mean sums in np.mean's pairwise order
+    # each row is contiguous, so a row's sum over its length is np.mean's,
+    # in the same pairwise order, without np.mean's per-call set-up
     rep = np.empty((2, 4, replicates))
     for i in range(replicates):
         tuples = sample_generic_tuples(f, ctx.k, n_samples, rng)
@@ -697,8 +796,8 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
             vals[:, lo:hi] = _ratio_stats(ctx, tuples[lo:hi], svals[lo:hi],
                                           lam1[lo:hi], lam2[lo:hi])
         rep[0, :, i] = vals.max(axis=1)
-        rep[1, :, i] = vals.mean(axis=1)
-    max_ratio, mean_ratio = rep.mean(axis=2).tolist()
+        rep[1, :, i] = vals.sum(axis=1) / n_samples
+    max_ratio, mean_ratio = (rep.sum(axis=2) / replicates).tolist()
     norm = {"K": 0.5, "R": 1.0, "C": 1.5, "D": 1.5}
     desc = (f"q={f.q} d={f.degree} k={ctx.k} c={ctx.c} n={n_samples} "
             f"seed={seed} replicates={replicates}")

@@ -183,6 +183,33 @@ def test_row_block_steps_match_whole_grid_steps(qd, k):
 
 
 @pytest.mark.parametrize("k", [2, 3])
+def test_step_cells_bite_after_the_plan_exists(k):
+    # the plan holds no step shape: KERNEL_STEP_CELLS is read on every call,
+    # so a patch after a scan has built the plan still cuts the steps, and
+    # a second scan on the context reuses the plan
+    ctx = SumProductContext(_table(53, 1, k), c=2)
+    ratio_scan(ctx, n_samples=4, seed=1)
+    plan, W = ctx.kernel_plan, ctx.pair_window
+    shapes, steps = [], sp._pair_steps
+
+    def recorded(ctx, P):
+        for step in steps(ctx, P):
+            shapes.append(step[2].shape)
+            yield step
+
+    with mock.patch.object(sp, "_pair_steps", recorded), \
+            mock.patch.object(sp, "_build_plan", side_effect=AssertionError("plan rebuilt")):
+        ratio_scan(ctx, n_samples=4, seed=2)
+        assert shapes == [(4, 53, W)]
+        shapes.clear()
+        with mock.patch.object(sp, "KERNEL_STEP_CELLS", 5 * W):
+            ratio_scan(ctx, n_samples=4, seed=2)
+    # 53 rows in blocks of 5, one tuple at a time
+    assert shapes == ([(1, 5, W)] * 10 + [(1, 3, W)]) * 4
+    assert ctx.kernel_plan is plan
+
+
+@pytest.mark.parametrize("k", [2, 3])
 def test_scans_never_hold_a_batch_of_grids(k):
     table = kloosterman_table(k, make_prime_field(199))
     Q = table.field.size

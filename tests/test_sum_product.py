@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klab.sum_product as sp
 from klab.errors import (NoGenericTuple, NotDistinct, OutOfRange, RangeTooLarge,
                          WrongParity)
 from klab.fields import build_extension, make_prime_field, roots_of_unity
@@ -290,6 +291,25 @@ def test_sampler_draws_what_a_scalar_rejection_sampler_draws(q, d, k):
             with pytest.raises(NoGenericTuple):
                 sample_generic_tuples(f, k, n, rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_cached_arrays_are_read_only_and_patterns_a_fresh_list():
+    f = make_prime_field(53)
+    ctx = SumProductContext(kloosterman_table(3, f))
+    ratio_scan(ctx, n_samples=4, seed=1)
+    forms = sp._genericity(f, 3)[2]
+    for name, a in {**vars(ctx.kernel_plan), "forms": forms}.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+    # a caller that mutates the patterns it was given changes neither the
+    # next call's patterns nor the sampler's tests
+    want = zero_sum_patterns(f, 3)
+    got = zero_sum_patterns(f, 3)
+    assert got == want and got is not want
+    got.clear()
+    assert zero_sum_patterns(f, 3) == want
+    ts = sample_generic_tuples(f, 3, 200, np.random.default_rng(0))
+    assert all(is_generic_tuple(tuple(int(x) for x in t), 3, f) for t in ts)
 
 
 def test_sampler_refuses_a_negative_count_before_drawing():

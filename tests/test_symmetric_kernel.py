@@ -4,6 +4,7 @@ grid built from the scalar field operations, and the licence that guards
 it."""
 
 import dataclasses
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -241,12 +242,26 @@ def test_degenerate_pair_rows_match_full_route(monkeypatch, qd, k):
         assert _close(second_moment_r_lambda(ctx, b), _full_second_moment(ctx, b)), b
 
 
+def _owner(a):
+    """The array whose memory a views (a itself when it owns its memory)."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_scans_never_build_the_row_table():
-    table = _table(53, 1, 3)
-    for run in (lambda ctx: ratio_scan(ctx, n_samples=8, seed=1),
-                lambda ctx: scan_bad_tuples(ctx, spec=ScanSpec(n_samples=8, seed=1)),
-                lambda ctx: second_moment_r_lambda(ctx, (1, 2, 3, 5))):
-        ctx = SumProductContext(table)
+    runs = (lambda ctx: ratio_scan(ctx, n_samples=8, seed=1),
+            lambda ctx: scan_bad_tuples(ctx, spec=ScanSpec(n_samples=8, seed=1)),
+            lambda ctx: second_moment_r_lambda(ctx, (1, 2, 3, 5)))
+    for k, run in itertools.product((2, 3), runs):
+        ctx = SumProductContext(_table(53, 1, k))
+        Q = ctx.field.size
         run(ctx)
-        # the pair table is the only table a context caches
-        assert set(vars(ctx)) == {"table", "c", "twisted", "pair_table"}
+        # a context caches the pair table and the kernel plan, and no array
+        # but the pair table holds more than a few times Q entries: no
+        # Q x Q table hides in the plan, not even behind a view
+        assert set(vars(ctx)) == {"table", "c", "twisted", "pair_table", "kernel_plan"}
+        cached = {"twisted": ctx.twisted, **vars(ctx.kernel_plan)}
+        for name, a in cached.items():
+            owner = _owner(a)
+            assert owner is ctx.pair_table or owner.size <= 16 * Q, name
