@@ -32,9 +32,9 @@ from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
                           kloosterman_table, load_table, save_table)
 from .reporting import write_csv, write_json
-from .sum_product import (FULL_SCAN_MAX_Q, ScanSpec, SumProductContext,
-                          full_average_moment, noncorrelation_moment, ratio_scan,
-                          sample_generic_tuples, scan_bad_tuples,
+from .sum_product import (DEFAULT_SAMPLES, FULL_SCAN_MAX_Q, SCAN_LAMBDAS, ScanSpec,
+                          SumProductContext, full_average_moment, noncorrelation_moment,
+                          ratio_scan, sample_generic_tuples, scan_bad_tuples,
                           second_moment_r_lambda)
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def _scan_columns(args, res) -> dict:
     b = np.repeat(res.tuples, 2, axis=0)
     return {"q": args.q, "k": args.k, "c": args.c,
             **{f"b{i + 1}": b[:, i] for i in range(4)},
-            "lambda_set": "|".join(str(x) for x in res.spec.lambdas),
+            "lambda_set": "|".join(str(x) for x in SCAN_LAMBDAS),
             "statistic": ["r_linear", "corr"] * len(res.tuples),
             "value": ratio * np.tile([args.q, args.q**1.5], len(res.tuples)),
             "normalized_ratio": ratio}
@@ -380,7 +380,7 @@ COMMANDS = {
     "kl-check": (cmd_kl_check, "naive vs convolution cross-check", {
         **KQ, "d": (int, 1), **EMIT}),
     "sumprod-scan": (cmd_sumprod_scan, "tuple scans and ratio statistics", {
-        **KQ, "c": (int, 1), "samples": (positive_int, 2000),
+        **KQ, "c": (int, 1), "samples": (positive_int, DEFAULT_SAMPLES),
         "threshold": (finite_float, None), "ratios": (bool, False),
         "replicates": (positive_int, 1), **EMIT, **SEED}),
     "moments": (cmd_moments, "second-moment statistics", {

@@ -42,14 +42,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
 
 import numpy as np
 
 from .bilinear import BRACKET_PIECES, typeI_hypotheses
-from .errors import (CompositeModulus, HypothesisViolated, OutOfRange,
-                     ResourceLimit)
+from .errors import CompositeModulus, OutOfRange, ResourceLimit
 from .fields import is_prime
 
 TAU_N_MAX = 10**6
@@ -70,12 +70,10 @@ class CuspFormCoeffs:
     words: np.ndarray  # tau(n) = sum_j words[j, n - 1] 2^{55 j}
     lam: np.ndarray  # lam[n] = tau[n] / n^{11/2}
 
-    @property
+    @cached_property
     def tau(self) -> list:
         """tau[n] at index n (index 0 unused) as Python ints, joined on first read."""
-        if "_tau" not in self.__dict__:
-            object.__setattr__(self, "_tau", [0] + _join_words(self.words))
-        return self.__dict__["_tau"]
+        return [0] + _join_words(self.words)
 
 
 # the squarings' bound on their parts and the bits of a word of tau; see the module docstring
@@ -351,18 +349,12 @@ centering_residual_exact = hyperbola_residual
 # the q-periodic transform through rank-3 Kloosterman sums
 # ----------------------------------------------------------------------
 
-def ktilde(K: np.ndarray, m: int, ctx3) -> complex:
-    """q^{-1/2} sum over units u of K(u) Kl_3(m u; q)."""
+def ktilde_all(K: np.ndarray, ctx3) -> np.ndarray:
+    """K~(m) = q^{-1/2} sum over units u of K(u) Kl_3(m u; q) for every m mod
+    q, as one matvec; ValueError unless K has length q."""
     q = ctx3.field.q
     if len(K) != q:
         raise ValueError("K must be a length-q array")
-    u = np.arange(1, q, dtype=np.int64)
-    return complex((np.asarray(K)[u] * ctx3.twisted[m * u % q]).sum() / math.sqrt(q))
-
-
-def ktilde_all(K: np.ndarray, ctx3) -> np.ndarray:
-    """ktilde(m) for every m mod q (one matvec)."""
-    q = ctx3.field.q
     u = np.arange(1, q, dtype=np.int64)
     m = np.arange(q, dtype=np.int64)[:, None]
     return (ctx3.twisted[m * u[None, :] % q] @ np.asarray(K)[u]) / math.sqrt(q)
@@ -372,15 +364,15 @@ def ktilde_all(K: np.ndarray, ctx3) -> np.ndarray:
 # bound calculators
 # ----------------------------------------------------------------------
 
-def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
+def combined_bounds(M: float, N: float, q: int) -> dict:
     """The four bracket values used in the progression estimate.
 
     Returns {"pv", "linear", "general_pv", "special", "special_failed"},
     constants 1, q^eps dropped.  The general bracket takes unit-modulus
     coefficients, whose norms are sqrt(M) and sqrt(N).  The special bracket
     validates the theorem's range hypotheses (``typeI_hypotheses``, shared
-    with ``bilinear``): violations are reported in
-    "special_failed" (with the bracket set to nan), or raised when ``strict``.
+    with ``bilinear``): violations are reported in "special_failed", with
+    the bracket set to nan.
     """
     if M <= 0 or N <= 0:
         raise OutOfRange("ranges must be positive")
@@ -391,9 +383,6 @@ def combined_bounds(M: float, N: float, q: int, strict: bool = False) -> dict:
         * (M ** -0.5 + q ** 0.25 / math.sqrt(N)),
     }
     failed = typeI_hypotheses(M, N, q)
-    if failed and strict:
-        raise HypothesisViolated("smooth special bound out of range: "
-                                 + "; ".join(failed), failed)
     out["special"] = (math.nan if failed else
                       M * N * q ** 0.25 / (M ** (1 / 6) * N ** (5 / 12)))
     out["special_failed"] = failed

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharDividesK, NoKthRoots, OutOfRange
-from .fields import finite_field, roots_of_unity
+from .fields import finite_field, is_prime, roots_of_unity
 from .kloosterman import _require_k
 
 
@@ -117,8 +117,6 @@ def expected_stabilizer(sk: SkMultiset) -> list:
 def smallest_conforming_q(k: int, q_limit: int = 1000) -> int | None:
     """Smallest prime q, with a host field of at most 10^6 elements, where
     both structural claims hold."""
-    from .fields import is_prime
-
     if q_limit < 3:
         raise OutOfRange(f"q_limit = {q_limit} is below 3, the smallest odd prime: "
                          "the search would try no q")

@@ -1,20 +1,18 @@
 """Four-fold Kloosterman product kernels and their complete-sum statistics.
 
 The central objects, for a twisted table K_c(x) = Kl_k(c*x) and a shift tuple
-b = (b1, b2, b3, b4):
-
-* ``big_k(r, s, lam, b)``   -- psi(lam*s) * K_c(s(r+b1)) K_c(s(r+b2))
-                               * conj(K_c(s(r+b3)) K_c(s(r+b4)))
-* ``big_r(r, lam, b)``      -- sum of big_k over all s (the discrete Fourier
-                               transform in lam of the s-slice); the s = 0
-                               term vanishes because the table is 0 at 0.
+b = (b1, b2, b3, b4), are the four-fold sum K(r, s, lam, b), which is
+psi(lam s) times the product G[r, s] = K_c(s(r+b1)) K_c(s(r+b2))
+conj(K_c(s(r+b3)) K_c(s(r+b4))), and R(r, lam, b), the sum of K over every s:
+the discrete Fourier transform in lam of the row G[r], whose s = 0 term
+vanishes because the table is 0 at 0.
 
 On top of these sit the incomplete (r, s)-range sums appearing in the
 shift-by-ab reduction, second moments computed through the exact Plancherel
 shortcut, and scanning utilities that measure normalized cancellation ratios
 over sampled shift tuples.  Complete sums over r are read off the grid:
 ``product_grid(ctx, b)[:, s].sum()`` for one s, and
-``product_grid(ctx, b).sum(0) @ psi`` for sum_r big_r(r, lam, b).
+``product_grid(ctx, b).sum(0) @ psi`` for sum_r R(r, lam, b).
 
 A tuple is *diagonal* when its coordinates pair up (the even-multiplicity
 rule for k even, equal two-element multisets for k odd); on diagonal tuples
@@ -69,7 +67,7 @@ free:
 
 ``product_grid`` scatters these columns into the Q x Q grid indexed by s
 (the conjugates into the columns -s for odd k; the column s = 0 is 0),
-and ``big_r``, the naive moments and the incomplete sums read it; the
+and the naive second moment and the incomplete sums read it; the
 incomplete sums weight its columns by how often each residue class mod q
 occurs in the s-range.  The full average over b needs no grid at all: in
 logs the correlation C(g^i, g^j) depends only on j - i, so it is one FFT
@@ -93,7 +91,6 @@ are cached per (field, k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 
@@ -119,6 +116,8 @@ GRID_CAP = 1 << 24
 KERNEL_STEP_CELLS = 1 << 15
 # tuples per kernel call in the scans
 SCAN_BATCH = 64
+# the lambdas whose R columns ``scan_bad_tuples`` measures
+SCAN_LAMBDAS = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -282,24 +281,18 @@ def diagonal_mask(tuples, k: int) -> np.ndarray:
 # genericity
 # ----------------------------------------------------------------------
 
-def zero_sum_patterns(field, k: int):
-    """(z2, z3, z4) in mu_k(F_{q^d})^3 with 1 + z2 - z3 - z4 = 0, in
-    lexicographic order of the roots' indices: a fresh list of the
-    patterns cached per (field, k)."""
-    return list(_genericity(field, k)[0])
-
-
 # (patterns, generic, forms) per field and k, keyed by the field's
 # parameters, so that no field and none of its dense tables is kept alive
 _GENERICITY = {}
 
 
 def _genericity(field, k: int):
-    """The zero-sum patterns of (field, k) as a tuple, whether the field has
-    a generic tuple for k, and the forms z . b, as the read-only columns of
-    an int array, that a generic b keeps nonzero: the six b_i - b_j and each
-    pattern's b1 + z2 b2 - z3 b3 - z4 b4.  Built once per (field, k), the
-    patterns from one broadcast."""
+    """The zero-sum patterns of (field, k), the (z2, z3, z4) in mu_k(F_{q^d})^3
+    with 1 + z2 - z3 - z4 = 0, as a tuple in lexicographic order of the
+    roots' indices; whether the field has a generic tuple for k; and the
+    forms z . b, as the read-only columns of an int array, that a generic b
+    keeps nonzero: the six b_i - b_j and each pattern's b1 + z2 b2 - z3 b3 -
+    z4 b4.  Built once per (field, k), the patterns from one broadcast."""
     key = (type(field).__name__, field.q, field.degree, field.modulus, k)
     got = _GENERICITY.get(key)
     if got is None:
@@ -509,30 +502,13 @@ def product_grid(ctx, b) -> np.ndarray:
     return G
 
 
-def big_k(ctx, r: int, s: int, lam: int, b) -> complex:
-    f = ctx.field
-    tv = ctx.twisted
-    t = complex(f.psi_vec[f.mul(lam, s)])
-    t *= complex(tv[f.mul(s, f.add(r, b[0]))]) * complex(tv[f.mul(s, f.add(r, b[1]))])
-    t *= np.conj(complex(tv[f.mul(s, f.add(r, b[2]))]) * complex(tv[f.mul(s, f.add(r, b[3]))]))
-    return t
-
-
-def big_r(ctx, r: int, lam: int, b) -> complex:
-    """Sum of big_k over every s (the table's zero at 0 kills the s=0 term)."""
-    assert ctx.twisted[0] == 0
-    f = ctx.field
-    psi = f.psi_vec[f.mul_vec(lam, np.arange(f.size, dtype=np.int64))]
-    return complex(product_grid(ctx, b)[r] @ psi)
-
-
 def _require_distinct(b):
     if len(set(b)) < 4:
         raise NotDistinct(f"tuple {tuple(b)} has repeated coordinates")
 
 
 def second_moment_r_lambda(ctx, b) -> float:
-    """(1/Q^2) sum_{r,lam} |big_r|^2 via the exact Plancherel shortcut.
+    """(1/Q^2) sum_{r,lam} |R(r, lam, b)|^2 via the exact Plancherel shortcut.
 
     Plancherel in lam collapses the double sum to (1/Q) sum_{r,s} |G[r,s]|^2,
     read off the pair-table grid: each odd-k column stands for s and -s.
@@ -558,7 +534,7 @@ def second_moment_r_lambda_naive(ctx, b) -> float:
 
 
 def noncorrelation_moment(ctx, b) -> complex:
-    """(1/Q^2) sum_{r,lam} big_r(r,lam,b) conj(big_r(r,-lam,b)), k odd.
+    """(1/Q^2) sum_{r,lam} R(r,lam,b) conj(R(r,-lam,b)), k odd.
 
     Averaging over lam pairs s with -s', so the double sum collapses exactly
     to (1/Q) sum_{r,s} G[r,s] conj(G[r,-s]) = (1/Q) sum_{r,s} G[r,s]^2, as
@@ -575,7 +551,7 @@ def noncorrelation_moment(ctx, b) -> complex:
 
 
 def full_average_moment(ctx) -> float:
-    """(1/Q^5) sum_{r, b} |big_r(r, 0, b)|^2, via the correlation reduction.
+    """(1/Q^5) sum_{r, b} |R(r, 0, b)|^2, via the correlation reduction.
 
     Shifting r into the tuple and expanding the square turns the five-fold
     average into sum over unit pairs (s, s') of |C(s,s')|^2 |C(s',s)|^2, with
@@ -588,23 +564,6 @@ def full_average_moment(ctx) -> float:
     kappa = ctx.twisted[f.exp_table]
     c = np.fft.ifft(np.abs(np.fft.fft(kappa)) ** 2)
     return float((f.size - 1) * (np.abs(c) ** 4).sum() / f.size**4)
-
-
-def full_average_moment_naive(ctx) -> float:
-    """Literal five-fold average; only for q^d <= 13."""
-    f = ctx.field
-    Q = f.size
-    if Q > 13:
-        raise ResourceLimit("naive five-fold average is O(Q^6)")
-    total = 0.0
-    psi0 = np.ones(Q, dtype=np.complex128)
-    for b1 in range(Q):
-        for b2 in range(Q):
-            for b3 in range(Q):
-                for b4 in range(Q):
-                    R = product_grid(ctx, (b1, b2, b3, b4)) @ psi0
-                    total += float((np.abs(R) ** 2).sum())
-    return total / Q**5
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +612,6 @@ class ScanSpec:
 
     n_samples: int = DEFAULT_SAMPLES
     seed: int = 1
-    lambdas: tuple = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -693,7 +651,8 @@ class ScanResult:
 
 
 def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
-    """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}."""
+    """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}
+    over the pairs of ``lambdas`` (0 with one lambda)."""
     Q = ctx.field.size
     n = len(tuples)
     lin = np.empty(n)
@@ -706,8 +665,7 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
         CM = np.einsum("bri,brj->bij", R, np.conj(R))
-        off = np.abs(CM[:, il, jl])
-        corr[lo:lo + m] = (off.max(axis=1) if len(il) else 0.0) / Q**1.5
+        corr[lo:lo + m] = np.abs(CM[:, il, jl]).max(axis=1, initial=0.0) / Q**1.5
     return lin, corr
 
 
@@ -731,12 +689,12 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
         _require_at_least(1, n_samples=spec.n_samples)
         rng = np.random.default_rng(spec.seed)
         tuples = rng.integers(0, Q, size=(spec.n_samples, 4))
-    lin, corr = _batched_tuple_stats(ctx, tuples, spec.lambdas)
+    lin, corr = _batched_tuple_stats(ctx, tuples, SCAN_LAMBDAS)
     diagonal = diagonal_mask(tuples, ctx.k)
     if thresholds is None:
         thresholds = {
             "r_linear": 3.0 * float(np.median(lin[~diagonal])),
-            "corr": 3.0 * float(np.median(corr[~diagonal])) if len(spec.lambdas) > 1 else math.inf,
+            "corr": 3.0 * float(np.median(corr[~diagonal])),
         }
     reason = np.select([diagonal, lin > thresholds["r_linear"], corr > thresholds["corr"]],
                        ["diagonal", "r_linear", "corr"], default="")
@@ -768,9 +726,9 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     s, lambda1 != lambda2, and measures
 
     * K:  |sum_r 4-fold product at (s, b)| / q^{d/2}
-    * R:  |sum_r big_r(r, lam1, b)| / q^d
-    * C:  |sum_r big_r(r, lam1) conj(big_r(r, lam2))| / q^{3d/2}
-    * D:  |sum_r |big_r(r, lam1)|^2 - q^{2d}| / q^{3d/2}
+    * R:  |sum_r R(r, lam1, b)| / q^d
+    * C:  |sum_r R(r, lam1) conj(R(r, lam2))| / q^{3d/2}
+    * D:  |sum_r |R(r, lam1)|^2 - q^{2d}| / q^{3d/2}
 
     Returns {name: RatioReport}, with max_ratio averaged over replicates
     (the averaging tames the extreme-value noise of a single max);

@@ -23,11 +23,11 @@ from klab.kloosterman import (conjugation_symmetry_check, kloosterman_table,
 from klab.root_sums import (compute_sk, expected_stabilizer, host_field,
                             multiplicity_one_element, stabilizer_group)
 from klab.sum_product import (SumProductContext, full_average_moment,
-                              full_average_moment_naive, product_grid,
-                              ratio_scan, second_moment_r_lambda,
+                              product_grid, ratio_scan, second_moment_r_lambda,
                               second_moment_r_lambda_naive)
 
 from divisor_oracle import d2_table, sigma11_mod
+from grid_oracle import full_average_moment_naive
 
 MASTER_SEED = 777
 

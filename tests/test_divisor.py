@@ -15,10 +15,9 @@ from klab.divisor import (TAU_N_MAX, ExponentConfig, bound_exponents,
                           combined_bounds, delta_star_search,
                           delta_to_eta, discrepancy_all,
                           exponent_case_analysis, hecke_violations,
-                          hyperbola_residual, ktilde, ktilde_all,
+                          hyperbola_residual, ktilde_all,
                           lambda_star_one_table, tau_table)
-from klab.errors import (CompositeModulus, HypothesisViolated, OutOfRange,
-                         ResourceLimit)
+from klab.errors import CompositeModulus, OutOfRange, ResourceLimit
 from klab.fields import is_prime, make_prime_field
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import SumProductContext
@@ -475,7 +474,7 @@ def ctx3_53():
 
 def test_ktilde_zero_function(ctx3_53):
     K = np.zeros(53)
-    assert ktilde(K, 5, ctx3_53) == 0
+    assert ktilde_all(K, ctx3_53)[5] == 0
 
 
 def test_ktilde_delta_identity(ctx3_53):
@@ -484,7 +483,7 @@ def test_ktilde_delta_identity(ctx3_53):
         K = np.zeros(q)
         K[a] = 1.0
         for m in (0, 1, 5, 30):
-            got = ktilde(K, m, ctx3_53)
+            got = ktilde_all(K, ctx3_53)[m]
             want = ctx3_53.twisted[a * m % q] / math.sqrt(q)
             assert abs(got - want) < 1e-12
         allm = ktilde_all(K, ctx3_53)
@@ -495,9 +494,15 @@ def test_ktilde_delta_identity(ctx3_53):
 def test_ktilde_linearity(ctx3_53):
     rng = np.random.default_rng(0)
     K1, K2 = rng.normal(size=53), rng.normal(size=53)
-    lhs = ktilde(K1 + 2.0 * K2, 7, ctx3_53)
-    rhs = ktilde(K1, 7, ctx3_53) + 2.0 * ktilde(K2, 7, ctx3_53)
+    lhs = ktilde_all(K1 + 2.0 * K2, ctx3_53)[7]
+    rhs = ktilde_all(K1, ctx3_53)[7] + 2.0 * ktilde_all(K2, ctx3_53)[7]
     assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("n", [52, 54])
+def test_ktilde_refuses_a_function_of_another_length(ctx3_53, n):
+    with pytest.raises(ValueError, match="length-q"):
+        ktilde_all(np.ones(n), ctx3_53)
 
 
 # ----------------------------------------------------------- bound brackets
@@ -521,8 +526,6 @@ def test_combined_bounds_substitutions():
 def test_combined_bounds_hypothesis_violation():
     out = combined_bounds(M=100.0, N=2.0, q=11)
     assert set(out["special_failed"]) == {"1 <= M <= N^2", "MN < q^{3/2}"}
-    with pytest.raises(HypothesisViolated):
-        combined_bounds(M=100.0, N=2.0, q=11, strict=True)
 
 
 @pytest.mark.parametrize("M, N, q, failed", [(8.0, 8.0, 16, ["MN < q^{3/2}"]),

@@ -14,16 +14,15 @@ from klab.errors import (NoGenericTuple, NotDistinct, OutOfRange, RangeTooLarge,
                          WrongParity)
 from klab.fields import build_extension, make_prime_field, roots_of_unity
 from klab.kloosterman import kloosterman_table
-from klab.sum_product import (ScanSpec, SumProductContext, big_k, big_r,
-                              diagonal_mask, full_average_moment,
-                              full_average_moment_naive,
-                              noncorrelation_moment, product_grid, ratio_scan,
-                              sample_generic_tuples, scan_bad_tuples,
-                              second_moment_r_lambda,
+from klab.sum_product import (ScanSpec, SumProductContext, diagonal_mask,
+                              full_average_moment, noncorrelation_moment,
+                              product_grid, ratio_scan, sample_generic_tuples,
+                              scan_bad_tuples, second_moment_r_lambda,
                               second_moment_r_lambda_naive, sigma_incomplete,
-                              sigma_neq, zero_sum_patterns)
+                              sigma_neq)
 
-from grid_oracle import correlation_matrix
+from grid_oracle import (big_k, correlation_matrix, full_average_moment_naive,
+                         literal_grid)
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +55,12 @@ def brute_big_r(ctx, r, lam, b):
 
 
 def psi_column(ctx, lam):
-    """psi(lam * s) for every s, the column that turns a grid into big_r."""
+    """psi(lam * s) for every s, the column that turns a grid into R(r, lam, b)."""
     f = ctx.field
     return f.psi_vec[f.mul_vec(lam, np.arange(f.size))]
 
 
-# ----------------------------------------------------------------- big_k/big_r
+# ------------------------------------------------------- K(r, s, lam, b), R(r, lam, b)
 
 def test_big_k_absolute_value_collapse(ctx13):
     v = big_k(ctx13, 3, 2, 0, (0, 0, 0, 0))
@@ -83,19 +82,19 @@ def test_big_k_bounded_by_k4_full_scan():
 def test_big_r_constant_for_zero_tuple(ctx13):
     t = (np.abs(ctx13.twisted) ** 4).sum()
     for r in range(1, 13):
-        assert abs(big_r(ctx13, r, 0, (0, 0, 0, 0)) - t) < 1e-10
-    assert abs(big_r(ctx13, 0, 0, (0, 0, 0, 0))) < 1e-12
+        assert abs(product_grid(ctx13, (0, 0, 0, 0))[r] @ psi_column(ctx13, 0) - t) < 1e-10
+    assert abs(product_grid(ctx13, (0, 0, 0, 0))[0] @ psi_column(ctx13, 0)) < 1e-12
 
 
 def test_big_r_vanishes_when_factor_pinned_at_zero(ctx13):
     b = (1, 2, 3, 5)
-    assert abs(big_r(ctx13, 13 - 1, 4, b)) < 1e-12  # r = -b_1
+    assert abs(product_grid(ctx13, b)[13 - 1] @ psi_column(ctx13, 4)) < 1e-12  # r = -b_1
 
 
 def test_big_r_matches_nested_loop_oracle():
     ctx = SumProductContext(kloosterman_table(2, make_prime_field(53)))
     b = (1, 2, 3, 5)
-    got = big_r(ctx, 7, 1, b)
+    got = product_grid(ctx, b)[7] @ psi_column(ctx, 1)
     assert abs(got - brute_big_r(ctx, 7, 1, b)) < 1e-9
 
 
@@ -125,7 +124,7 @@ def test_r_profile_matches_big_r(ctx13):
     b = (1, 2, 3, 5)
     prof = product_grid(ctx13, b) @ psi_column(ctx13, 2)
     for r in (0, 1, 5, 12):
-        assert abs(prof[r] - big_r(ctx13, r, 2, b)) < 1e-10
+        assert abs(prof[r] - brute_big_r(ctx13, r, 2, b)) < 1e-10
 
 
 def test_c_twist_covariance():
@@ -137,8 +136,8 @@ def test_c_twist_covariance():
     cinv = pow(c, 11, 13)
     b = (1, 2, 3, 5)
     for lam in (0, 1, 7):
-        lhs = big_r(ctx_c, 4, lam, b)
-        rhs = big_r(ctx_1, 4, lam * cinv % 13, b)
+        lhs = product_grid(ctx_c, b)[4] @ psi_column(ctx_c, lam)
+        rhs = product_grid(ctx_1, b)[4] @ psi_column(ctx_1, lam * cinv % 13)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -187,13 +186,23 @@ def test_diagonal_mask_matches_oracle(k, tuples):
 
 # ---------------------------------------------------------------- genericity
 
+@lru_cache(maxsize=None)
+def scalar_zero_sum_patterns(field, k: int) -> tuple:
+    """(z2, z3, z4) over the k-th roots with 1 + z2 = z3 + z4, by the scalar
+    triple loop."""
+    zs = roots_of_unity(field, k)
+    return tuple((z2, z3, z4) for z2 in zs for z3 in zs for z4 in zs
+                 if field.add(1, z2) == field.add(z3, z4))
+
+
 def is_generic_tuple(b, k: int, field) -> bool:
     """Pairwise distinct and off every zero-sum-pattern hyperplane: the
-    scalar oracle of ``sample_generic_tuples``."""
+    scalar oracle of ``sample_generic_tuples``, sharing nothing with its
+    cached patterns and forms."""
     b = tuple(b)
     if len(set(b)) < 4:
         return False
-    for z2, z3, z4 in zero_sum_patterns(field, k):
+    for z2, z3, z4 in scalar_zero_sum_patterns(field, k):
         v = field.add(b[0], field.mul(z2, b[1]))
         v = field.sub(v, field.mul(z3, b[2]))
         v = field.sub(v, field.mul(z4, b[3]))
@@ -204,18 +213,16 @@ def is_generic_tuple(b, k: int, field) -> bool:
 
 def test_zero_sum_patterns_k2():
     f = make_prime_field(11)
-    pats = set(zero_sum_patterns(f, 2))
+    pats = set(sp._genericity(f, 2)[0])
     assert pats == {(1, 1, 1), (10, 1, 10), (10, 10, 1)}
 
 
 @pytest.mark.parametrize("k,q,d", [(12, 5, 2), (8, 7, 2), (2, 3, 3), (3, 13, 1)])
 def test_zero_sum_patterns_match_the_scalar_triple_loop(k, q, d):
     f = make_prime_field(q) if d == 1 else build_extension(make_prime_field(q), d)
-    zs = roots_of_unity(f, k)
-    want = [(z2, z3, z4) for z2 in zs for z3 in zs for z4 in zs
-            if f.add(1, z2) == f.add(z3, z4)]
-    got = zero_sum_patterns(f, k)
-    assert got == want and all(type(z) is int for t in got for z in t)
+    got = sp._genericity(f, k)[0]
+    assert got == scalar_zero_sum_patterns(f, k)
+    assert all(type(z) is int for t in got for z in t)
 
 
 def test_is_generic_excludes_pairing_hyperplanes():
@@ -226,7 +233,7 @@ def test_is_generic_excludes_pairing_hyperplanes():
     assert is_generic_tuple((1, 2, 3, 5), 2, f)
     # k=3, q=13: mu_3 = {1,3,9}; zero-sum patterns are (z,1,z) and (z,z,1)
     f13 = make_prime_field(13)
-    pats = set(zero_sum_patterns(f13, 3))
+    pats = set(sp._genericity(f13, 3)[0])
     assert pats == {(1, 1, 1), (3, 1, 3), (3, 3, 1), (9, 1, 9), (9, 9, 1)}
 
 
@@ -293,21 +300,17 @@ def test_sampler_draws_what_a_scalar_rejection_sampler_draws(q, d, k):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_cached_arrays_are_read_only_and_patterns_a_fresh_list():
+def test_cached_arrays_are_read_only_and_patterns_a_tuple():
     f = make_prime_field(53)
     ctx = SumProductContext(kloosterman_table(3, f))
     ratio_scan(ctx, n_samples=4, seed=1)
-    forms = sp._genericity(f, 3)[2]
+    pats, _, forms = sp._genericity(f, 3)
     for name, a in {**vars(ctx.kernel_plan), "forms": forms}.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
-    # a caller that mutates the patterns it was given changes neither the
-    # next call's patterns nor the sampler's tests
-    want = zero_sum_patterns(f, 3)
-    got = zero_sum_patterns(f, 3)
-    assert got == want and got is not want
-    got.clear()
-    assert zero_sum_patterns(f, 3) == want
+    # the cached patterns cannot be mutated, and the sampler's draws pass
+    # the scalar oracle
+    assert type(pats) is tuple and all(type(p) is tuple for p in pats)
     ts = sample_generic_tuples(f, 3, 200, np.random.default_rng(0))
     assert all(is_generic_tuple(tuple(int(x) for x in t), 3, f) for t in ts)
 
@@ -375,7 +378,7 @@ def test_complete_corr_scan_bounded():
 def test_r_linear_sum_fubini(ctx13):
     b = (1, 2, 3, 5)
     lam = 7
-    direct = sum(big_r(ctx13, r, lam, b) for r in range(13))
+    direct = sum(brute_big_r(ctx13, r, lam, b) for r in range(13))
     assert abs(product_grid(ctx13, b).sum(0) @ psi_column(ctx13, lam) - direct) < 1e-9
 
 
@@ -447,10 +450,10 @@ def test_noncorrelation_matches_definition():
         ctx = SumProductContext(_property_table(q, d, 3))
         f = ctx.field
         Q = f.size
-        total = 0j
-        for r in range(Q):
-            for lam in range(Q):
-                total += big_r(ctx, r, lam, b) * big_r(ctx, r, f.neg(lam), b).conjugate()
+        # R[r, lam] from one literal grid; the column -lam beside each lam
+        G = literal_grid(ctx, b)
+        R = np.stack([G @ psi_column(ctx, lam) for lam in range(Q)], axis=1)
+        total = (R * R[:, [f.neg(lam) for lam in range(Q)]].conj()).sum()
         assert abs(total / Q**2 - noncorrelation_moment(ctx, b)) < 1e-8, (q, d)
 
 
@@ -561,8 +564,7 @@ def test_sigma_neq_swap_conjugation(ctx53):
 
 def test_scan_flags_all_diagonal_and_only_diagonal_at_inf():
     ctx = SumProductContext(kloosterman_table(2, make_prime_field(11)))
-    res = scan_bad_tuples(ctx, thresholds={"r_linear": math.inf, "corr": math.inf},
-                          spec=ScanSpec(lambdas=(0, 1)))
+    res = scan_bad_tuples(ctx, thresholds={"r_linear": math.inf, "corr": math.inf})
     assert res.exhaustive
     for row in res.rows:
         assert row.flagged == (row.classification == "diagonal")
@@ -582,7 +584,7 @@ def test_scan_rows_view():
     # the columns are the result; the ScanRow list is built on first read,
     # with the Python types that readers of ``rows`` rely on
     ctx = SumProductContext(kloosterman_table(3, make_prime_field(11)))
-    res = scan_bad_tuples(ctx, spec=ScanSpec(lambdas=(0, 1)))
+    res = scan_bad_tuples(ctx)
     assert "rows" not in vars(res)
     rows = res.rows
     assert rows is res.rows and len(rows) == len(res.tuples) == 11**4
@@ -605,7 +607,7 @@ def test_scan_flagged_fraction_small_q():
     fracs = []
     for q in (11, 19):
         ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
-        res = scan_bad_tuples(ctx, spec=ScanSpec(lambdas=(0, 1)))
+        res = scan_bad_tuples(ctx)
         assert res.exhaustive
         assert res.flagged_fraction <= 0.10
         fracs.append(res.flagged_fraction)

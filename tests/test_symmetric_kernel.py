@@ -119,7 +119,8 @@ def test_ratio_scan_matches_full_route(monkeypatch, qd, k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_scan_bad_tuples_matches_full_route(monkeypatch, k):
     ctx = SumProductContext(_table(37, 1, k))
-    spec = ScanSpec(n_samples=40, seed=2, lambdas=(0, 1, 5))
+    monkeypatch.setattr(sp, "SCAN_LAMBDAS", (0, 1, 5))
+    spec = ScanSpec(n_samples=40, seed=2)
     got = scan_bad_tuples(ctx, spec=spec)
     monkeypatch.setattr(sp, "_batched_tuple_stats", _full_tuple_stats)
     full = scan_bad_tuples(ctx, spec=spec)
