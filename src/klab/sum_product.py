@@ -30,7 +30,8 @@ the factors always in the order ((K1 K2) conj(K3 K4)), so every statistic
 is reproducible bit for bit, and the scans reduce each step while it is
 still in cache (one matmul per step for the lam-transform, the row sums of
 |G|^2): no batch of grids is ever held, so memory grows with Q^2, not with
-the number of tuples.
+the number of tuples.  The moments square each step in its own buffer, so
+they allocate nothing per step.
 
 Kl_k lives on the cyclic group F^x, so in discrete logs (s = g^j, u = g^l)
 the table K_c(u s) is a Hankel matrix, kappa[l + j] with kappa[i] =
@@ -408,7 +409,8 @@ def _pair_steps(ctx, P):
     or a block of rows of one grid when a grid is larger, so that a step
     stays in cache.  Both windows of a step come from one gather into a
     fresh array, freed before the step is yielded, and their product goes
-    into one buffer allocated per call: g is overwritten by the next step.
+    into one buffer allocated per call: g is overwritten by the next step,
+    and the consumer may overwrite it too (the moments square it in place).
     Steps of whole large grids (2 MiB at q^d = 529) ran four times slower;
     gathers still held when the next step allocated made glibc give the
     freed blocks back to the system and fault them in again.
@@ -498,7 +500,7 @@ def product_grid(ctx, b) -> np.ndarray:
         rows = slice(r0, r0 + g.shape[1])
         G[rows, f.exp_table[:W]] = g[0]
         if ctx.k % 2:
-            G[rows, f.exp_table[W:]] = np.conj(g[0])
+            G[rows, f.exp_table[W:]] = np.conj(g[0], out=g[0])
     return G
 
 
@@ -515,9 +517,13 @@ def second_moment_r_lambda(ctx, b) -> float:
     """
     _require_distinct(b)
     _require_grid(ctx)
-    rows = np.empty(ctx.field.size)
+    rows, buf = np.empty(ctx.field.size), None
     for _, r0, g in _pair_steps(ctx, _pair_index(ctx, [b])):
-        rows[r0:r0 + g.shape[1]] = (np.abs(g[0]) ** 2).sum(axis=1)
+        a = g[0]
+        if ctx.k % 2:  # |g| into one buffer, at the first (largest) step's shape
+            buf = np.empty(a.shape) if buf is None else buf
+            a = np.abs(a, out=buf[:len(a)])
+        rows[r0:r0 + len(a)] = np.square(a, out=a).sum(axis=1)
     return float((1 if ctx.k % 2 == 0 else 2) * rows.sum() / ctx.field.size)
 
 
@@ -546,7 +552,7 @@ def noncorrelation_moment(ctx, b) -> complex:
     _require_grid(ctx)
     rows = np.empty(ctx.field.size, dtype=np.complex128)
     for _, r0, g in _pair_steps(ctx, _pair_index(ctx, [b])):
-        rows[r0:r0 + g.shape[1]] = (g[0] ** 2).sum(axis=1)
+        rows[r0:r0 + g.shape[1]] = np.square(g[0], out=g[0]).sum(axis=1)
     return complex(2 * rows.sum().real / ctx.field.size)
 
 
@@ -664,7 +670,8 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
         R, _ = _lambda_transform(ctx, tb, lambdas)
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
-        CM = np.einsum("bri,brj->bij", R, np.conj(R))
+        # odd k: R is real, and conj would only copy it
+        CM = np.einsum("bri,brj->bij", R, R if ctx.k % 2 else np.conj(R))
         corr[lo:lo + m] = np.abs(CM[:, il, jl]).max(axis=1, initial=0.0) / Q**1.5
     return lin, corr
 

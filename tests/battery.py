@@ -31,7 +31,13 @@ COMMANDS = [
     *SCANS,
     *RATIOS,
     "moments --k 3 --q 53 --seed 1",
+    "moments --k 2 --q 101 --seed 4",
+    "moments --k 3 --q 11 --d 2 --seed 2",
+    "moments --k 2 --q 23 --d 2 --seed 5",
+    "moments --k 5 --q 31 --seed 3",
     "report --q 53 --seed 1",
+    "report --q 101 --k 3 --seed 7",
+    "sumprod-scan --k 3 --q 199 --samples 300 --seed 2 --format csv",
     "progression --x 50000 --q 101 --format csv",
     "sk --k 5 --q 7",
     "sk --scan-smallest --k 6 --q-limit 60",

@@ -152,7 +152,8 @@ LIBRARY_SURFACE = {
     "nontrivial_threshold": "the exponent where a bracket's saving crosses zero",
     "plan_parameters_typeII": "the (A, B) of the type II shift-by-ab plan",
 }
-# Oracles and aliases that benchmark/ calls or traces by name; each goes once
+# Oracles and aliases that benchmark/ calls or traces by name, and methods it
+# reads as attributes (Class.attr, mentioned as .attr); each goes once
 # benchmark/ stops naming it.
 BENCHMARK_PINNED = {
     "make_prime_field": "PrimeField(q), called by the scan and ext workloads",
@@ -161,17 +162,30 @@ BENCHMARK_PINNED = {
     "centering_residual_exact": "the former name of hyperbola_residual, traced by spans.py",
     "kloosterman_naive": "the single-a brute-force sum that spans.py traces",
     "second_moment_r_lambda_naive": "the literal (r, lam) double sum that spans.py traces",
+    "ScanResult.rows": "the scan as ScanRow records, read by w_scan.py and spans.py",
 }
-ROOT_NAME = "main"  # cli.main
+CLI_MAIN = ("cli", "main")
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FN = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def top_level_defs(sources: dict) -> dict:
-    """name -> the top-level statements of ``sources`` (module name -> source)
-    that bind it: functions, classes and assignments."""
-    defs = {}
-    for source in sources.values():
+def module_scopes(sources: dict) -> dict:
+    """module -> (defs, imports) for ``sources`` (module name -> source): defs
+    maps each top-level name to the statements that bind it (functions,
+    classes and assignments), imports each name a relative import binds to
+    (module, name), with name None when the import binds a module."""
+    scopes = {}
+    for mod, source in sources.items():
+        defs, imports = {}, {}
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    imports[alias.asname or alias.name] = (
+                        (node.module, alias.name) if node.module
+                        else (alias.name, None) if alias.name in sources
+                        else ("__init__", alias.name))
+                continue
+            if isinstance(node, _DEF):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -180,24 +194,79 @@ def top_level_defs(sources: dict) -> dict:
                 continue
             for name in names:
                 defs.setdefault(name, []).append(node)
-    return defs
+        scopes[mod] = (defs, imports)
+    return scopes
 
 
-def reachable(defs: dict, roots) -> set:
-    """The names of ``defs`` reached from ``roots``: every identifier, a Name
-    or an Attribute, in a reached statement leads to every top-level
-    statement that binds that name."""
-    seen, todo = set(), [r for r in roots if r in defs]
+def _methods(scopes: dict) -> dict:
+    """(module, "Class.name") -> the method's def, for every top-level class."""
+    return {(mod, f"{node.name}.{m.name}"): m
+            for mod, (defs, _) in scopes.items() for nodes in defs.values()
+            for node in nodes if isinstance(node, ast.ClassDef)
+            for m in node.body if isinstance(m, _FN)}
+
+
+def reachable(scopes: dict, roots) -> set:
+    """The keys of ``scopes``, (module, name) or (module, "Class.method"),
+    reached from ``roots``.  A Name in a reached statement leads to the
+    top-level statements binding it in its module, or through a relative
+    import to another module's; ``module.name`` leads to that module's name.
+    A reached class's bases, decorators and class-level statements are
+    reached, where a Name may be one of its methods (an alias such as
+    ``add_vec = add``); each of its methods is reached when it is a dunder,
+    or when a reached statement reads an attribute of that name."""
+    methods = _methods(scopes)
+    by_attr = {}
+    for mod, qual in methods:
+        by_attr.setdefault(qual.split(".")[1], []).append((mod, qual))
+
+    def resolve(mod, name):
+        defs, imports = scopes[mod]
+        if name in defs:
+            return mod, name
+        target, sub = imports.get(name, (None, None))
+        return resolve(target, sub) if sub and target in scopes else None
+
+    def reads(mod, node, cls=None):
+        """The keys and attribute names the statement ``node`` reads."""
+        imports = scopes[mod][1]
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                own = (mod, f"{cls}.{n.id}")
+                yield (own if cls and own in methods else resolve(mod, n.id)), None
+            elif isinstance(n, ast.Attribute):
+                # module.name, or an attribute of some object
+                target, sub = imports.get(getattr(n.value, "id", None), (None, ""))
+                yield (resolve(target, n.attr), None) if sub is None else (None, n.attr)
+
+    seen, attrs, todo = set(), set(), list(roots)
     while todo:
-        name = todo.pop()
-        if name in seen:
+        key = todo.pop()
+        if key is None or key in seen:
             continue
-        seen.add(name)
-        for node in defs[name]:
-            for n in ast.walk(node):
-                ident = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-                if ident in defs and ident not in seen:
-                    todo.append(ident)
+        mod, name = key
+        if key in methods:
+            parts = [(methods[key], None)]
+        elif name in scopes[mod][0]:
+            parts = []
+            for node in scopes[mod][0][name]:
+                if not isinstance(node, ast.ClassDef):
+                    parts.append((node, None))
+                    continue
+                parts += [(n, None) for n in (*node.decorator_list, *node.bases, *node.keywords)]
+                parts += [(n, name) for n in node.body if not isinstance(n, _FN)]
+                todo += [(mod, f"{name}.{m.name}") for m in node.body if isinstance(m, _FN)
+                         and (m.name in attrs or m.name.startswith("__"))]
+        else:
+            continue
+        seen.add(key)
+        for node, cls in parts:
+            for hit, attr in reads(mod, node, cls):
+                todo.append(hit)
+                if attr is not None and attr not in attrs:
+                    attrs.add(attr)
+                    todo += [m for m in by_attr.get(attr, ())
+                             if (m[0], m[1].split(".")[0]) in seen]
     return seen
 
 
@@ -205,26 +274,31 @@ def surface_faults(sources: dict, library: dict, pinned: dict, benchmark: str) -
     """What the reachability guard refuses in ``sources``: a top-level function
     or class that neither ``cli.main`` nor a listed name reaches; a listed
     name that no statement binds, or that ``cli.main`` reaches alone (a stale
-    entry); and a pinned name that the ``benchmark`` text no longer mentions."""
-    defs = top_level_defs(sources)
-    from_cli = reachable(defs, [ROOT_NAME])
-    reached = reachable(defs, [ROOT_NAME, *library, *pinned])
-    faults = [f"{name}: reached from no root" for name, nodes in defs.items()
-              if name not in reached and any(
-                  isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  for n in nodes)]
-    for name in (*library, *pinned):
-        if name not in defs:
+    entry); and a pinned name that the ``benchmark`` text no longer mentions
+    (a pinned Class.method as ``.method``)."""
+    scopes = module_scopes(sources)
+    methods = _methods(scopes)
+    listed = {name: [(mod, name) for mod, (defs, _) in scopes.items()
+                     if name in defs or (mod, name) in methods] for name in (*library, *pinned)}
+    from_cli = reachable(scopes, [CLI_MAIN])
+    reached = reachable(scopes, [CLI_MAIN, *(k for keys in listed.values() for k in keys)])
+    faults = [f"{name}: reached from no root" for mod, (defs, _) in scopes.items()
+              for name, nodes in defs.items()
+              if (mod, name) not in reached and any(isinstance(n, _DEF) for n in nodes)]
+    for name, keys in listed.items():
+        if not keys:
             faults.append(f"{name}: listed, but src defines no such name")
-        elif name in from_cli:
+        elif all(k in from_cli for k in keys):
             faults.append(f"{name}: listed, but cli.main reaches it")
+    tokens = {name: rf"\.{name.split('.')[1]}\b" if "." in name else rf"\b{name}\b"
+              for name in pinned}
     faults += [f"{name}: pinned, but benchmark/ no longer mentions it" for name in pinned
-               if not re.search(rf"\b{re.escape(name)}\b", benchmark)]
+               if not re.search(tokens[name], benchmark)]
     return sorted(faults)
 
 
 _SYNTHETIC = {
-    "cli": "def main():\n    return COMMANDS['x'][0]()\n\n"
+    "cli": "from . import lib\n\ndef main():\n    return COMMANDS['x'][0]()\n\n"
            "COMMANDS = {'x': (lib.run, 'help')}\n",
     "lib": "import math\n\ndef run():\n    return Box(2).size\n\n"
            "class Box:\n    def __init__(self, n):\n        self.size = _half(n)\n\n"
@@ -237,8 +311,9 @@ _PINNED = {"oracle": "traced"}
 
 
 def test_guard_passes_a_synthetic_tree_with_every_name_reached():
-    # cli.main reaches run through an assignment and an attribute, and run
-    # reaches Box and _half; formula and oracle are listed
+    # cli.main reaches run through an assignment and a module attribute, and
+    # run reaches Box, whose __init__ reaches _half; formula and oracle are
+    # listed
     assert surface_faults(_SYNTHETIC, _SURFACE, _PINNED, "lib.oracle()") == []
 
 
@@ -248,9 +323,46 @@ def test_guard_sees_an_unreachable_def():
     assert surface_faults(_SYNTHETIC, {}, _PINNED, "oracle") == ["formula: reached from no root"]
 
 
+def test_guard_sees_a_def_behind_an_unread_method():
+    # Box is reached, but nothing reads .area, so _square is not
+    lib = _SYNTHETIC["lib"].replace(
+        "class Box:\n", "class Box:\n    def area(self):\n        return _square(self.size)\n\n")
+    src = {**_SYNTHETIC, "lib": lib + "\ndef _square(n):\n    return n * n\n"}
+    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == ["_square: reached from no root"]
+    read = {**src, "cli": src["cli"].replace("()\n", "() + lib.Box(1).area()\n", 1)}
+    assert surface_faults(read, _SURFACE, _PINNED, "oracle") == []
+    pinned = {**_PINNED, "Box.area": "read by the benchmark"}
+    assert surface_faults(src, _SURFACE, pinned, "oracle; b.area") == []
+    assert surface_faults(src, _SURFACE, pinned, "oracle; area") == [
+        "Box.area: pinned, but benchmark/ no longer mentions it"]
+
+
+def test_guard_sees_a_def_named_like_an_attribute():
+    # run reads Box(2).size, an attribute: a top-level size is never named
+    src = {**_SYNTHETIC, "lib": _SYNTHETIC["lib"] + "\ndef size():\n    return 0\n"}
+    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == ["size: reached from no root"]
+
+
+def test_guard_follows_imports_and_class_level_aliases():
+    # a name read in cli through ``from .lib import`` and a class-level
+    # alias; Box.grow is reached through the alias it is read by
+    lib = _SYNTHETIC["lib"].replace(
+        "class Box:\n", "class Box:\n    def grow(self):\n        return _double(self)\n\n"
+                        "    enlarge = grow\n\n") + "\ndef _double(b):\n    return 2\n"
+    cli = ("from .lib import Box as B, run\n\ndef main():\n    return B(1).enlarge() + run()\n")
+    assert surface_faults({"cli": cli, "lib": lib}, _SURFACE, _PINNED, "oracle") == []
+    # without the import, a name of another module is not a read of it
+    bare = cli.replace("from .lib import Box as B, run\n", "")
+    assert surface_faults({"cli": bare, "lib": lib}, _SURFACE, _PINNED, "oracle") == [
+        "Box: reached from no root", "_double: reached from no root",
+        "run: reached from no root"]
+
+
 def test_guard_sees_a_stale_library_entry():
-    stale = {**_SURFACE, "_half": "reached by cli.main", "gone": "deleted"}
+    stale = {**_SURFACE, "_half": "reached by cli.main", "gone": "deleted",
+             "Box.gone": "no such method"}
     assert surface_faults(_SYNTHETIC, stale, _PINNED, "oracle") == [
+        "Box.gone: listed, but src defines no such name",
         "_half: listed, but cli.main reaches it",
         "gone: listed, but src defines no such name"]
 

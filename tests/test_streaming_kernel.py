@@ -243,3 +243,111 @@ def test_every_kernel_route_refuses_an_extension_beyond_the_dense_tables():
     # the full average reads the Kloosterman table alone, in discrete logs
     assert np.isfinite(sp.full_average_moment(ctx))
     assert "pair_table" not in vars(ctx)
+
+
+# --- the consumers reduce in the buffers they are given ---------------------
+
+def _steps(ctx, b):
+    return sp._pair_steps(ctx, sp._pair_index(ctx, [b]))
+
+
+def _fresh_second_moment(ctx, b):
+    rows = np.empty(ctx.field.size)
+    for _, r0, g in _steps(ctx, b):
+        rows[r0:r0 + g.shape[1]] = (np.abs(g[0]) ** 2).sum(axis=1)
+    return float((1 if ctx.k % 2 == 0 else 2) * rows.sum() / ctx.field.size)
+
+
+def _fresh_noncorrelation(ctx, b):
+    rows = np.empty(ctx.field.size, dtype=np.complex128)
+    for _, r0, g in _steps(ctx, b):
+        rows[r0:r0 + g.shape[1]] = (g[0] ** 2).sum(axis=1)
+    return complex(2 * rows.sum().real / ctx.field.size)
+
+
+def _fresh_product_grid(ctx, b):
+    f, W = ctx.field, ctx.pair_window
+    G = np.zeros((f.size, f.size), dtype=ctx.pair_table.dtype)
+    for _, r0, g in _steps(ctx, b):
+        rows = slice(r0, r0 + g.shape[1])
+        G[rows, f.exp_table[:W]] = g[0]
+        if ctx.k % 2:
+            G[rows, f.exp_table[W:]] = np.conj(g[0])
+    return G
+
+
+def _fresh_tuple_stats(ctx, tuples, lambdas):
+    Q = ctx.field.size
+    R, _ = sp._lambda_transform(ctx, tuples, lambdas)
+    il, jl = np.triu_indices(len(lambdas), k=1)
+    CM = np.einsum("bri,brj->bij", R, np.conj(R))
+    return (np.abs(R.sum(axis=1)).max(axis=1) / Q,
+            np.abs(CM[:, il, jl]).max(axis=1, initial=0.0) / Q**1.5)
+
+
+@pytest.mark.parametrize("qd", [(7, 1), (53, 1), (199, 1), (11, 2), (23, 2), (3, 3)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("step", ["default", "rows", "tuples"])
+def test_reductions_in_place_match_fresh_temporaries_bit_for_bit(qd, k, step):
+    # "rows" cuts every grid into blocks of 5 rows, "tuples" puts 3 whole
+    # grids in a step; at the default F_{23^2} splits a grid across 9 steps
+    ctx = SumProductContext(_table(*qd, k), c=2)
+    Q, W = ctx.field.size, ctx.pair_window
+    cells = {"default": sp.KERNEL_STEP_CELLS, "rows": 5 * W, "tuples": 3 * Q * W}[step]
+    rng = np.random.default_rng(Q * k)
+    tuples = np.vstack([[(0, 1, 2, 4), (1, 2, 1, 2)], rng.integers(0, Q, size=(5, 4))])
+    distinct = [(0, 1, 2, 4), tuple(rng.choice(Q, size=4, replace=False).tolist())]
+    with mock.patch.object(sp, "KERNEL_STEP_CELLS", cells):
+        for b in distinct:
+            assert second_moment_r_lambda(ctx, b) == _fresh_second_moment(ctx, b)
+            if k % 2:
+                assert sp.noncorrelation_moment(ctx, b) == _fresh_noncorrelation(ctx, b)
+        for b in (*distinct, (1, 2, 1, 2)):
+            assert np.array_equal(product_grid(ctx, b), _fresh_product_grid(ctx, b))
+        for lambdas in ((0, 1), (0, 1, 5 % Q)):
+            for got, want in zip(sp._batched_tuple_stats(ctx, tuples, lambdas),
+                                 _fresh_tuple_stats(ctx, tuples, lambdas)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reductions_allocate_nothing_per_step(k):
+    # F_{23^2}: a grid of 529 rows comes in 9 steps (5 at k = 3).  Between a
+    # step's yield and the next gather the consumer allocates O(Q) (its row
+    # sums); at odd k the second moment's |g| buffer comes once, at the first
+    ctx = SumProductContext(_table(23, 2, k), c=2)
+    Q, W, b = ctx.field.size, ctx.pair_window, (0, 1, 2, 4)
+    cell = ctx.pair_table.itemsize
+    r_step = min(max(1, sp.KERNEL_STEP_CELLS // W), Q)
+    block = r_step * W * cell  # the g buffer; the gather is twice that
+    runs = [lambda: second_moment_r_lambda(ctx, b)]
+    if k % 2:
+        runs += [lambda: sp.noncorrelation_moment(ctx, b), lambda: product_grid(ctx, b)]
+    consumer, steps = [], sp._pair_steps
+
+    def traced(ctx, P):
+        for step in steps(ctx, P):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield step
+            consumer.append(tracemalloc.get_traced_memory()[1] - base)
+
+    for run in runs:
+        run()  # the pair table and the plan, once per context
+        consumer.clear()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sp, "_pair_steps", traced):
+                run()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(consumer) == -(-Q // r_step) == (9 if k == 2 else 5)
+        assert max(consumer[1:]) <= 16 * Q
+        if k % 2 == 0:
+            assert consumer[0] <= 16 * Q
+            # the gather, the g buffer and the O(Q) index pass
+            assert peak <= 3 * block + 64 * Q
