@@ -302,11 +302,9 @@ def discrepancy_all(coeffs: CuspFormCoeffs, x: int, q: int) -> dict:
     return {"raw": raw, "main": main, "E": E, "normalized": E * q / x}
 
 
-def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
-                       raw: np.ndarray | None = None) -> tuple:
+def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int, raw: np.ndarray) -> tuple:
     """(max_a |raw_a - H_a|, float budget) for the class sums ``raw`` of
-    ``discrepancy_all`` (computed when not given; entry a - 1 is class a)
-    against the hyperbola count
+    ``discrepancy_all`` (entry a - 1 is class a) against the hyperbola count
 
         H_a = sum_{d <= x, q does not divide d} lambda(d) #{m <= x/d : d m = a mod q},
 
@@ -318,8 +316,6 @@ def hyperbola_residual(coeffs: CuspFormCoeffs, x: int, q: int,
     the memory stays O(x) at every q.  Each route adds about x log x terms of
     size at most |lambda(d)|, so the budget is 1e-13 * sum_d |lambda(d)| (x/d + 1).
     """
-    if raw is None:
-        raw = discrepancy_all(coeffs, x, q)["raw"]
     _require_progression(x, q)
     d = np.arange(1, x + 1, dtype=np.int64)
     top, lam = x // d, coeffs.lam[1:x + 1]

@@ -10,9 +10,9 @@ reproducible across runs.
 
 F_q is F_{q^d} with d = 1 and modulus x, so both classes share one base,
 ``_Field``: the digit encoding with one digit-wise ``add``/``sub``/``neg`` for
-ints and numpy arrays (``PrimeField`` keeps mod-q ones as the d = 1 fast
-path), ``inv``, equality, and the table builder: the trace from the traces of
-the powers of the modulus' companion matrix, the generator as the least
+ints and numpy arrays (at d = 1 the one digit is the residue mod q),
+``inv``, equality, and the table builder: the trace from the traces of the
+powers of the modulus' companion matrix, the generator as the least
 encoding of full order, and the exp table by doubling, each step one d x d
 digit matrix product over F_q and one squaring of that matrix.
 The classes supply ``mul``, ``pow`` and the vector arithmetic, and
@@ -166,12 +166,13 @@ class _Field:
     """The tables shared by F_q and F_{q^d}, indexed by the digit encoding.
 
     A subclass sets q, degree, size and modulus and supplies ``mul`` and
-    ``pow``; ``_build_tables`` then fills the trace, exp, log, inv and psi
-    tables.  Multiplication by y is the d x d matrix M_y over F_q whose row
-    i holds the digits of x^i y: M_x is the companion matrix of the modulus,
-    M_{x^i} = M_x^i, and Tr(x^i) = trace(M_x^i) mod q.  The exp table is
-    filled by doubling: exp[n:2n] is exp[:n] in digits times M_{g^n},
-    reduced mod q, and M_{g^2n} = M_{g^n}^2.
+    ``pow``; ``add``/``sub``/``neg`` are digit-wise in both (mod q at d = 1),
+    ``inv`` is the power Q - 2, and ``_build_tables`` fills the trace, exp,
+    log and psi tables.  Multiplication by y is the d x d matrix M_y over
+    F_q whose row i holds the digits of x^i y: M_x is the companion matrix
+    of the modulus, M_{x^i} = M_x^i, and Tr(x^i) = trace(M_x^i) mod q.  The
+    exp table is filled by doubling: exp[n:2n] is exp[:n] in digits times
+    M_{g^n}, reduced mod q, and M_{g^2n} = M_{g^n}^2.
     """
 
     def decode(self, e):
@@ -246,9 +247,6 @@ class _Field:
         log = np.full(Q, -1, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
         self.log_table = log
-        inv = np.zeros(Q, dtype=np.int64)
-        inv[exp] = exp[(-np.arange(Q - 1)) % (Q - 1)]
-        self.inv_table = inv
         # psi(x) = e(Tr x / q) from the angle reduced to (-q/2, q/2]; powers
         # of one root e(1/q) would lose digits linearly in the trace
         t = np.arange(q)
@@ -278,15 +276,6 @@ class PrimeField(_Field):
         self.modulus = (0, 1)  # the polynomial x
         self._build_tables()
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
     def mul(self, a, b):
         return a * b % self.q
 
@@ -295,7 +284,7 @@ class PrimeField(_Field):
             return pow(self.inv(a), -e, self.q)
         return pow(a, e, self.q)
 
-    add_vec, mul_vec = add, mul
+    add_vec, mul_vec = _Field.add, mul
 
     def __repr__(self):
         return f"PrimeField(q={self.q})"
@@ -307,7 +296,6 @@ class ExtField(_Field):
     def __init__(self, base: PrimeField, d: int):
         if d < 1:
             raise ValueError("extension degree must be >= 1")
-        self.base = base
         self.q = base.q
         self.degree = d
         self.size = base.q**d

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, KlabError, OutOfRange, ResourceLimit
-from .fields import finite_field
+from .errors import IoError, OutOfRange, ResourceLimit
 
 # most cells of a naive route: (k-1) (Q-1)^2 for naive_table, (Q-1)^(k-1)
 # tuples for the scalar mesh
@@ -141,7 +140,7 @@ def _tuple_mesh(field, k: int, cap: int):
 
 def _unit_inverses(field) -> np.ndarray:
     """inv[u] = u^(Q-2) for every encoding u (inv[0] = 0), by vectorized
-    square-and-multiply through ``field.mul_vec``, not from ``inv_table``."""
+    square-and-multiply through ``field.mul_vec``, not from the log tables."""
     ids = np.arange(field.size, dtype=np.int64)
     inv = np.ones(field.size, dtype=np.int64)
     base, e = ids, field.size - 2
@@ -254,12 +253,10 @@ def save_table(table: KloostermanTable, path: str) -> None:
             os.unlink(tmp)
 
 
-def load_table(path: str, field=None, k: int | None = None,
-               convention: str | None = None) -> KloostermanTable:
-    """Read a cache written by ``save_table``; with ``field``, ``k`` or
-    ``convention`` given, the cached header must match them; without
-    ``field``, its modulus must be the one ``finite_field`` picks.  Every
-    malformed or mismatched file raises IoError."""
+def load_table(path: str, field, k: int, convention: str) -> KloostermanTable:
+    """Read a cache written by ``save_table``, whose header must match
+    ``field``, ``k`` and ``convention``; no field is built from the file.
+    Every malformed or mismatched file raises IoError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -280,29 +277,19 @@ def load_table(path: str, field=None, k: int | None = None,
         raise IoError(f"{path}: truncated header") from e
     if conv not in _CONV_NAME:
         raise IoError(f"{path}: unknown convention code {conv}")
-    if k is not None and kk != k:
+    if kk != k:
         raise IoError(f"{path}: cached k = {kk}, requested k = {k}")
-    if convention is not None and _CONV_NAME[conv] != convention:
+    if _CONV_NAME[conv] != convention:
         raise IoError(f"{path}: cached convention {_CONV_NAME[conv]!r}, "
                       f"requested {convention!r}")
-    if field is not None and (field.q != q or field.degree != d
-                              or tuple(field.modulus) != tuple(coeffs)):
+    if field.q != q or field.degree != d or tuple(field.modulus) != tuple(coeffs):
         raise IoError(f"{path}: cached field does not match the requested one")
-    # checked before any field is built, so a corrupt q or d costs nothing
     offset = 29 + 8 * ncoef
     if len(raw) - offset != 16 * q**d:
         raise IoError(f"{path}: payload is {len(raw) - offset} bytes, "
                       f"expected {16 * q**d}")
     if zlib.crc32(memoryview(raw)[offset:]) != crc:
         raise IoError(f"{path}: payload checksum mismatch")
-    if field is None:
-        try:
-            field = finite_field(q, d)
-        except (KlabError, ValueError) as e:
-            raise IoError(f"{path}: bad cached field: {e}") from e
-        if field.modulus != coeffs:
-            raise IoError(f"{path}: cached modulus {list(coeffs)} is not klab's "
-                          f"{list(field.modulus)} for q^d = {q}^{d}")
     inter = np.frombuffer(raw, dtype="<f8", offset=offset)
     vals = inter[0::2] + 1j * inter[1::2]
     vals.setflags(write=False)

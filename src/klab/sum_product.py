@@ -261,7 +261,6 @@ def _build_plan(ctx) -> KernelPlan:
 class RatioReport:
     """A normalized cancellation statistic measured over a sample."""
 
-    statistic: str
     sample: str
     max_ratio: float
     mean_ratio: float
@@ -431,12 +430,10 @@ def _pair_steps(ctx, P):
             yield lo, r0, g
 
 
-def _lambda_transform(ctx, tuples, lam, cols=None):
+def _lambda_transform(ctx, P, lam):
     """R[m, r, i] = sum over every s in F of psi(lam_i s) G[m, r, s] for the
-    grid G of each shift tuple; lam is [n], or [m, n] with one row per
-    tuple.  Returns (R, col) with col[m] = sum_r G[m, r, g^cols[m]] for
-    ``cols`` (pair-window columns, one per tuple), or col = None without
-    them.
+    grid G of each shift tuple, given by its index pass ``P`` of
+    ``_pair_index``; lam is [n], or [m, n] with one row per tuple.
 
     The grids are streamed from ``_pair_steps``, with psi in the same log
     order: each step is reduced by one matmul into the preallocated R, so no
@@ -459,8 +456,7 @@ def _lambda_transform(ctx, tuples, lam, cols=None):
     Y.transpose(*range(len(lead)), -2, -1, -3)[...] = plan.TV[plan.start[lam][..., None, :]
                                                               + plan.re_im]
     Y = Y.reshape(*lead, W, 2 * n) if even else Y.reshape(*lead, 2 * W, n)
-    P = _pair_index(ctx, tuples)
-    X = np.empty((len(tuples), ctx.field.size, Y.shape[-1]))
+    X = np.empty((len(P), ctx.field.size, Y.shape[-1]))
     for lo, r0, g in _pair_steps(ctx, P):
         hi, r1 = lo + len(g), r0 + g.shape[1]
         np.matmul(g if even else g.view(np.float64), Y if Y.ndim == 2 else Y[lo:hi],
@@ -470,10 +466,7 @@ def _lambda_transform(ctx, tuples, lam, cols=None):
         R.real, R.imag = X[..., :n], X[..., n:]
     else:
         R = np.multiply(X, 2.0, out=X)
-    if cols is None:
-        return R, None
-    k = ctx.pair_table.take(P + cols[:, None, None])
-    return R, (k[:, 0] * k[:, 1]).sum(axis=1)
+    return R
 
 
 def _require_grid(ctx):
@@ -644,7 +637,6 @@ class ScanResult:
     thresholds: dict
     flagged_fraction: float
     expected_fraction: float  # Schwarz-Zippel style deg/q yardstick
-    spec: ScanSpec
     exhaustive: bool
 
     @cached_property
@@ -667,7 +659,7 @@ def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
     for lo in range(0, n, SCAN_BATCH):
         tb = tuples[lo:lo + SCAN_BATCH]
         m = len(tb)
-        R, _ = _lambda_transform(ctx, tb, lambdas)
+        R = _lambda_transform(ctx, _pair_index(ctx, tb), lambdas)
         rsum = R.sum(axis=1)
         lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
         # odd k: R is real, and conj would only copy it
@@ -708,7 +700,7 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
     return ScanResult(tuples=tuples, diagonal=diagonal, ratio_r_linear=lin,
                       ratio_corr=corr, reason=reason, thresholds=thresholds,
                       flagged_fraction=float(np.count_nonzero(reason) / len(tuples)),
-                      expected_fraction=1.0 / Q, spec=spec, exhaustive=exhaustive)
+                      expected_fraction=1.0 / Q, exhaustive=exhaustive)
 
 
 def _ratio_stats(ctx, tuples, svals, lam1, lam2):
@@ -716,12 +708,13 @@ def _ratio_stats(ctx, tuples, svals, lam1, lam2):
     lambda1 and lambda2, from the pair-table grids.  K reads the column
     log s mod W, of s or -s: the two sums over r are conjugate."""
     Q = ctx.field.size
-    cols = ctx.kernel_plan.col.take(svals)
-    R, col = _lambda_transform(ctx, tuples, np.stack([lam1, lam2], axis=-1), cols)
+    P = _pair_index(ctx, tuples)
+    R = _lambda_transform(ctx, P, np.stack([lam1, lam2], axis=-1))
+    K = ctx.pair_table.take(P + ctx.kernel_plan.col.take(svals)[:, None, None])
     R1, R2 = R[..., 0], R[..., 1]
     A = np.abs(R1)
     # odd k: R is real, and conj would only copy it
-    return (np.abs(col) / Q**0.5, np.abs(R1.sum(axis=1)) / Q,
+    return (np.abs((K[:, 0] * K[:, 1]).sum(axis=1)) / Q**0.5, np.abs(R1.sum(axis=1)) / Q,
             np.abs((R1 * (R2 if ctx.k % 2 else np.conj(R2))).sum(axis=1)) / Q**1.5,
             np.abs(np.square(A, out=A).sum(axis=1) - Q * Q) / Q**1.5)
 
@@ -766,6 +759,6 @@ def ratio_scan(ctx, n_samples: int = 500, seed: int = 1, replicates: int = 1):
     norm = {"K": 0.5, "R": 1.0, "C": 1.5, "D": 1.5}
     desc = (f"q={f.q} d={f.degree} k={ctx.k} c={ctx.c} n={n_samples} "
             f"seed={seed} replicates={replicates}")
-    return {name: RatioReport(statistic=name, sample=desc, max_ratio=mx,
-                              mean_ratio=mn, normalization_exponent=norm[name])
+    return {name: RatioReport(sample=desc, max_ratio=mx, mean_ratio=mn,
+                              normalization_exponent=norm[name])
             for name, mx, mn in zip("KRCD", max_ratio, mean_ratio)}

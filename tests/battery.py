@@ -42,6 +42,12 @@ COMMANDS = [
     "sk --k 5 --q 7",
     "sk --scan-smallest --k 6 --q-limit 60",
     "bilinear-sweep --k 2 --q 2003 --M 40 45 --N 45 --seed 1",
+    "sk --k 4 --q 13",
+    "moments --k 2 --q 5 --seed 1",
+    "moments --k 4 --q 13 --seed 2",
+    "report --q 13 --k 4 --seed 3",
+    "progression --x 20000 --q 999983",
+    "kl-check --k 3 --q 5 --d 2",
 ]
 
 

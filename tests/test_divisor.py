@@ -274,7 +274,7 @@ def test_inputs_below_one_are_out_of_range(coeffs):
         with pytest.raises(OutOfRange):
             discrepancy_all(coeffs, x, 53)
         with pytest.raises(OutOfRange):
-            hyperbola_residual(coeffs, x, 53)
+            hyperbola_residual(coeffs, x, 53, np.zeros(52))
 
 
 def test_tau_small_values(coeffs):
@@ -375,10 +375,11 @@ def test_hyperbola_residual_memory_does_not_grow_with_q(coeffs_5e4, q):
 
 
 def test_class_sums_hold_no_object_per_class(coeffs_5e4):
-    # hyperbola_residual runs discrepancy_all when given no class sums; those
-    # are arrays, a few of length q, and no Python object per class
+    # the class sums of discrepancy_all, checked by hyperbola_residual, are
+    # arrays, a few of length q, and no Python object per class
     x, q = 20000, 999983
-    assert _traced_peak(lambda: hyperbola_residual(coeffs_5e4, x, q)) <= 6 * 8 * (x + q)
+    assert _traced_peak(lambda: hyperbola_residual(
+        coeffs_5e4, x, q, discrepancy_all(coeffs_5e4, x, q)["raw"])) <= 6 * 8 * (x + q)
 
 
 def test_tau_star_one_exact(coeffs):
@@ -397,7 +398,8 @@ def test_discrepancy_centering_float(coeffs):
 def test_discrepancy_centering_exact(coeffs):
     # the class sums against the hyperbola count, within the stated budget
     for x, q in ((500, 11), (1000, 53), (3000, 101), (20, 53)):
-        residual, budget = hyperbola_residual(coeffs, x, q)
+        residual, budget = hyperbola_residual(coeffs, x, q,
+                                              discrepancy_all(coeffs, x, q)["raw"])
         assert residual <= budget
         assert math.isclose(budget, 1e-13 * sum(abs(coeffs.lam[d]) * (x // d + 1)
                                                 for d in range(1, x + 1)),
@@ -462,7 +464,7 @@ def test_discrepancy_rejects_composite_modulus(coeffs):
     with pytest.raises(CompositeModulus):
         discrepancy_all(coeffs, 500, 15)
     with pytest.raises(CompositeModulus):
-        hyperbola_residual(coeffs, 500, 15)
+        hyperbola_residual(coeffs, 500, 15, np.zeros(14))
 
 
 # ------------------------------------------------------------------- ktilde

@@ -1,9 +1,11 @@
 """Every name a module imports is used in that module, every parameter of a
 function in ``src/klab`` is read by its body, and ``src/klab`` reaches into
 no argparse internals, imports no ``csv`` and builds no per-class or per-row
-report.  Every top-level function and class in ``src/klab`` is reached from
-``cli.main``, or is named in one of two lists: the library surface, and the
-oracles that ``benchmark/`` still calls."""
+report.  Every top-level function and class in ``src/klab``, and every method
+of a reached class, is reached from ``cli.main``, or is named in one of two
+lists: the library surface, and the oracles that ``benchmark/`` still calls.
+Every attribute a class stores is read as ``.name`` somewhere in ``src/klab``
+or ``benchmark/``, or is named in the library surface."""
 
 import ast
 import pathlib
@@ -140,7 +142,8 @@ def test_no_csv_module_and_no_progression_reports(path):
         assert name not in source
 
 
-# Names no command reaches that stay in src/klab, each with the reason.
+# Names no command reaches that stay in src/klab, each with the reason; a
+# method or a stored attribute as Class.name.
 LIBRARY_SURFACE = {
     "product_grid": "the Q x Q grid G[r, s] of the four-fold sums, scattered from the kernel",
     "sigma_incomplete": "the incomplete (r, s)-range sum of the shift-by-ab reduction",
@@ -151,6 +154,10 @@ LIBRARY_SURFACE = {
     "saving_exponent": "the q-exponent a bracket saves over the trivial bound",
     "nontrivial_threshold": "the exponent where a bracket's saving crosses zero",
     "plan_parameters_typeII": "the (A, B) of the type II shift-by-ab plan",
+    "ExtField.mul": "the product by polynomial arithmetic, which reads no log table: the "
+                    "tests' oracle for mul_table, mul_vec and the exp table",
+    "ExponentVerdict.worst_at": "the exact vertex of the worst exponent, which "
+                                "test_divisor pins",
 }
 # Oracles and aliases that benchmark/ calls or traces by name, and methods it
 # reads as attributes (Class.attr, mentioned as .attr); each goes once
@@ -204,6 +211,33 @@ def _methods(scopes: dict) -> dict:
             for mod, (defs, _) in scopes.items() for nodes in defs.values()
             for node in nodes if isinstance(node, ast.ClassDef)
             for m in node.body if isinstance(m, _FN)}
+
+
+def stored_attributes(scopes: dict) -> set:
+    """(module, "Class.attr") for each attribute a top-level class stores: its
+    annotated class-level names (dataclass fields), and the ``x`` of
+    ``self.x = ...`` and of ``object.__setattr__(self, "x", ...)`` in its
+    methods."""
+    out = set()
+    for mod, (defs, _) in scopes.items():
+        for cls in (n for nodes in defs.values() for n in nodes if isinstance(n, ast.ClassDef)):
+            names = {n.target.id for n in cls.body
+                     if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+            for n in ast.walk(cls):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and getattr(n.value, "id", None) == "self"):
+                    names.add(n.attr)
+                elif (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "__setattr__"
+                      and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+                    names.add(n.args[1].value)
+            out |= {(mod, f"{cls.name}.{name}") for name in names}
+    return out
+
+
+def attribute_reads(source: str) -> set:
+    """The attribute names that ``source`` reads as ``.name``."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def reachable(scopes: dict, roots) -> set:
@@ -272,24 +306,36 @@ def reachable(scopes: dict, roots) -> set:
 
 def surface_faults(sources: dict, library: dict, pinned: dict, benchmark: str) -> list:
     """What the reachability guard refuses in ``sources``: a top-level function
-    or class that neither ``cli.main`` nor a listed name reaches; a listed
-    name that no statement binds, or that ``cli.main`` reaches alone (a stale
-    entry); and a pinned name that the ``benchmark`` text no longer mentions
-    (a pinned Class.method as ``.method``)."""
+    or class, or a method of a reached class, that neither ``cli.main`` nor a
+    listed name reaches; an attribute a class stores that no statement of
+    ``sources`` or of the ``benchmark`` text reads as ``.name``, unless it is
+    listed; a listed name that nothing defines, or that ``cli.main`` reaches
+    or a statement reads without the list (a stale entry); and a pinned name
+    that the ``benchmark`` text no longer mentions (a pinned Class.method as
+    ``.method``)."""
     scopes = module_scopes(sources)
     methods = _methods(scopes)
+    stored = stored_attributes(scopes)
     listed = {name: [(mod, name) for mod, (defs, _) in scopes.items()
-                     if name in defs or (mod, name) in methods] for name in (*library, *pinned)}
+                     if name in defs or (mod, name) in methods or (mod, name) in stored]
+              for name in (*library, *pinned)}
     from_cli = reachable(scopes, [CLI_MAIN])
     reached = reachable(scopes, [CLI_MAIN, *(k for keys in listed.values() for k in keys)])
+    read = attribute_reads(benchmark).union(*map(attribute_reads, sources.values()))
     faults = [f"{name}: reached from no root" for mod, (defs, _) in scopes.items()
               for name, nodes in defs.items()
               if (mod, name) not in reached and any(isinstance(n, _DEF) for n in nodes)]
+    faults += [f"{qual}: reached from no root" for mod, qual in methods
+               if (mod, qual.split(".")[0]) in reached and (mod, qual) not in reached]
+    faults += [f"{qual}: stored, but never read" for mod, qual in stored
+               if qual.split(".")[1] not in read and qual not in listed]
     for name, keys in listed.items():
         if not keys:
             faults.append(f"{name}: listed, but src defines no such name")
         elif all(k in from_cli for k in keys):
             faults.append(f"{name}: listed, but cli.main reaches it")
+        elif all(k in stored for k in keys) and name.split(".")[1] in read:
+            faults.append(f"{name}: listed, but a statement reads it")
     tokens = {name: rf"\.{name.split('.')[1]}\b" if "." in name else rf"\b{name}\b"
               for name in pinned}
     faults += [f"{name}: pinned, but benchmark/ no longer mentions it" for name in pinned
@@ -324,11 +370,12 @@ def test_guard_sees_an_unreachable_def():
 
 
 def test_guard_sees_a_def_behind_an_unread_method():
-    # Box is reached, but nothing reads .area, so _square is not
+    # Box is reached, but nothing reads .area, so neither it nor _square is
     lib = _SYNTHETIC["lib"].replace(
         "class Box:\n", "class Box:\n    def area(self):\n        return _square(self.size)\n\n")
     src = {**_SYNTHETIC, "lib": lib + "\ndef _square(n):\n    return n * n\n"}
-    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == ["_square: reached from no root"]
+    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == [
+        "Box.area: reached from no root", "_square: reached from no root"]
     read = {**src, "cli": src["cli"].replace("()\n", "() + lib.Box(1).area()\n", 1)}
     assert surface_faults(read, _SURFACE, _PINNED, "oracle") == []
     pinned = {**_PINNED, "Box.area": "read by the benchmark"}
@@ -341,6 +388,33 @@ def test_guard_sees_a_def_named_like_an_attribute():
     # run reads Box(2).size, an attribute: a top-level size is never named
     src = {**_SYNTHETIC, "lib": _SYNTHETIC["lib"] + "\ndef size():\n    return 0\n"}
     assert surface_faults(src, _SURFACE, _PINNED, "oracle") == ["size: reached from no root"]
+
+
+def test_guard_sees_an_unread_method():
+    # Box is reached and area calls nothing unreached, but nothing reads .area
+    lib = _SYNTHETIC["lib"].replace(
+        "class Box:\n", "class Box:\n    def area(self):\n        return self.size ** 2\n\n")
+    src = {**_SYNTHETIC, "lib": lib}
+    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == ["Box.area: reached from no root"]
+    assert surface_faults(src, {**_SURFACE, "Box.area": "a test oracle"}, _PINNED, "oracle") == []
+
+
+def test_guard_sees_an_attribute_stored_and_never_read():
+    # a dataclass field, self.x = ... and object.__setattr__(self, "x", ...),
+    # none of them read as .name by the sources or the benchmark text
+    lib = _SYNTHETIC["lib"].replace("Box(2).size\n", "Box(2).size, Tag('a')\n").replace(
+        "self.size = _half(n)\n", "self.size = _half(n)\n        self.label = 'box'\n")
+    lib = ("from dataclasses import dataclass\n" + lib
+           + "\n@dataclass(frozen=True)\nclass Tag:\n    name: str\n    weight: int = 0\n\n"
+             "    def __post_init__(self):\n        object.__setattr__(self, 'key', self.name)\n")
+    src = {**_SYNTHETIC, "lib": lib}
+    assert surface_faults(src, _SURFACE, _PINNED, "oracle") == [
+        "Box.label: stored, but never read", "Tag.key: stored, but never read",
+        "Tag.weight: stored, but never read"]
+    listed = {**_SURFACE, "Tag.key": "read by the tests", "Tag.weight": "read by the tests"}
+    assert surface_faults(src, listed, _PINNED, "oracle; box.label") == []
+    assert surface_faults(src, {**listed, "Box.label": "read"}, _PINNED, "oracle; b.label") == [
+        "Box.label: listed, but a statement reads it"]
 
 
 def test_guard_follows_imports_and_class_level_aliases():

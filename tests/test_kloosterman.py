@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klab.fields as fl
 import klab.kloosterman as kl
 from klab.errors import IoError, OutOfRange, ResourceLimit
 from klab.fields import build_extension, make_prime_field
@@ -204,12 +205,10 @@ def test_binary_cache_roundtrip(tmp_path):
     t = kloosterman_table(3, f, SHEAF)
     p = str(tmp_path / cache_path("", 3, f, SHEAF).lstrip("/"))
     save_table(t, p)
-    back = load_table(p)
+    back = load_table(p, f, 3, SHEAF)
     assert back.k == t.k and back.convention == SHEAF
     assert back.field.q == 3 and back.field.degree == 2
     assert np.array_equal(back.values, t.values)
-    back2 = load_table(p, field=f)
-    assert np.array_equal(back2.values, t.values)
 
 
 @pytest.mark.parametrize("cut", [32, 7])
@@ -220,25 +219,23 @@ def test_binary_cache_rejects_truncation(tmp_path, cut):
     with open(p, "r+b") as fh:
         fh.truncate(fh.seek(0, 2) - cut)
     with pytest.raises(IoError):
-        load_table(p)
-    with pytest.raises(IoError):
-        load_table(p, field=f)
+        load_table(p, f, 2, INTRO)
 
 
 def test_binary_cache_rejects_mismatched_request(tmp_path, f7):
     p = str(tmp_path / "t.kltb")
     save_table(kloosterman_table(3, f7, SHEAF), p)
-    assert load_table(p, field=f7, k=3, convention=SHEAF).k == 3
+    assert load_table(p, f7, 3, SHEAF).k == 3
     with pytest.raises(IoError):
-        load_table(p, field=f7, k=2)
+        load_table(p, f7, 2, SHEAF)
     with pytest.raises(IoError):
-        load_table(p, field=f7, convention=INTRO)
+        load_table(p, f7, 3, INTRO)
     with pytest.raises(IoError):
-        load_table(p, field=make_prime_field(11))
+        load_table(p, make_prime_field(11), 3, SHEAF)
     with open(p, "r+b") as fh:
         fh.truncate(20)  # inside the header
     with pytest.raises(IoError):
-        load_table(p)
+        load_table(p, f7, 3, SHEAF)
 
 
 def test_binary_cache_rejects_flipped_payload_byte(tmp_path):
@@ -251,9 +248,7 @@ def test_binary_cache_rejects_flipped_payload_byte(tmp_path):
         fh.seek(-20, 2)
         fh.write(bytes([byte[0] ^ 0x01]))
     with pytest.raises(IoError, match="checksum"):
-        load_table(p)
-    with pytest.raises(IoError, match="checksum"):
-        load_table(p, field=f, k=3)
+        load_table(p, f, 3, INTRO)
 
 
 def test_binary_cache_rejects_old_format(tmp_path, f7):
@@ -266,9 +261,7 @@ def test_binary_cache_rejects_old_format(tmp_path, f7):
     p.write_bytes(b"KLTB" + struct.pack("<IQIB", 2, 7, 1, 0) + struct.pack("<I", 2)
                   + struct.pack("<2Q", *f7.modulus) + inter.tobytes())
     with pytest.raises(IoError, match="old cache format"):
-        load_table(str(p))
-    with pytest.raises(IoError):
-        load_table(str(p), field=f7, k=2, convention=INTRO)
+        load_table(str(p), f7, 2, INTRO)
 
 
 def test_binary_cache_refuses_a_foreign_modulus(tmp_path):
@@ -282,10 +275,30 @@ def test_binary_cache_refuses_a_foreign_modulus(tmp_path):
         assert fh.read(8) == (1).to_bytes(8, "little")
         fh.seek(25)
         fh.write((2).to_bytes(8, "little"))
-    with pytest.raises(IoError, match=r"modulus \[2, 0, 1\]"):
-        load_table(p)
-    with pytest.raises(IoError):
-        load_table(p, field=f)
+    with pytest.raises(IoError, match="cached field does not match"):
+        load_table(p, f, 2, INTRO)
+
+
+def test_load_table_builds_no_field(tmp_path, monkeypatch, f7):
+    # the requested field is the only one: a valid cache loads and a header
+    # naming another q is refused, with every field constructor refusing too
+    p = str(tmp_path / "t.kltb")
+    t = kloosterman_table(2, f7)
+    save_table(t, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_table built a field")
+
+    for name in ("finite_field", "PrimeField", "ExtField"):
+        monkeypatch.setattr(fl, name, refuse)
+    monkeypatch.setattr(kl, "finite_field", refuse, raising=False)
+    back = load_table(p, f7, 2, INTRO)
+    assert back.field is f7 and np.array_equal(back.values, t.values)
+    with open(p, "r+b") as fh:
+        fh.seek(8)  # q follows magic and k
+        fh.write((999983).to_bytes(8, "little"))
+    with pytest.raises(IoError, match="cached field does not match"):
+        load_table(p, f7, 2, INTRO)
 
 
 def test_naive_table_matches_pointwise_naive(f5):
@@ -320,12 +333,12 @@ def test_naive_table_blocked_gather(monkeypatch, qd):
 
 
 def test_naive_route_ignores_dlog_tables():
-    # over F_q the oracle reads no discrete-log, generator-power or inverse
-    # table: scrambling all three after the reference is built changes nothing
+    # over F_q the oracle reads no discrete-log or generator-power table:
+    # scrambling both after the reference is built changes nothing
     f = make_prime_field(31)
     ref = {k: kloosterman_table(k, f).values.copy() for k in (2, 3, 4)}
     rng = np.random.default_rng(5)
-    for name in ("log_table", "exp_table", "inv_table"):
+    for name in ("log_table", "exp_table"):
         setattr(f, name, rng.permutation(getattr(f, name)))
     assert np.abs(kloosterman_table(3, f).values - ref[3]).max() > 1e-3
     for k in (2, 3, 4):

@@ -278,7 +278,7 @@ def _fresh_product_grid(ctx, b):
 
 def _fresh_tuple_stats(ctx, tuples, lambdas):
     Q = ctx.field.size
-    R, _ = sp._lambda_transform(ctx, tuples, lambdas)
+    R = sp._lambda_transform(ctx, sp._pair_index(ctx, tuples), lambdas)
     il, jl = np.triu_indices(len(lambdas), k=1)
     CM = np.einsum("bri,brj->bij", R, np.conj(R))
     return (np.abs(R.sum(axis=1)).max(axis=1) / Q,
