@@ -135,22 +135,6 @@ def nontrivial_threshold(kind: str) -> float:
 
 
 # ----------------------------------------------------------------------
-# parameter plans
-# ----------------------------------------------------------------------
-
-def _plan_flags(A: int, B: int, M: int, N: int, q: int) -> dict:
-    return {"2B<q": 2 * B < q, "AB<=N": A * B <= N, "AM<q": A * M < q}
-
-
-def plan_parameters_typeII(M: int, N: int, q: int) -> tuple:
-    """(A, B, flags): A = q^{1/8} (N/M)^{1/2}, B = q^{-1/8} (MN)^{1/2}, so AB
-    = N up to rounding; flags maps "2B<q", "AB<=N" and "AM<q" to whether each holds."""
-    A = max(1, round(q ** 0.125 * math.sqrt(N / M)))
-    B = max(1, round(q ** -0.125 * math.sqrt(M * N)))
-    return A, B, _plan_flags(A, B, M, N, q)
-
-
-# ----------------------------------------------------------------------
 # exact shift-by-ab re-indexing
 # ----------------------------------------------------------------------
 
@@ -161,7 +145,8 @@ def shift_identity_check(ctx, alpha: np.ndarray, offset: int, N: int,
     q = ctx.field.q
     alpha = np.asarray(alpha)
     M = len(alpha)
-    failed = [name for name, ok in _plan_flags(A, B, M, N, q).items() if not ok]
+    failed = [name for name, ok in (("2B<q", 2 * B < q), ("AB<=N", A * B <= N),
+                                    ("AM<q", A * M < q)) if not ok]
     if any(a % q == 0 for a in range(A + 1, 2 * A + 1)):
         failed.append("a invertible mod q")
     if failed:

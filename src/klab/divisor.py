@@ -28,13 +28,13 @@ run in O(x) memory at every q: (lambda * 1)(n) by strided adds into its one
 output array, and the hyperbola count's cells in fixed-size runs, so a
 progression's peak is that of the tau table.
 
-The bound calculators implement the completion/bilinear estimates; an exact
-analysis over the vertices of their (mu', nu') line arrangement finds the
-largest distribution-exponent offset delta* = 1/26 they sustain; delta
-converts to the progression-range exponent via eta = delta / (4 - 2*delta),
-so eta* = 1/102.  The analysis runs in Python integers: the bound pieces over
-one common denominator, each vertex a reduced integer triple, and Fractions
-only in what it returns.
+The five exponent bounds of the completion/bilinear estimates
+(``BOUND_PIECES``) feed an exact analysis over the vertices of their
+(mu', nu') line arrangement, which finds the largest distribution-exponent
+offset delta* = 1/26 they sustain; delta converts to the progression-range
+exponent via eta = delta / (4 - 2*delta), so eta* = 1/102.  The analysis
+runs in Python integers: the bound pieces over one common denominator, each
+vertex a reduced integer triple, and Fractions only in what it returns.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .bilinear import BRACKET_PIECES, typeI_hypotheses
+from .bilinear import BRACKET_PIECES
 from .errors import CompositeModulus, OutOfRange, ResourceLimit
 from .fields import is_prime
 
 TAU_N_MAX = 10**6
 # cells per run of the hyperbola count's class sums
 _HYPERBOLA_RUN = 1 << 14
-INF = math.inf
 
 
 # ----------------------------------------------------------------------
@@ -357,33 +356,8 @@ def ktilde_all(K: np.ndarray, ctx3) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# bound calculators
+# exponent bounds
 # ----------------------------------------------------------------------
-
-def combined_bounds(M: float, N: float, q: int) -> dict:
-    """The four bracket values used in the progression estimate.
-
-    Returns {"pv", "linear", "general_pv", "special", "special_failed"},
-    constants 1, q^eps dropped.  The general bracket takes unit-modulus
-    coefficients, whose norms are sqrt(M) and sqrt(N).  The special bracket
-    validates the theorem's range hypotheses (``typeI_hypotheses``, shared
-    with ``bilinear``): violations are reported in "special_failed", with
-    the bracket set to nan.
-    """
-    if M <= 0 or N <= 0:
-        raise OutOfRange("ranges must be positive")
-    out = {
-        "pv": M * N * (1 / q + math.sqrt(q) / N),
-        "linear": M * (q ** -0.125 + q ** 0.375 / math.sqrt(M)),
-        "general_pv": math.sqrt(M) * math.sqrt(N) * math.sqrt(M * N)
-        * (M ** -0.5 + q ** 0.25 / math.sqrt(N)),
-    }
-    failed = typeI_hypotheses(M, N, q)
-    out["special"] = (math.nan if failed else
-                      M * N * q ** 0.25 / (M ** (1 / 6) * N ** (5 / 12)))
-    out["special_failed"] = failed
-    return out
-
 
 # Each bound is s + max(pieces), s = mu' + nu', a piece (a, b, c) being
 # a*mu' + b*nu' + c.  Order: completion, linear-in-m, general (both
@@ -422,17 +396,9 @@ def _crossings(new, old, edges) -> set:
 _FIXED_VERTICES = _crossings(_EDGES + _BREAKS, (), _EDGES)
 
 
-def bound_exponents(mu_p, nu_p) -> tuple:
-    """The five tau-exponent bounds at (mu', nu'), exact for Fraction
-    arguments; inapplicable -> inf."""
-    f = [mu_p + nu_p + max(a * mu_p + b * nu_p + c for a, b, c in pieces)
-         for pieces in BOUND_PIECES]
-    return (*f[:4], f[4] if 0 <= mu_p <= 2 * nu_p else INF)
-
-
 def _require_finite(**values) -> None:
     for name, v in values.items():
-        if v is not None and not abs(v) < INF:
+        if v is not None and not abs(v) < math.inf:
             raise OutOfRange(f"{name} = {v} is not finite")
 
 
@@ -483,7 +449,8 @@ def _vertices(slack: Fraction, top=None, lines=()) -> set:
 
 
 def _scaled_bound(x: int, y: int, d: int) -> int:
-    """_D * d * min(bound_exponents(x / d, y / d)), exactly, for d > 0."""
+    """_D * d times the least of the five bounds at (mu', nu') = (x / d, y / d),
+    exactly, for d > 0; the special bound counts only where mu' <= 2 nu'."""
     bounds = _BOUNDS if 0 <= x <= 2 * y else _BOUNDS[:-1]
     return _D * (x + y) + min(max(a * x + b * y + c * d for a, b, c in pieces)
                               for pieces in bounds)

@@ -165,14 +165,15 @@ def _is_irreducible(mod, q, d):
 class _Field:
     """The tables shared by F_q and F_{q^d}, indexed by the digit encoding.
 
-    A subclass sets q, degree, size and modulus and supplies ``mul`` and
-    ``pow``; ``add``/``sub``/``neg`` are digit-wise in both (mod q at d = 1),
-    ``inv`` is the power Q - 2, and ``_build_tables`` fills the trace, exp,
-    log and psi tables.  Multiplication by y is the d x d matrix M_y over
-    F_q whose row i holds the digits of x^i y: M_x is the companion matrix
-    of the modulus, M_{x^i} = M_x^i, and Tr(x^i) = trace(M_x^i) mod q.  The
-    exp table is filled by doubling: exp[n:2n] is exp[:n] in digits times
-    M_{g^n}, reduced mod q, and M_{g^2n} = M_{g^n}^2.
+    A subclass sets q, degree and size and supplies ``mul`` and ``pow``;
+    ``add``/``sub``/``neg`` are digit-wise in both (mod q at d = 1), ``inv``
+    is the power Q - 2, and ``_build_tables`` refuses Q > DLOG_TABLE_CAP,
+    sets the modulus (x at d = 1) and fills the trace, exp, log and psi
+    tables.  Multiplication by y is the d x d matrix M_y over F_q whose row
+    i holds the digits of x^i y: M_x is the companion matrix of the modulus,
+    M_{x^i} = M_x^i, and Tr(x^i) = trace(M_x^i) mod q.  The exp table is
+    filled by doubling: exp[n:2n] is exp[:n] in digits times M_{g^n},
+    reduced mod q, and M_{g^2n} = M_{g^n}^2.
     """
 
     def decode(self, e):
@@ -217,8 +218,11 @@ class _Field:
 
     def _build_tables(self):
         Q, q, d = self.size, self.q, self.degree
-        if Q > DLOG_TABLE_CAP:  # pragma: no cover - beyond desk scale
-            raise ResourceLimit(f"field size {Q} exceeds dlog table cap")
+        # before the modulus search, whose cost grows with q^d
+        if Q > DLOG_TABLE_CAP:
+            raise ResourceLimit(f"F_{{{q}^{d}}} has more than DLOG_TABLE_CAP = "
+                                f"{DLOG_TABLE_CAP} elements: no log tables that large")
+        self.modulus = _smallest_irreducible(q, d)
         # X[i] = M_x^i, whose trace mod q is Tr(x^i)
         X = np.empty((d, d, d), dtype=np.int64)
         X[0] = np.eye(d, dtype=np.int64)
@@ -273,7 +277,6 @@ class PrimeField(_Field):
         self.q = q
         self.degree = 1
         self.size = q
-        self.modulus = (0, 1)  # the polynomial x
         self._build_tables()
 
     def mul(self, a, b):
@@ -299,7 +302,6 @@ class ExtField(_Field):
         self.q = base.q
         self.degree = d
         self.size = base.q**d
-        self.modulus = _smallest_irreducible(base.q, d)
         self._add_table = None
         self._mul_table = None
         self._build_tables()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharDividesK, NoKthRoots, OutOfRange
-from .fields import finite_field, is_prime, roots_of_unity
+from .fields import _factor, finite_field, is_prime, roots_of_unity
 from .kloosterman import _require_k
 
 
@@ -86,9 +86,11 @@ def multiplicity_one_element(sk: SkMultiset):
 def stabilizer_group(sk: SkMultiset) -> list:
     """All mu with mu * S = S as multisets, ascending by encoding.
 
-    In discrete logs mu * S is S shifted by log mu, and mu * S = S forces
-    log mu = log s - log s0 for a fixed entry s0, so only |S| candidate
-    shifts need checking, all at once.
+    In discrete logs mu * S is S shifted by log mu, and the shifts that fix
+    S form a subgroup hZ/L, h | L = Q - 1.  From h = L, the walk divides h
+    by each prime p of L while the shift by h/p still fixes S: one sort of
+    the |S| logs per check, O(log L) checks, and the result {g^(h j)} is a
+    group by construction.
     """
     f = sk.field
     L = f.size - 1
@@ -96,16 +98,15 @@ def stabilizer_group(sk: SkMultiset) -> list:
     mult = np.array(list(sk.entries.values()))
     order = np.argsort(logs)
     logs, mult = logs[order], mult[order]
-    shifts = (logs - logs[0]) % L
-    moved = (logs[None, :] + shifts[:, None]) % L
-    idx = np.argsort(moved, axis=1)
-    ok = ((np.take_along_axis(moved, idx, axis=1) == logs).all(axis=1)
-          & (mult[idx] == mult).all(axis=1))
-    out = sorted(f.exp_table[shifts[ok]].tolist())
-    # a stabilizer is a group: its logs are closed under sum and negation
-    lg = set(f.log_table[np.array(out, dtype=np.int64)].tolist())
-    assert all((-a) % L in lg and all((a + b) % L in lg for b in lg) for a in lg)
-    return out
+    h = L
+    for p in _factor(L):
+        while h % p == 0:
+            moved = (logs + h // p) % L
+            idx = np.argsort(moved)
+            if not ((moved[idx] == logs).all() and (mult[idx] == mult).all()):
+                break
+            h //= p
+    return sorted(f.exp_table[::h].tolist())
 
 
 def expected_stabilizer(sk: SkMultiset) -> list:

@@ -7,8 +7,7 @@ conj(K_c(s(r+b3)) K_c(s(r+b4))), and R(r, lam, b), the sum of K over every s:
 the discrete Fourier transform in lam of the row G[r], whose s = 0 term
 vanishes because the table is 0 at 0.
 
-On top of these sit the incomplete (r, s)-range sums appearing in the
-shift-by-ab reduction, second moments computed through the exact Plancherel
+On top of these sit second moments computed through the exact Plancherel
 shortcut, and scanning utilities that measure normalized cancellation ratios
 over sampled shift tuples.  Complete sums over r are read off the grid:
 ``product_grid(ctx, b)[:, s].sum()`` for one s, and
@@ -68,11 +67,9 @@ free:
 
 ``product_grid`` scatters these columns into the Q x Q grid indexed by s
 (the conjugates into the columns -s for odd k; the column s = 0 is 0),
-and the naive second moment and the incomplete sums read it; the
-incomplete sums weight its columns by how often each residue class mod q
-occurs in the s-range.  The full average over b needs no grid at all: in
-logs the correlation C(g^i, g^j) depends only on j - i, so it is one FFT
-autocorrelation of kappa.
+and the naive second moment reads it.  The full average over b needs no
+grid at all: in logs the correlation C(g^i, g^j) depends only on j - i, so
+it is one FFT autocorrelation of kappa.
 
 The pair table is only as good as that self-duality, so PT is built only
 after ``conjugation_symmetry_check`` on the table has come within
@@ -99,7 +96,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (NoGenericTuple, NotDistinct, NotSelfDual, OutOfRange,
-                     RangeTooLarge, ResourceLimit, WrongParity)
+                     ResourceLimit, WrongParity)
 from .fields import PAIR_TABLE_CAP, roots_of_unity
 from .kloosterman import (KloostermanTable, _mul_perm, conjugation_budget,
                           conjugation_symmetry_check)
@@ -317,11 +314,10 @@ def _generic_tuple_exists(field, pats: np.ndarray) -> bool:
     a generic b exists iff some (1, u, v) is generic, u and v outside {0, 1}
     and distinct.  Each pattern rules out one v per u, namely
     (1 + z2 u) / z3, so with more than len(pats) + 3 field elements every u
-    keeps a v; smaller fields are settled by marking the (u, v) grid.
+    keeps a v; smaller fields are settled by marking the (u, v) grid, which
+    at Q = 3 has the one row u = 2 and no v left in it.
     """
     Q = field.size
-    if Q < 4:
-        return False
     if Q > len(pats) + 3:
         return True
     u = np.arange(2, Q, dtype=np.int64)
@@ -566,42 +562,6 @@ def full_average_moment(ctx) -> float:
 
 
 # ----------------------------------------------------------------------
-# incomplete sums (d = 1)
-# ----------------------------------------------------------------------
-
-def _require_prime_field(ctx):
-    if ctx.field.degree != 1:
-        raise ValueError("incomplete sums are defined over the prime field")
-
-
-def sigma_incomplete(ctx, b, A: int, M: int) -> complex:
-    """Sum over r mod q and integer 1 <= s <= 2AM of the 4-fold product:
-    the column sums of the grid weighted by n[t] = #{s : s = t mod q}."""
-    _require_prime_field(ctx)
-    q = ctx.field.q
-    smax = 2 * A * M
-    if smax < 0 or q * max(smax, 1) > GRID_CAP:
-        raise RangeTooLarge(f"s-range 2AM = {smax} too large")
-    n = np.bincount(np.arange(1, smax + 1) % q, minlength=q)
-    return complex(product_grid(ctx, b).sum(0) @ n)
-
-
-def sigma_neq(ctx, b, AM: int) -> complex:
-    """Sum over r mod q and 1 <= s1, s2 <= AM with s1 != s2 mod q of the
-    8-fold product: with n the residue-class counts, sum_r |G[r] @ n|^2
-    less the pairs s1 = s2 mod q, sum_r |G[r]|^2 @ n^2."""
-    _require_prime_field(ctx)
-    q = ctx.field.q
-    if AM < 0 or (2 * AM) ** 2 * q > GRID_CAP:
-        raise RangeTooLarge(f"(2AM)^2 q = {(2 * AM) ** 2 * q} exceeds cap")
-    if AM <= 1:
-        return 0j
-    G = product_grid(ctx, b)
-    n = np.bincount(np.arange(1, AM + 1) % q, minlength=q)
-    return complex((np.abs(G @ n) ** 2).sum() - (np.abs(G) ** 2 @ n**2).sum())
-
-
-# ----------------------------------------------------------------------
 # scanning
 # ----------------------------------------------------------------------
 
@@ -648,23 +608,21 @@ class ScanResult:
                        self.ratio_corr.tolist(), self.reason.tolist())]
 
 
-def _batched_tuple_stats(ctx, tuples: np.ndarray, lambdas):
-    """Per-tuple max |sum_r R|/q^d and off-diagonal |sum_r R conj(R')|/q^{3d/2}
-    over the pairs of ``lambdas`` (0 with one lambda)."""
+def _batched_tuple_stats(ctx, tuples: np.ndarray):
+    """Per-tuple max |sum_r R|/q^d and |sum_r R conj(R')|/q^{3d/2} over the
+    pair of ``SCAN_LAMBDAS``."""
     Q = ctx.field.size
     n = len(tuples)
     lin = np.empty(n)
     corr = np.empty(n)
-    il, jl = np.triu_indices(len(lambdas), k=1)
     for lo in range(0, n, SCAN_BATCH):
         tb = tuples[lo:lo + SCAN_BATCH]
         m = len(tb)
-        R = _lambda_transform(ctx, _pair_index(ctx, tb), lambdas)
-        rsum = R.sum(axis=1)
-        lin[lo:lo + m] = np.abs(rsum).max(axis=1) / Q
+        R = _lambda_transform(ctx, _pair_index(ctx, tb), SCAN_LAMBDAS)
+        lin[lo:lo + m] = np.abs(R.sum(axis=1)).max(axis=1) / Q
         # odd k: R is real, and conj would only copy it
-        CM = np.einsum("bri,brj->bij", R, R if ctx.k % 2 else np.conj(R))
-        corr[lo:lo + m] = np.abs(CM[:, il, jl]).max(axis=1, initial=0.0) / Q**1.5
+        R1 = R[..., 1] if ctx.k % 2 else np.conj(R[..., 1])
+        corr[lo:lo + m] = np.abs(np.einsum("br,br->b", R[..., 0], R1)) / Q**1.5
     return lin, corr
 
 
@@ -688,7 +646,7 @@ def scan_bad_tuples(ctx, thresholds: dict | None = None,
         _require_at_least(1, n_samples=spec.n_samples)
         rng = np.random.default_rng(spec.seed)
         tuples = rng.integers(0, Q, size=(spec.n_samples, 4))
-    lin, corr = _batched_tuple_stats(ctx, tuples, SCAN_LAMBDAS)
+    lin, corr = _batched_tuple_stats(ctx, tuples)
     diagonal = diagonal_mask(tuples, ctx.k)
     if thresholds is None:
         thresholds = {

@@ -48,6 +48,7 @@ COMMANDS = [
     "report --q 13 --k 4 --seed 3",
     "progression --x 20000 --q 999983",
     "kl-check --k 3 --q 5 --d 2",
+    "sk --scan-smallest --k 20 --q-limit 40",
 ]
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from klab.bilinear import (bilinear_form, kloosterman_matrix, nontrivial_threshold,
                            operator_norm, operator_norm_dense, pv_bound,
-                           plan_parameters_typeII, saving_exponent,
-                           saving_sweep, shift_identity_check,
+                           saving_exponent, saving_sweep, shift_identity_check,
                            thm_typeI_bound, thm_typeII_bound, trivial_bound)
 from klab.errors import ConstraintViolated, HypothesisViolated
 from klab.fields import make_prime_field
@@ -105,13 +104,6 @@ def test_typeII_bracket_monotone_in_N(eM, eN, step):
     # larger N (fixed M, q) never increases the bracket exponent
     assert (saving_exponent("general", eM, eN + step)
             >= saving_exponent("general", eM, eN) - 1e-12)
-
-
-def test_plan_typeII_rounding():
-    A, B, flags = plan_parameters_typeII(100, 100, 10**4)
-    assert (A, B) == (3, 32)
-    assert abs(A * B - 100) <= 8  # AB = N up to rounding
-    assert set(flags) == {"2B<q", "AB<=N", "AM<q"}
 
 
 def test_shift_identity_degenerate(ctx101):

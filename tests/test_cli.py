@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -113,6 +114,22 @@ def test_k_beyond_the_float_range_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "float range" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("kl-table --k 4 --q 5 --d 53", "F_{5^53}"),
+    ("kl-check --k 2 --q 5 --d 53", "F_{5^53}"),
+    ("sk --k 101 --q 7", "F_{7^100}"),
+    ("sk --k 65537 --q 17", "F_{17^16384}"),
+])
+def test_field_beyond_the_log_table_cap_exits_1_before_the_modulus_search(capsys, argv, field):
+    # the search for an irreducible modulus of degree d costs more with q^d
+    # than the refusal: these ran for seconds when the cap came after it
+    start = time.perf_counter()
+    assert main(argv.split()) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
 
 
 def test_kl_check_small(capsys):

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klab.divisor as dv
-from klab.bilinear import typeI_hypotheses
 from klab.cli import main
-from klab.divisor import (TAU_N_MAX, ExponentConfig, bound_exponents,
-                          combined_bounds, delta_star_search,
+from klab.divisor import (TAU_N_MAX, ExponentConfig, delta_star_search,
                           delta_to_eta, discrepancy_all,
                           exponent_case_analysis, hecke_violations,
                           hyperbola_residual, ktilde_all,
@@ -507,38 +505,15 @@ def test_ktilde_refuses_a_function_of_another_length(ctx3_53, n):
         ktilde_all(np.ones(n), ctx3_53)
 
 
-# ----------------------------------------------------------- bound brackets
-
-def test_combined_bounds_special_saving():
-    q = 10**4
-    M = N = math.sqrt(q)
-    out = combined_bounds(M, N, q)
-    assert abs(out["special"] - M * N * q ** (-1 / 24)) < 1e-6
-
-
-def test_combined_bounds_substitutions():
-    q = 401
-    out = combined_bounds(M=4.0, N=float(q), q=q)  # N = q: special flagged
-    assert abs(out["pv"] - 4 * q * (1 / q + q ** -0.5)) < 1e-9
-    assert out["special_failed"] == ["N < q"] and math.isnan(out["special"])
-    out2 = combined_bounds(M=float(q), N=float(q) / 2, q=q)
-    assert abs(out2["linear"] - q * (q ** -0.125 + q ** 0.375 / math.sqrt(q))) < 1e-9
-
-
-def test_combined_bounds_hypothesis_violation():
-    out = combined_bounds(M=100.0, N=2.0, q=11)
-    assert set(out["special_failed"]) == {"1 <= M <= N^2", "MN < q^{3/2}"}
-
-
-@pytest.mark.parametrize("M, N, q, failed", [(8.0, 8.0, 16, ["MN < q^{3/2}"]),
-                                             (0.5, 4.0, 101, ["1 <= M <= N^2"])])
-def test_combined_bounds_checks_the_theorem_hypotheses(M, N, q, failed):
-    out = combined_bounds(M, N, q)
-    assert out["special_failed"] == typeI_hypotheses(M, N, q) == failed
-    assert math.isnan(out["special"])
-
-
 # ------------------------------------------------------------- exponent LP
+
+def bound_exponents(mu_p, nu_p) -> tuple:
+    """The five tau-exponent bounds at (mu', nu'), exact for Fraction
+    arguments; inapplicable -> inf."""
+    f = [mu_p + nu_p + max(a * mu_p + b * nu_p + c for a, b, c in pieces)
+         for pieces in dv.BOUND_PIECES]
+    return (*f[:4], f[4] if 0 <= mu_p <= 2 * nu_p else math.inf)
+
 
 def test_bound_exponents_spec_point():
     vals = bound_exponents(0.75, 0.75)
@@ -596,9 +571,6 @@ def test_exponent_refusals_are_out_of_range():
         ExponentConfig(delta=0.05, eta=0.001)
     with pytest.raises(OutOfRange, match="need delta or eta"):
         ExponentConfig().resolved_delta()
-    for M, N in [(0.0, 5.0), (5.0, -1.0)]:
-        with pytest.raises(OutOfRange, match="ranges must be positive"):
-            combined_bounds(M, N, 11)
 
 
 def test_delta_star_search():
@@ -691,8 +663,8 @@ def test_grid_option_is_gone(tmp_path, capsys):
 #
 # A test-local copy of the case analysis on Fractions: every break line, band
 # edge and crossing is a Fraction, and the bound at a vertex is
-# min(bound_exponents(mu', nu')).  It shares only BOUND_PIECES and
-# bound_exponents with klab.divisor, whose route runs in integers.
+# min(bound_exponents(mu', nu')).  It shares only BOUND_PIECES with
+# klab.divisor, whose route runs in integers.
 
 _REF_PIECES = [p for pieces in dv.BOUND_PIECES for p in pieces]
 _REF_BREAKS = [(1, -2, 0)] + [(a1 - a2, b1 - b2, c1 - c2) for (a1, b1, c1), (a2, b2, c2)

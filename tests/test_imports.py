@@ -5,7 +5,8 @@ report.  Every top-level function and class in ``src/klab``, and every method
 of a reached class, is reached from ``cli.main``, or is named in one of two
 lists: the library surface, and the oracles that ``benchmark/`` still calls.
 Every attribute a class stores is read as ``.name`` somewhere in ``src/klab``
-or ``benchmark/``, or is named in the library surface."""
+or ``benchmark/``, or is named in the library surface, whose top-level
+names ``tests/test_acceptance.py`` imports."""
 
 import ast
 import pathlib
@@ -143,17 +144,13 @@ def test_no_csv_module_and_no_progression_reports(path):
 
 
 # Names no command reaches that stay in src/klab, each with the reason; a
-# method or a stored attribute as Class.name.
+# method or a stored attribute as Class.name.  A top-level name stays only
+# while tests/test_acceptance.py imports it: the acceptance criteria read it.
 LIBRARY_SURFACE = {
     "product_grid": "the Q x Q grid G[r, s] of the four-fold sums, scattered from the kernel",
-    "sigma_incomplete": "the incomplete (r, s)-range sum of the shift-by-ab reduction",
-    "sigma_neq": "the eight-fold sum over s1 != s2 mod q of the same reduction",
     "ktilde_all": "the q-periodic transform of a function mod q through Kl_3",
-    "combined_bounds": "the four bracket values of the progression estimate",
-    "bound_exponents": "the five tau-exponent bounds at one (mu', nu')",
     "saving_exponent": "the q-exponent a bracket saves over the trivial bound",
     "nontrivial_threshold": "the exponent where a bracket's saving crosses zero",
-    "plan_parameters_typeII": "the (A, B) of the type II shift-by-ab plan",
     "ExtField.mul": "the product by polynomial arithmetic, which reads no log table: the "
                     "tests' oracle for mul_table, mul_vec and the exp table",
     "ExponentVerdict.worst_at": "the exact vertex of the worst exponent, which "
@@ -444,6 +441,28 @@ def test_guard_sees_a_stale_library_entry():
 def test_guard_sees_a_pinned_name_the_benchmark_no_longer_mentions():
     assert surface_faults(_SYNTHETIC, _SURFACE, _PINNED, "# oracles.py") == [
         "oracle: pinned, but benchmark/ no longer mentions it"]
+
+
+def unaccepted_entries(library: dict, acceptance: str) -> list:
+    """The top-level names of ``library`` that the ``acceptance`` source does
+    not import from klab."""
+    imported = {alias.name for node in ast.walk(ast.parse(acceptance))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("klab")
+                for alias in node.names}
+    return sorted(f"{name}: listed, but the acceptance tests do not import it"
+                  for name in library if "." not in name and name not in imported)
+
+
+def test_guard_sees_a_library_entry_the_acceptance_tests_do_not_import():
+    library = {**_SURFACE, "oracle": "a test oracle", "Box.area": "a method"}
+    acceptance = "from klab.lib import formula as f\nfrom grid_oracle import oracle\n"
+    assert unaccepted_entries(library, acceptance) == [
+        "oracle: listed, but the acceptance tests do not import it"]
+
+
+def test_library_surface_is_what_the_acceptance_tests_import():
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert unaccepted_entries(LIBRARY_SURFACE, acceptance) == []
 
 
 def test_src_holds_what_runs():

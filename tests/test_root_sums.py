@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -101,9 +102,23 @@ def brute_force_stabilizer(sk):
 
 
 def test_stabilizer_candidates_match_brute_force():
-    for k, q in [(2, 13), (3, 13), (4, 13), (6, 13)]:
+    # (9, 37): the stabilizer has order 4, so the prime walk divides twice
+    for k, q in [(2, 13), (3, 13), (4, 13), (6, 13), (9, 37)]:
         sk = compute_sk(k, make_prime_field(q))
         assert stabilizer_group(sk) == brute_force_stabilizer(sk)
+
+
+def test_stabilizer_memory_is_linear_in_the_multiset():
+    # |S| = 5,558 at k = 29, q = 7: an |S| x |S| int64 array alone is 247 MB
+    sk = compute_sk(29, host_field(29, 7))
+    assert len(sk.entries) == 5558
+    tracemalloc.start()
+    try:
+        assert stabilizer_group(sk) == expected_stabilizer(sk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_stabilizer_contains_minus_one_for_odd_k():

@@ -82,15 +82,12 @@ def _batch_ratio_stats(ctx, tuples, svals, lam1, lam2):
             np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5)
 
 
-def _batch_tuple_stats(ctx, tuples, lambdas):
+def _batch_tuple_stats(ctx, tuples):
     Q = ctx.field.size
-    R = _batch_lambda_transform(ctx, _batch_grids(ctx, tuples), lambdas)
-    lin = np.abs(R.sum(axis=1)).max(axis=1) / Q
-    CM = np.einsum("bri,brj->bij", R, np.conj(R))
-    il, jl = np.triu_indices(len(lambdas), k=1)
-    corr = np.empty(len(R))
-    corr[:] = (np.abs(CM[:, il, jl]).max(axis=1) if len(il) else 0.0) / Q**1.5
-    return lin, corr
+    R = _batch_lambda_transform(ctx, _batch_grids(ctx, tuples), sp.SCAN_LAMBDAS)
+    R1 = R[..., 1] if ctx.k % 2 else np.conj(R[..., 1])
+    return (np.abs(R.sum(axis=1)).max(axis=1) / Q,
+            np.abs(np.einsum("br,br->b", R[..., 0], R1)) / Q**1.5)
 
 
 def _batch_second_moment(ctx, b):
@@ -117,15 +114,14 @@ def test_streamed_route_is_bit_identical_to_batched_route(fd, k, data):
     svals = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     lam1 = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
     lam2 = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
-    lambdas = tuple(data.draw(st.lists(cell, min_size=1, max_size=3, unique=True)))
     b = tuple(data.draw(st.lists(cell, min_size=4, max_size=4, unique=True)))
     with mock.patch.object(sp, "KERNEL_STEP_CELLS", cells):
         got = sp._ratio_stats(ctx, tuples, svals, lam1, lam2)
-        got_tuple = sp._batched_tuple_stats(ctx, tuples, lambdas)
+        got_tuple = sp._batched_tuple_stats(ctx, tuples)
         got_moment = second_moment_r_lambda(ctx, b)
     for name, g, w in zip("KRCD", got, _batch_ratio_stats(ctx, tuples, svals, lam1, lam2)):
         assert np.array_equal(g, w), name
-    for g, w in zip(got_tuple, _batch_tuple_stats(ctx, tuples, lambdas)):
+    for g, w in zip(got_tuple, _batch_tuple_stats(ctx, tuples)):
         assert np.array_equal(g, w)
     assert got_moment == _batch_second_moment(ctx, b)
 
@@ -276,13 +272,12 @@ def _fresh_product_grid(ctx, b):
     return G
 
 
-def _fresh_tuple_stats(ctx, tuples, lambdas):
+def _fresh_tuple_stats(ctx, tuples):
     Q = ctx.field.size
-    R = sp._lambda_transform(ctx, sp._pair_index(ctx, tuples), lambdas)
-    il, jl = np.triu_indices(len(lambdas), k=1)
-    CM = np.einsum("bri,brj->bij", R, np.conj(R))
+    R = sp._lambda_transform(ctx, sp._pair_index(ctx, tuples), sp.SCAN_LAMBDAS)
+    R1 = R[..., 1] if ctx.k % 2 else np.conj(R[..., 1])
     return (np.abs(R.sum(axis=1)).max(axis=1) / Q,
-            np.abs(CM[:, il, jl]).max(axis=1, initial=0.0) / Q**1.5)
+            np.abs(np.einsum("br,br->b", R[..., 0], R1)) / Q**1.5)
 
 
 @pytest.mark.parametrize("qd", [(7, 1), (53, 1), (199, 1), (11, 2), (23, 2), (3, 3)])
@@ -304,10 +299,8 @@ def test_reductions_in_place_match_fresh_temporaries_bit_for_bit(qd, k, step):
                 assert sp.noncorrelation_moment(ctx, b) == _fresh_noncorrelation(ctx, b)
         for b in (*distinct, (1, 2, 1, 2)):
             assert np.array_equal(product_grid(ctx, b), _fresh_product_grid(ctx, b))
-        for lambdas in ((0, 1), (0, 1, 5 % Q)):
-            for got, want in zip(sp._batched_tuple_stats(ctx, tuples, lambdas),
-                                 _fresh_tuple_stats(ctx, tuples, lambdas)):
-                assert np.array_equal(got, want)
+        for got, want in zip(sp._batched_tuple_stats(ctx, tuples), _fresh_tuple_stats(ctx, tuples)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klab.sum_product as sp
-from klab.errors import (NoGenericTuple, NotDistinct, OutOfRange, RangeTooLarge,
-                         WrongParity)
+from klab.errors import NoGenericTuple, NotDistinct, OutOfRange, WrongParity
 from klab.fields import build_extension, make_prime_field, roots_of_unity
 from klab.kloosterman import kloosterman_table
 from klab.sum_product import (ScanSpec, SumProductContext, diagonal_mask,
                               full_average_moment, noncorrelation_moment,
                               product_grid, ratio_scan, sample_generic_tuples,
                               scan_bad_tuples, second_moment_r_lambda,
-                              second_moment_r_lambda_naive, sigma_incomplete,
-                              sigma_neq)
+                              second_moment_r_lambda_naive)
 
 from grid_oracle import (big_k, correlation_matrix, full_average_moment_naive,
                          literal_grid)
@@ -266,6 +264,23 @@ def test_sampler_agrees_with_enumeration(q, d, k):
         assert rng.bit_generator.state == state
 
 
+def test_genericity_verdict_matches_a_literal_scan():
+    # every (field, k) with k | Q - 1, Q <= 11 or F_9, where the verdict comes
+    # from the (u, v) grid, not from the count of patterns: both verdicts occur
+    verdicts = {}
+    for f in (*map(make_prime_field, (3, 5, 7, 11)), build_extension(make_prime_field(3), 2)):
+        for k in range(2, f.size):
+            pats, generic, _ = sp._genericity(f, k)
+            if (f.size - 1) % k or f.size > len(pats) + 3:
+                continue
+            verdicts[f.size, k] = generic
+            assert generic == any(is_generic_tuple(b, k, f)
+                                  for b in itertools.product(range(f.size), repeat=4)), (f, k)
+    assert verdicts == {(3, 2): False, (5, 2): False, (5, 4): False, (7, 3): True,
+                        (7, 6): False, (9, 4): False, (9, 8): False, (11, 5): True,
+                        (11, 10): False}
+
+
 def scalar_rejection_sampler(field, k, n, rng):
     """The sampler's draws, row by row: batches of 2 (n - got) + 16 tuples,
     each row kept when ``is_generic_tuple`` holds, until n are kept."""
@@ -490,74 +505,6 @@ def test_correlation_diag_constant(ctx13):
     C = correlation_matrix(ctx13)
     diag = np.diagonal(C)[1:]
     assert np.abs(diag - diag[0]).max() < 1e-10
-
-
-# ------------------------------------------------------------ incomplete sums
-
-def test_sigma_incomplete_empty(ctx13):
-    assert sigma_incomplete(ctx13, (1, 2, 3, 5), 1, 0) == 0
-
-
-def test_sigma_incomplete_loop_reorder():
-    b = (1, 2, 3, 5)
-    # at q = 13, 2AM > q: the s-range wraps, so residue classes repeat
-    for q, A, M in ((101, 2, 5), (13, 3, 5)):
-        ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
-        got = sigma_incomplete(ctx, b, A, M)
-        tv = ctx.twisted
-        acc = 0j
-        for s in range(1, 2 * A * M + 1):
-            for r in range(q):
-                acc += (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
-                        * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
-        assert abs(got - acc) < 1e-8, q
-
-
-def test_sigma_incomplete_diagonal_under_trivial_bound(ctx53):
-    b = (1, 2, 1, 2)
-    A, M = 2, 3
-    v = sigma_incomplete(ctx53, b, A, M)
-    assert abs(v) <= 2 * A * M * 53 * 16  # |K| <= k per factor
-
-
-def test_sigma_incomplete_cap(ctx13):
-    with pytest.raises(RangeTooLarge):
-        sigma_incomplete(ctx13, (1, 2, 3, 5), 10**6, 10**6)
-
-
-def test_sigma_neq_empty(ctx13):
-    assert sigma_neq(ctx13, (1, 2, 3, 5), 1) == 0
-
-
-def test_sigma_neq_nested_loop_oracle():
-    b = (1, 2, 3, 5)
-    # at q = 13, AM > 2q: classes occur two and three times, and the pairs
-    # s1 = s2 mod q with s1 != s2 are excluded
-    for q, AM in ((53, 6), (13, 30)):
-        ctx = SumProductContext(kloosterman_table(2, make_prime_field(q)))
-        got = sigma_neq(ctx, b, AM)
-        tv = ctx.twisted
-        acc = 0j
-
-        def quad(s, r):
-            return (complex(tv[s * (r + b[0]) % q]) * complex(tv[s * (r + b[1]) % q])
-                    * (complex(tv[s * (r + b[2]) % q]) * complex(tv[s * (r + b[3]) % q])).conjugate())
-
-        for s1 in range(1, AM + 1):
-            for s2 in range(1, AM + 1):
-                if (s1 - s2) % q == 0:
-                    continue
-                for r in range(q):
-                    acc += quad(s1, r) * quad(s2, r).conjugate()
-        assert abs(got - acc) < 1e-8, q
-
-
-def test_sigma_neq_swap_conjugation(ctx53):
-    b = (1, 2, 3, 5)
-    swapped = (3, 5, 1, 2)
-    v = sigma_neq(ctx53, b, 5)
-    w = sigma_neq(ctx53, swapped, 5)
-    assert abs(v - w.conjugate()) < 1e-8
 
 
 # ----------------------------------------------------------------- scanning

@@ -59,13 +59,11 @@ def _full_ratio_stats(ctx, tuples, svals, lam1, lam2):
             np.abs((np.abs(R1) ** 2).sum(axis=1) - Q * Q) / Q**1.5)
 
 
-def _full_tuple_stats(ctx, tuples, lambdas):
+def _full_tuple_stats(ctx, tuples):
     Q = ctx.field.size
-    R = _full_grids(ctx, tuples) @ _psi(ctx, lambdas).T
+    R = _full_grids(ctx, tuples) @ _psi(ctx, sp.SCAN_LAMBDAS).T
     lin = np.abs(R.sum(axis=1)).max(axis=1) / Q
-    CM = np.einsum("bri,brj->bij", R, np.conj(R))
-    il, jl = np.triu_indices(len(lambdas), k=1)
-    corr = (np.abs(CM[:, il, jl]).max(axis=1) if len(il) else 0.0) / Q**1.5
+    corr = np.abs((R[..., 0] * np.conj(R[..., 1])).sum(axis=1)) / Q**1.5
     return lin, corr
 
 
@@ -96,9 +94,7 @@ def test_symmetric_route_matches_full_route(fd, k, data):
     full = _full_ratio_stats(ctx, tuples, svals, lam1, lam2)
     for name, g, f in zip("KRCD", got, full):
         assert _close(g, f), name
-    lambdas = tuple(data.draw(st.lists(cell, min_size=1, max_size=3, unique=True)))
-    for g, f in zip(sp._batched_tuple_stats(ctx, tuples, lambdas),
-                    _full_tuple_stats(ctx, tuples, lambdas)):
+    for g, f in zip(sp._batched_tuple_stats(ctx, tuples), _full_tuple_stats(ctx, tuples)):
         assert _close(g, f)
     b = tuple(data.draw(st.lists(cell, min_size=4, max_size=4, unique=True)))
     assert _close(second_moment_r_lambda(ctx, b), _full_second_moment(ctx, b))
@@ -119,7 +115,6 @@ def test_ratio_scan_matches_full_route(monkeypatch, qd, k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_scan_bad_tuples_matches_full_route(monkeypatch, k):
     ctx = SumProductContext(_table(37, 1, k))
-    monkeypatch.setattr(sp, "SCAN_LAMBDAS", (0, 1, 5))
     spec = ScanSpec(n_samples=40, seed=2)
     got = scan_bad_tuples(ctx, spec=spec)
     monkeypatch.setattr(sp, "_batched_tuple_stats", _full_tuple_stats)
@@ -233,8 +228,7 @@ def test_degenerate_pair_rows_match_full_route(monkeypatch, qd, k):
     full = _full_ratio_stats(ctx, tuples, svals, lam1, lam2)
     for name, g, f in zip("KRCD", got, full):
         assert _close(g, f), name
-    for g, f in zip(sp._batched_tuple_stats(ctx, tuples, (0, 1, 2)),
-                    _full_tuple_stats(ctx, tuples, (0, 1, 2))):
+    for g, f in zip(sp._batched_tuple_stats(ctx, tuples), _full_tuple_stats(ctx, tuples)):
         assert _close(g, f)
     # the moment refuses repeated coordinates; its grid sum is checked here
     monkeypatch.setattr(sp, "_require_distinct", lambda b: None)
