@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from klab.bilinear import (bilinear_form, kloosterman_matrix, nontrivial_threshold,
                            operator_norm, operator_norm_dense, pv_bound,
                            saving_exponent, saving_sweep, shift_identity_check,
-                           thm_typeI_bound, thm_typeII_bound, trivial_bound)
+                           thm_typeI_bound, thm_typeII_bound, trivial_bound,
+                           typeI_hypotheses)
 from klab.errors import ConstraintViolated, HypothesisViolated
 from klab.fields import make_prime_field
 from klab.kloosterman import kloosterman_table
@@ -80,6 +81,27 @@ def test_typeI_hypothesis_violation():
     with pytest.raises(HypothesisViolated) as exc:
         thm_typeI_bound(10, 2 * 10**4, 10**4, 10.0, math.sqrt(10))  # N >= q
     assert any("N < q" in c for c in exc.value.failed)
+
+
+def test_typeI_bound_special_saving():
+    # M = N = q^{1/2} with unit coefficients (l1 = M, l2 = M^{1/2}): the
+    # special bracket saves q^{1/24} over MN
+    q = 10**4
+    got = thm_typeI_bound(100, 100, q, 100.0, 10.0)
+    assert abs(got - 100 * 100 * q ** (-1 / 24)) < 1e-6
+
+
+@pytest.mark.parametrize("M, N, q, failed", [
+    (100, 2, 11, ["1 <= M <= N^2", "MN < q^{3/2}"]),
+    (4, 401, 401, ["N < q"]),
+    (8, 8, 16, ["MN < q^{3/2}"]),
+    (0.5, 4, 101, ["1 <= M <= N^2"]),
+])
+def test_typeI_bound_names_each_failed_hypothesis(M, N, q, failed):
+    assert typeI_hypotheses(M, N, q) == failed
+    with pytest.raises(HypothesisViolated) as exc:
+        thm_typeI_bound(M, N, q, 1.0, 1.0)
+    assert exc.value.failed == tuple(failed)
 
 
 def test_saving_exponents_at_sqrt_q():

@@ -108,6 +108,15 @@ def test_stabilizer_candidates_match_brute_force():
         assert stabilizer_group(sk) == brute_force_stabilizer(sk)
 
 
+def test_stabilizer_matches_brute_force_over_extension_fields():
+    # the walk runs over the logs of F_{q^d}, L = q^d - 1 with two or three
+    # primes: F_81 (k = 5, 10), F_25, F_49 and F_121
+    for k, q in [(5, 3), (10, 3), (3, 5), (4, 7), (3, 11)]:
+        sk = compute_sk(k, host_field(k, q))
+        assert sk.field.degree > 1
+        assert stabilizer_group(sk) == brute_force_stabilizer(sk)
+
+
 def test_stabilizer_memory_is_linear_in_the_multiset():
     # |S| = 5,558 at k = 29, q = 7: an |S| x |S| int64 array alone is 247 MB
     sk = compute_sk(29, host_field(29, 7))
