@@ -25,8 +25,7 @@ from . import __version__
 from . import bilinear as bl
 from . import divisor as dv
 from . import root_sums as rs
-from .errors import (ConstraintViolated, HypothesisViolated, IoError, KlabError,
-                     UsageError)
+from .errors import ConstraintViolated, IoError, KlabError, UsageError
 from .fields import finite_field
 from .kloosterman import (INTRO, cache_path, conjugation_budget,
                           conjugation_symmetry_check, cross_check,
@@ -474,14 +473,14 @@ def main(argv=None) -> int:
     try:
         _complete(args)
         return COMMANDS[args.command][0](args)
-    except (HypothesisViolated, ConstraintViolated) as e:
-        sys.stderr.write(f"hypothesis violated: {e}\n")
-        return EXIT_HYPOTHESIS
-    except (UsageError,) as e:
+    except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_ERROR
     except (KlabError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_ERROR
+    except MemoryError as e:  # an allocation no cap foresaw: one line, no traceback
+        sys.stderr.write("error: out of memory" + (f": {e}\n" if str(e) else "\n"))
         return EXIT_ERROR
 
 

@@ -4,19 +4,22 @@ Elements of F_{q^d} are encoded as integers in [0, q^d) via base-q digits
 (constant coefficient first), so an element sum_i c_i x^i maps to
 sum_i c_i q^i.  All tables (powers of the generator, discrete logs, traces,
 additive-character values) are indexed by that encoding.  The extension
-modulus is chosen deterministically as the irreducible monic polynomial of
-degree d whose non-leading coefficient encoding is smallest, so tables are
-reproducible across runs.
+modulus is the monic irreducible of degree d whose non-leading coefficients
+encode smallest, found by Rabin's test with powers alone (y is a unit modulo
+a factor f of x^(q^d) - x exactly when y^(q^d - 1) = 1), so tables are
+reproducible across runs.  ``ExtField.mul``/``pow`` multiply digit lists
+modulo it and read no table, so they are the tables' oracle.
 
 F_q is F_{q^d} with d = 1 and modulus x, so both classes share one base,
 ``_Field``: the digit encoding with one digit-wise ``add``/``sub``/``neg`` for
 ints and numpy arrays (at d = 1 the one digit is the residue mod q),
 ``inv``, equality, and the table builder: the trace from the traces of the
 powers of the modulus' companion matrix, the generator as the least
-encoding of full order, and the exp table by doubling, each step one d x d
-digit matrix product over F_q and one squaring of that matrix.
-The classes supply ``mul``, ``pow`` and the vector arithmetic, and
-``finite_field(q, d)`` is the one constructor the package calls.
+encoding of full order (from q at d > 1: the constants have order dividing
+q - 1), and the exp table by doubling, each step one d x d digit matrix
+product over F_q and one squaring of that matrix.  The classes supply
+``mul``, ``pow`` and the vector arithmetic, and ``finite_field(q, d)`` is
+the one constructor the package calls.
 
 ``ExtField``'s vector arithmetic gathers from dense Q x Q ``add_table`` and
 ``mul_table`` (Q <= ``PAIR_TABLE_CAP``), one flat gather at a Q + b.  They
@@ -24,8 +27,7 @@ are int16, 4 Q^2 bytes for the pair, and each is built with no Q x Q
 temporary, so ``add_vec``/``mul_vec`` return int16 encodings; every caller
 uses them only as indices.
 
-Fields are immutable after construction; every operation is a pure function
-of its inputs.
+Every operation is pure; only the dense tables are built lazily.
 """
 
 from __future__ import annotations
@@ -87,73 +89,50 @@ def _factor(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers over F_q (coefficient lists, low degree first)
+# arithmetic mod a monic f of degree d over F_q, on lists of d digits
 # ----------------------------------------------------------------------
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, mod, q):
-    """a*b reduced modulo the monic polynomial `mod`."""
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
+def _mulmod(a, b, mod, q):
+    """a * b mod f = ``mod`` (d + 1 digits, monic): the full product, zero
+    digits of ``a`` skipped, its top d - 1 digits folded down by x^d = x^d - f."""
+    d = len(mod) - 1
+    res = [0] * (2 * d - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % q
-    return _poly_rem(res, mod, q)
-
-
-def _poly_rem(a, mod, q):
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
+                res[i + j] += ai * bj
+    for i in range(2 * d - 2, d - 1, -1):
+        c = res[i] % q
         if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % q
-    _poly_trim(a)
-    return a
+            for j in range(d):
+                res[i - d + j] -= c * mod[j]
+    return [c % q for c in res[:d]]
 
 
-def _poly_powmod(a, e, mod, q):
-    result = [1]
-    base = _poly_rem(a, mod, q)
+def _powmod(a, e, mod, q):
+    """a^e mod f (e >= 0) by square-and-multiply over ``_mulmod``."""
+    result = [1] + [0] * (len(mod) - 2)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, q)
-        base = _poly_mulmod(base, base, mod, q)
+            result = _mulmod(result, a, mod, q)
+        a = _mulmod(a, a, mod, q)
         e >>= 1
     return result
 
 
-def _poly_gcd(a, b, q):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic
-        lead_inv = pow(b[-1], q - 2, q)
-        bm = [(c * lead_inv) % q for c in b]
-        a = _poly_rem(a, bm, q)
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(mod, q, d):
-    """Rabin test: x^{q^d} = x mod f, and gcd(x^{q^{d/p}} - x, f) = 1."""
-    x = [0, 1]
-    xqd = _poly_powmod(x, q**d, mod, q)
-    if xqd != [0, 1]:
+    """Rabin: f = ``mod`` of degree d >= 2 is irreducible iff x^(q^d) = x mod
+    f and x^(q^(d/p)) - x is a unit mod f for each prime p | d.  Once the first
+    holds, f is a squarefree product of irreducibles of degrees e | d, so
+    F_q[x]/f is a product of fields F_{q^e} and y is a unit exactly when
+    y^(q^d - 1) = 1: the unit test is one more power, not a gcd."""
+    x, one = [0, 1] + [0] * (d - 2), [1] + [0] * (d - 1)
+    if _powmod(x, q**d, mod, q) != x:
         return False
     for p in _factor(d):
-        e = d // p
-        xe = _poly_powmod(x, q**e, mod, q)
-        diff = list(xe) + [0] * (2 - len(xe))
-        diff[1] = (diff[1] - 1) % q
-        g = _poly_gcd(list(mod), _poly_trim(diff), q)
-        if len(g) != 1:
+        y = _powmod(x, q**(d // p), mod, q)
+        y[1] = (y[1] - 1) % q
+        if _powmod(y, q**d - 1, mod, q) != one:
             return False
     return True
 
@@ -260,10 +239,9 @@ class _Field:
     def _find_generator(self):
         L = self.size - 1
         primes = _factor(L)
-        for g in range(1, self.size):
+        for g in range(self.q if self.degree > 1 else 1, self.size):
             if all(self.pow(g, L // p) != 1 for p in primes):
                 return g
-        raise RuntimeError("no generator found")  # pragma: no cover
 
 
 class PrimeField(_Field):
@@ -283,8 +261,6 @@ class PrimeField(_Field):
         return a * b % self.q
 
     def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
         return pow(a, e, self.q)
 
     add_vec, mul_vec = _Field.add, mul
@@ -306,20 +282,11 @@ class ExtField(_Field):
         self._mul_table = None
         self._build_tables()
 
-    # scalar arithmetic on encodings -------------------------------------
     def mul(self, a, b):
-        pa = list(self.decode(a))
-        pb = list(self.decode(b))
-        _poly_trim(pa)
-        _poly_trim(pb)
-        return self.encode(_poly_mulmod(pa, pb, list(self.modulus), self.q) + [0] * self.degree)
+        return self.encode(_mulmod(self.decode(a), self.decode(b), self.modulus, self.q))
 
     def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        pa = list(self.decode(a))
-        _poly_trim(pa)
-        return self.encode(_poly_powmod(pa, e, list(self.modulus), self.q) + [0] * self.degree)
+        return self.encode(_powmod(self.decode(a), e, self.modulus, self.q))
 
     def add_table(self):
         """Dense Q x Q int16 addition table (encodings); built lazily as a
@@ -375,7 +342,6 @@ def _smallest_irreducible(q: int, d: int):
         coeffs = [(tail // q**i) % q for i in range(d)] + [1]
         if _is_irreducible(coeffs, q, d):
             return tuple(coeffs)
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
 def finite_field(q: int, d: int):

@@ -18,9 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharDividesK, NoKthRoots, OutOfRange
+from .errors import CharDividesK, NoKthRoots, OutOfRange, ResourceLimit
 from .fields import _factor, finite_field, is_prime, roots_of_unity
 from .kloosterman import _require_k
+
+# Most k^3 triples ``compute_sk`` enumerates: k <= 128, at about 66 bytes a
+# triple (maxrss 133 MiB above the interpreter at k = 128)
+SK_CELL_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,8 @@ def compute_sk(k: int, host) -> SkMultiset:
     digit over an extension), the k-th powers through the exp/log tables."""
     if (host.size - 1) % k != 0:
         raise NoKthRoots(f"k = {k} does not divide {host.size} - 1")
+    if k**3 > SK_CELL_CAP:
+        raise ResourceLimit(f"k = {k}: {k**3} triples exceed SK_CELL_CAP = {SK_CELL_CAP}")
     zs = np.array(roots_of_unity(host, k), dtype=np.int64)
     assert len(zs) == k
     z2, z3, z4 = (z.ravel() for z in np.meshgrid(zs, zs, zs, indexing="ij"))

@@ -49,6 +49,15 @@ COMMANDS = [
     "progression --x 20000 --q 999983",
     "kl-check --k 3 --q 5 --d 2",
     "sk --scan-smallest --k 20 --q-limit 40",
+    # fields of degree 3 to 6, whose moduli and generators reach these bytes
+    # (the two sk hosts are F_{3^5} and F_{3^6})
+    "kl-table --k 2 --q 3 --d 6",
+    "kl-table --k 3 --q 5 --d 4",
+    "kl-table --k 2 --q 7 --d 3",
+    "kl-table --k 2 --q 101 --d 3",
+    "sk --k 11 --q 3",
+    "sk --k 7 --q 3",
+    "kl-check --k 2 --q 3 --d 6",
 ]
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import shlex
 import time
+import tracemalloc
 
 import pytest
 
@@ -130,6 +131,37 @@ def test_field_beyond_the_log_table_cap_exits_1_before_the_modulus_search(capsys
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_sk_beyond_the_triple_cap_exits_1_before_the_meshgrid(capsys):
+    # k = 2002 over F_2003 would enumerate 2002^3 triples, 59.8 GiB of int64
+    # in the meshgrid alone
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["sk", "--k", "2002", "--q", "2003"]) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 8 << 20
+    err = capsys.readouterr().err
+    assert "SK_CELL_CAP" in err and "Traceback" not in err
+
+
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
+    import klab.root_sums as rs
+
+    def exhausted(*_args):
+        raise MemoryError("Unable to allocate 59.8 GiB for an array with shape "
+                          "(2002, 2002, 2002) and data type int64")
+
+    monkeypatch.setattr(rs, "compute_sk", exhausted)
+    assert main(["sk", "--k", "2", "--q", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 59.8 GiB for an "
+                            "array with shape (2002, 2002, 2002) and data type int64\n")
 
 
 def test_kl_check_small(capsys):
@@ -313,6 +345,21 @@ def test_sumprod_scan_flag_route(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 19**4  # exhaustive below the full-scan cap
 
 
+def test_sumprod_scan_threshold_reaches_the_artifact(tmp_path):
+    from klab.cli import _context
+    from klab.sum_product import ScanSpec, scan_bad_tuples
+
+    out = tmp_path / "scan.json"
+    argv = ["sumprod-scan", "--k", "2", "--q", "11", "--seed", "3", "--threshold", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    res = scan_bad_tuples(_context(2, 11, 1, 1), thresholds={"r_linear": 0.5, "corr": 0.5},
+                          spec=ScanSpec(seed=3))
+    assert data["thresholds"] == {"r_linear": 0.5, "corr": 0.5}
+    assert data["config"]["threshold"] == 0.5
+    assert data["flagged_fraction"] == res.flagged_fraction
+
+
 def test_sumprod_scan_json_builds_no_csv(tmp_path, monkeypatch):
     import klab.cli as cli
     import klab.reporting as rp
@@ -376,6 +423,9 @@ def test_config_explicit_flag_wins_at_default_value(tmp_path, capsys):
     ("[exponent-lp]\nkappa = abc\n", ["exponent-lp", "--delta", "0.03"]),
     ("[moments]\nsamples = 2.5\n", ["moments", "--k", "2", "--q", "13", "--seed", "1"]),
     ("[moments]\nsamples = 0\n", ["moments", "--k", "2", "--q", "13", "--seed", "1"]),
+    ("[sumprod-scan]\nratios = maybe\n",
+     ["sumprod-scan", "--k", "2", "--q", "53", "--samples", "4", "--seed", "1"]),
+    ("[kl-table]\nconvention = weil\n", ["kl-table", "--k", "2", "--q", "7"]),
 ])
 def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
     cfg = tmp_path / "klab.cfg"
@@ -383,6 +433,23 @@ def test_config_value_typed_by_flag(tmp_path, capsys, section, argv):
     assert main(["--config", str(cfg), *argv]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, argv, key, value", [
+    ("[sumprod-scan]\nratios = yes\n",
+     ["sumprod-scan", "--k", "2", "--q", "53", "--samples", "4", "--seed", "1"],
+     "ratios", True),
+    ("[kl-table]\nconvention = sheaf\n", ["kl-table", "--k", "2", "--q", "7"],
+     "convention", "sheaf"),
+])
+def test_config_sets_a_switch_and_a_choice(capsys, tmp_path, section, argv, key, value):
+    cfg = tmp_path / "klab.cfg"
+    cfg.write_text(section)
+    code, out = run(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"][key] == value
+    assert ("ratios" in data) is (key == "ratios")
 
 
 @pytest.mark.parametrize("section, key, argv", [
@@ -517,8 +584,13 @@ def test_sumprod_scan_csv_matches_rows(tmp_path):
       for k in ("-2", "0", "1") for route in (["--q", "7"], ["--scan-smallest"])),
     *([["progression", "--x", "100", "--q", "7", "--a", a],
        ["usage error: --a", "1 <= a < q"]] for a in ("7", "0", "-1")),
+    (["sk", "--k", "2"], ["usage error: sk requires --q"]),
+    (["progression", "--x", "1000001", "--q", "7"], ["error: tau table capped at 1000000"]),
+    (["opnorm", "--k", "2", "--q", "10007", "--M", "3000", "--N", "3000"],
+     ["error: MN = 9000000 exceeds matrix cap"]),
 ], ids=[*(f"sk-k{k}{route}" for k in (-2, 0, 1) for route in ("", "-scan")),
-        *(f"progression-a{a}" for a in (7, 0, -1))])
+        *(f"progression-a{a}" for a in (7, 0, -1)),
+        "sk-without-q", "progression-x-cap", "opnorm-matrix-cap"])
 def test_values_out_of_range_exit_1(tmp_path, capsys, argv, messages):
     out = tmp_path / "artifact"
     assert main([*argv, "--out", str(out)]) == 1

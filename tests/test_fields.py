@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klab.fields
 from klab.errors import CompositeModulus, TooSmall
-from klab.fields import (PAIR_TABLE_CAP, build_extension, finite_field, is_prime,
-                         make_prime_field, roots_of_unity)
+from klab.fields import (PAIR_TABLE_CAP, _is_irreducible, build_extension, finite_field,
+                         is_prime, make_prime_field, roots_of_unity)
 
 
 def test_make_prime_field_accepts_prime():
@@ -63,6 +64,56 @@ def test_extension_q7_d3_is_irreducible_by_rabin_oracle():
     assert f.pow(x, 343) == x
     # and x^{7} != x (no subfield of degree 1 contains x)
     assert f.pow(x, 7) != x
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_irreducibility_verdicts_match_roots_and_quadratic_factors(q):
+    # oracle: a monic f of degree 2 or 3 is irreducible iff it has no root,
+    # and one of degree 4 iff it has no root and is no product of two monic
+    # quadratics; every monic f of degree 2..4 over F_q is decided both ways
+    def value(coeffs, x):
+        return sum(c * x**i for i, c in enumerate(coeffs)) % q
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % q
+        return out
+
+    quadratics = [[c0, c1, 1] for c0 in range(q) for c1 in range(q)]
+    products = [times(a, b) for a in quadratics for b in quadratics]
+    for d in (2, 3, 4):
+        verdicts = []
+        for tail in range(q**d):
+            f = [(tail // q**i) % q for i in range(d)] + [1]
+            irreducible = all(value(f, x) for x in range(q))
+            if d == 4:
+                irreducible &= f not in products
+            assert _is_irreducible(f, q, d) is irreducible, f
+            verdicts.append(irreducible)
+        # Gauss's count of monic irreducibles: (q^2 - q)/2, (q^3 - q)/3, (q^4 - q^2)/4
+        assert sum(verdicts) == {2: (q**2 - q) // 2, 3: (q**3 - q) // 3,
+                                 4: (q**4 - q**2) // 4}[d]
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (5, 2), (3, 4), (7, 2)])
+def test_scalar_mul_and_pow_read_no_table_and_no_numpy(monkeypatch, q, d):
+    # ExtField.mul/pow are the oracle of every table, so scrambling the
+    # exp/log, trace and dense tables, and taking numpy (and with it every
+    # companion matrix) away, must leave them unchanged
+    f = build_extension(make_prime_field(q), d)
+    rng = np.random.default_rng(q * 10 + d)
+    pairs = rng.integers(0, f.size, size=(64, 2)).tolist()
+    exps = rng.integers(0, 3 * f.size, size=64).tolist()
+    want = [(f.mul(a, b), f.pow(a, e)) for (a, b), e in zip(pairs, exps)]
+    f.add_table()
+    f.mul_table()
+    for name in ("exp_table", "log_table", "trace_vec", "psi_vec", "_add_table",
+                 "_mul_table"):
+        setattr(f, name, rng.permutation(getattr(f, name)))
+    monkeypatch.setattr(klab.fields, "np", None)
+    assert [(f.mul(a, b), f.pow(a, e)) for (a, b), e in zip(pairs, exps)] == want
 
 
 def test_trace_degree_one_is_identity():
